@@ -48,6 +48,22 @@ class Scenario:
     emi_aware: bool = False
     quadrature_nodes: int = 64
 
+    def __post_init__(self):
+        if not self.target_rate > 0:
+            raise ValueError(f"target rate must be positive, got {self.target_rate!r}")
+        for name in ("distance_sweep", "rho_sweep"):
+            steps = getattr(self, name)[2]
+            if not (float(steps).is_integer() and steps >= 1):
+                raise ValueError(f"{name} needs a whole number of steps >= 1, got {steps!r}")
+        counts = (*self.irs_elements, self.irs_reference_elements, *self.relay_antennas)
+        if not self.irs_elements or not self.relay_antennas or min(counts) < 1:
+            raise ValueError("element and antenna counts must be non-empty and >= 1")
+        if self.quadrature_nodes < 2:
+            raise ValueError("need at least 2 quadrature nodes per axis")
+        if len({self.source_pos, self.node_pos, self.dest_pos}) < 3:
+            raise ValueError("source, node and destination positions must be distinct")
+        _facing_orientation(self)  # raises when the array broadside is undefined
+
     @property
     def emi_variance(self) -> float:
         return 10.0 ** (self.rho_db / 10.0) * self.budget.noise_power_w
@@ -172,12 +188,33 @@ def load_scenario(path) -> Scenario:
 # ---------------------------------------------------------------------------
 # shared sweep plumbing
 
+def _facing_orientation(scenario: Scenario) -> np.ndarray:
+    """Rotation of a vertical array whose broadside faces the source-destination axis.
+
+    Broadside (local +x) is the horizontal direction from the node to the
+    nearest point of that axis, local y is horizontal and local z vertical.
+    Raises ValueError when no such direction exists (the node lies on the
+    axis, or vertically above or below it).
+    """
+    source, node, dest = (p.as_array() for p in
+                          (scenario.source_pos, scenario.node_pos, scenario.dest_pos))
+    axis = (dest - source) / np.linalg.norm(dest - source)
+    toward = source + np.dot(node - source, axis) * axis - node
+    reach = math.hypot(toward[0], toward[1])
+    if reach <= 1e-9 * np.linalg.norm(node - source):
+        raise ValueError("the node lies on, or vertically above or below, the "
+                         "source-destination axis, so the array broadside is undefined")
+    bx, by = toward[0] / reach, toward[1] / reach
+    return np.array([[bx, -by, 0.0], [by, bx, 0.0], [0.0, 0.0, 1.0]])
+
+
 class _NodeLink:
     """Channels and interference models at the surface/relay for one layout."""
 
     def __init__(self, scenario: Scenario, n_elements: int):
         self.scenario = scenario
-        self.layout = make_layout(n_elements, scenario.budget.wavelength)
+        self.layout = make_layout(n_elements, scenario.budget.wavelength,
+                                  orientation=_facing_orientation(scenario))
         self.corr_iso = emi_mod.psd_project(emi_mod.corr_isotropic(self.layout))
         src_az, src_el = angles_between(scenario.node_pos, scenario.source_pos,
                                         self.layout.orientation)

@@ -15,6 +15,7 @@ the test suite).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -101,8 +102,16 @@ def _density_window(density: AngularDensity) -> tuple[float, float, float, float
             min(HALF_PI, density.mean_elevation + w_th))
 
 
-def _quad_nodes(nodes: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+@cache
+def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count."""
     x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _quad_nodes(nodes: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _leggauss(nodes)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
@@ -132,9 +141,9 @@ def _density_mass(density: AngularDensity, nodes: int) -> float:
 
 
 def _corr_quadrature(layout: ArrayLayout, wavelength: float,
-                     density: AngularDensity, nodes: int) -> np.ndarray:
+                     density: AngularDensity, nodes: int, mass: float) -> np.ndarray:
     phi, th, w = _angle_grid(density, nodes)
-    f = _density_values(density, phi, th) / _density_mass(density, nodes)
+    f = _density_values(density, phi, th) / mass
     k = (2.0 * np.pi / wavelength) * np.stack([
         np.cos(th) * np.cos(phi),
         np.cos(th) * np.sin(phi),
@@ -169,7 +178,7 @@ def corr_directional(layout: ArrayLayout, wavelength: float | None = None,
         raise NumericalError(
             f"density normalization did not converge ({mass!r} vs {mass_fine!r}); "
             "increase the quadrature nodes")
-    return _corr_quadrature(layout, wavelength, density, nodes)
+    return _corr_quadrature(layout, wavelength, density, nodes, mass)
 
 
 def corr_directional_error(layout: ArrayLayout, wavelength: float | None = None,
@@ -184,7 +193,9 @@ def corr_directional_error(layout: ArrayLayout, wavelength: float | None = None,
     fine = corr_directional(layout, wavelength, density, nodes)
     if wavelength is None:
         wavelength = layout.wavelength
-    coarse = _corr_quadrature(layout, wavelength, density, max(2, nodes // 2))
+    coarse_nodes = max(2, nodes // 2)
+    coarse = _corr_quadrature(layout, wavelength, density, coarse_nodes,
+                              _density_mass(density, coarse_nodes))
     return fine, float(np.abs(fine - coarse).max())
 
 

@@ -6,14 +6,21 @@ The two-phase protocol splits the channel uses into fractions tau1 and
     min{tau1 log2(1 + p1 alpha1), (1 - tau1) log2(1 + p2 alpha2)}
 
 with effective gains alpha1 (source->relay, interference plus noise) and
-alpha2 (relay->destination, noise only).  The average power tau1 p1 +
-(1 - tau1) p2 is minimized by a bisection on the power budget whose inner
-stage maximizes the achievable rate at a fixed budget.
+alpha2 (relay->destination, noise only).  At the minimum average power
+tau1 p1 + (1 - tau1) p2 both phase rates equal the target R, so
+
+    P(tau) = tau (2^(R/tau) - 1)/alpha1 + (1 - tau)(2^(R/(1 - tau)) - 1)/alpha2.
+
+Each term is the perspective of the convex function 2^R - 1 (Boyd and
+Vandenberghe, Convex Optimization, sec. 3.2.6), so P'(tau) is increasing and
+one bisection on its sign finds the global minimum.  The maximum rate under
+a power budget is the inverse of that minimum, found by bisection on R.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,10 +28,9 @@ import numpy as np
 
 from .errors import InfeasibleError, NumericalError
 
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio
-
-TAU_MIN = 1e-4  # the rate vanishes at tau -> 0 or 1, so clamping loses nothing
-BISECTION_MAX_ITERS = 200
+LN2 = math.log(2.0)
+REL_TOL = 1e-13  # relative width at which a bisection stops
+EXP_LIMIT = 700.0  # e^700 is finite; larger exponents are scaled down first
 POWER_UPPER_W = 1e5
 
 
@@ -87,128 +93,94 @@ def repetition_required_power(target_rate: float, beta_sr: float, beta_rd: float
             / (2.0 * beta_rd * beta_sr))
 
 
-def _equalized_rate_grid(taus: np.ndarray, budget: float, gains: EffectiveGains,
-                         iters: int = 24) -> np.ndarray:
-    """Equalized-phase rate over a tau1 grid at a binding budget (vectorized).
+def _exp2m1(x: float) -> float:
+    """2^x - 1, or inf where that overflows a float."""
+    return math.expm1(x * LN2) if x < 1024.0 else math.inf
 
-    For fixed tau1 the first-phase rate grows and the second-phase rate
-    falls as p1 sweeps [0, budget/tau1], so the equalizer is a bisection;
-    grid accuracy only has to locate the peak for later refinement.
+
+def _harmonic(gains: EffectiveGains) -> float:
+    """1 / (1/alpha1 + 1/alpha2)."""
+    return 1.0 / (1.0 / gains.alpha1 + 1.0 / gains.alpha2)
+
+
+def _bisect(rising: Callable[[float], bool], lo: float,
+            hi: float) -> tuple[float, float, int]:
+    """Bracket the root of a monotone predicate (False below it, True above).
+
+    Halves [lo, hi] until it is REL_TOL * hi wide or no float lies inside;
+    returns the final (lo, hi) and the number of halvings.
     """
-    lo = np.zeros_like(taus)
-    hi = budget / taus
-    for _ in range(iters):
+    steps = 0
+    while hi - lo > REL_TOL * hi and lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
-        r1 = taus * np.log2(1.0 + mid * gains.alpha1)
-        p2 = (budget - taus * mid) / (1.0 - taus)
-        r2 = (1.0 - taus) * np.log2(1.0 + np.maximum(p2, 0.0) * gains.alpha2)
-        raise_lo = r1 < r2
-        lo = np.where(raise_lo, mid, lo)
-        hi = np.where(raise_lo, hi, mid)
-    mid = 0.5 * (lo + hi)
-    return taus * np.log2(1.0 + mid * gains.alpha1)
+        if rising(mid):
+            hi = mid
+        else:
+            lo = mid
+        steps += 1
+    return lo, hi, steps
 
 
-def _equalized_rate_scalar(tau: float, budget: float, gains: EffectiveGains,
-                           iters: int = 60) -> tuple[float, float]:
-    """Scalar twin of _equalized_rate_grid returning (rate, p1).
+def _scaled_f(u: float, shift: float) -> float:
+    """e^-shift * (e^u (1 - u) - 1), finite and without cancellation at small u."""
+    grown = math.expm1(u) if shift == 0.0 else math.exp(u - shift) - math.exp(-shift)
+    return grown * (1.0 - u) - u * math.exp(-shift)
 
-    Runs safeguarded Newton on the (strictly increasing) phase-rate
-    difference, falling back to bisection steps whenever Newton leaves the
-    bracket.
+
+def _min_power_at(rate: float, gains: EffectiveGains) -> tuple[float, float, float, float, int]:
+    """Minimizer of P(tau) at ``rate``: (tau1, p1, p2, P, bisection steps).
+
+    P'(tau) = f(R ln2 / tau)/alpha1 - f(R ln2 / (1 - tau))/alpha2 with
+    f(u) = e^u (1 - u) - 1 rises from -inf to +inf over (0, 1).  Its sign is
+    read after scaling by e^-shift, which keeps every exponential finite.
     """
     a1, a2 = gains.alpha1, gains.alpha2
-    other = 1.0 - tau
-    lo, hi = 0.0, budget / tau
-    p1 = 0.5 * hi
-    for _ in range(iters):
-        p2 = (budget - tau * p1) / other
-        if p2 < 0.0:
-            p2 = 0.0
-        r1 = math.log1p(p1 * a1)
-        r2 = math.log1p(p2 * a2)
-        residual = tau * r1 - other * r2
-        if residual < 0.0:
-            lo = p1
-        else:
-            hi = p1
-        slope = tau * (a1 / (1.0 + p1 * a1) + a2 / (1.0 + p2 * a2))
-        if abs(residual) <= 1e-14 * (tau * r1 + other * r2) or hi - lo <= 1e-16 * hi:
-            break
-        step = p1 - residual / slope
-        p1 = step if lo < step < hi else 0.5 * (lo + hi)
-    return tau * math.log2(1.0 + p1 * a1), p1
+    c = rate * LN2
+
+    def rising(tau):
+        u1, u2 = c / tau, c / (1.0 - tau)
+        shift = max(u1, u2, EXP_LIMIT) - EXP_LIMIT
+        return _scaled_f(u1, shift) / a1 >= _scaled_f(u2, shift) / a2
+
+    lo, hi, steps = _bisect(rising, 0.0, 1.0)
+    tau1 = 0.5 * (lo + hi)
+    p1 = _exp2m1(rate / tau1) / a1
+    p2 = _exp2m1(rate / (1.0 - tau1)) / a2
+    return tau1, p1, p2, tau1 * p1 + (1.0 - tau1) * p2, steps
 
 
-def df_inner_max_rate(budget: float, gains: EffectiveGains,
-                      coarse_points: int = 512) -> tuple[float, float, float, float]:
+def df_inner_max_rate(budget: float, gains: EffectiveGains) -> tuple[float, float, float, float]:
     """Maximum achievable rate under an average-power budget.
 
-    Exploits that the optimum equalizes the two phase rates with the budget
-    binding: a coarse tau1 grid locates the peak (guarding against
-    non-unimodality) and golden-section search refines it.  Returns
-    (rate, tau1, p1, p2).
+    The inverse of the minimum power P*(R), which is increasing in R: a
+    bisection on R from 0 up to the rate at which the lower bound
+    (2^R - 1)(1/alpha1 + 1/alpha2) <= P*(R) reaches the budget.  It keeps the
+    highest rate found within the budget.  Returns (rate, tau1, p1, p2).
     """
-    if budget <= 0:
+    if not budget > 0:
         raise ValueError("power budget must be positive")
-    taus = np.linspace(TAU_MIN, 1.0 - TAU_MIN, coarse_points)
-    rates = _equalized_rate_grid(taus, budget, gains)
-    peak = int(np.argmax(rates))
-    a = taus[max(peak - 1, 0)]
-    b = taus[min(peak + 1, coarse_points - 1)]
-    c = b - INV_PHI * (b - a)
-    d = a + INV_PHI * (b - a)
-    fc = _equalized_rate_scalar(c, budget, gains)[0]
-    fd = _equalized_rate_scalar(d, budget, gains)[0]
-    while b - a > 1e-9:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - INV_PHI * (b - a)
-            fc = _equalized_rate_scalar(c, budget, gains)[0]
-        else:
-            a, c, fc = c, d, fd
-            d = a + INV_PHI * (b - a)
-            fd = _equalized_rate_scalar(d, budget, gains)[0]
-    tau1 = 0.5 * (a + b)
-    rate, p1 = _equalized_rate_scalar(tau1, budget, gains)
-    p2 = (budget - tau1 * p1) / (1.0 - tau1)
+    hi = math.log1p(budget * _harmonic(gains)) / LN2
+    rate, _, _ = _bisect(lambda r: _min_power_at(r, gains)[3] > budget, 0.0, hi)
+    tau1, p1, p2, _, _ = _min_power_at(rate, gains)
     return rate, tau1, p1, p2
 
 
-def df_min_power(target_rate: float, gains: EffectiveGains,
-                 tolerance: float = 1e-6) -> RelaySolution:
-    """Bisection on the power budget for the minimum-power relay solution.
+def df_min_power(target_rate: float, gains: EffectiveGains) -> RelaySolution:
+    """Minimum average power reaching ``target_rate``, with both phase rates
+    pinned at it.
 
-    Brackets [0, 1e5] W; stops once the inner maximum rate is within
-    ``tolerance`` (relative) of the target.  Raises InfeasibleError when the
-    target is out of reach at the upper bracket.
+    Raises InfeasibleError when that power exceeds POWER_UPPER_W.
     """
-    if target_rate <= 0:
+    if not target_rate > 0:
         raise ValueError("target rate must be positive")
-    lo, hi = 0.0, POWER_UPPER_W
-    rate_hi, *_ = df_inner_max_rate(hi, gains)
-    if rate_hi < target_rate:
-        raise InfeasibleError(
-            f"rate {target_rate} unreachable within {POWER_UPPER_W:.0e} W")
-    if not rate_hi >= target_rate > 0.0:
-        raise NumericalError("bisection bracket lost before iterating")
-    solution = None
-    for iteration in range(1, BISECTION_MAX_ITERS + 1):
-        mid = 0.5 * (lo + hi)
-        rate, tau1, p1, p2 = df_inner_max_rate(mid, gains)
-        if abs(rate - target_rate) <= tolerance * target_rate:
-            solution = RelaySolution(tau1, p1, p2, mid, rate, iteration)
-            break
-        if rate < target_rate:
-            lo = mid
-        else:
-            hi = mid
-        if not lo < hi:
-            raise NumericalError("bisection interval collapsed without converging")
-    if solution is None:
-        rate, tau1, p1, p2 = df_inner_max_rate(hi, gains)
-        solution = RelaySolution(tau1, p1, p2, hi, rate, BISECTION_MAX_ITERS)
-    return solution
+    # Even with the whole frame each phase needs (2^R - 1)/alpha_i, so the
+    # sum of the two bounds the optimum from below.
+    if target_rate > math.log1p(POWER_UPPER_W * _harmonic(gains)) / LN2:
+        raise InfeasibleError(f"rate {target_rate} unreachable within {POWER_UPPER_W:.0e} W")
+    tau1, p1, p2, power, steps = _min_power_at(target_rate, gains)
+    if not power <= POWER_UPPER_W:
+        raise InfeasibleError(f"rate {target_rate} unreachable within {POWER_UPPER_W:.0e} W")
+    return RelaySolution(tau1, p1, p2, power, df_rate(tau1, p1, p2, gains), steps)
 
 
 def effective_gain_first_phase(h_sr: np.ndarray, covariance: np.ndarray,

@@ -63,6 +63,23 @@ def test_scenario_from_config_rejects_unknown_keys():
         scenario_from_config({"version": 99})
 
 
+@pytest.mark.parametrize("raw,message", [
+    ({"sweeps": {"rho_db": [-10.0, 40.0, 0]}}, "rho_sweep"),
+    ({"sweeps": {"distance_m": [20.0, 120.0, 2.5]}}, "distance_sweep"),
+    ({"target_rate_bps_hz": 0.0}, "target rate"),
+    ({"irs": {"elements": []}}, "counts"),
+    ({"irs": {"reference_elements": 0}}, "counts"),
+    ({"relay": {"antennas": 0}}, "counts"),
+    ({"quadrature_nodes": 1}, "quadrature"),
+    ({"geometry": {"node_m": [0.0, 0.0, 0.0]}}, "distinct"),
+    ({"geometry": {"node_m": [30.0, 0.0, 5.0]}}, "axis"),
+])
+def test_scenario_from_config_rejects_bad_values(raw, message):
+    # rejected while the Scenario is built, before any sweep work
+    with pytest.raises(ValueError, match=message):
+        scenario_from_config(raw)
+
+
 def test_csv_round_trip_and_header():
     result = run_fig4(SMALL)
     text = format_csv(result)

@@ -8,6 +8,7 @@ from emilink import (CombinerKind, EffectiveGains, InfeasibleError, df_inner_max
                      df_min_power, df_rate, effective_gain_first_phase,
                      effective_gain_second_phase, effective_gains_single,
                      los_channel, make_layout, repetition_required_power)
+from emilink.relay import POWER_UPPER_W
 from conftest import random_complex, random_unit_diag_psd
 
 NOISE = 10.0 ** ((-94.0 - 30.0) / 10.0)
@@ -182,6 +183,72 @@ def test_min_power_inverse_consistency():
 def test_min_power_infeasible():
     with pytest.raises(InfeasibleError):
         df_min_power(6.0, EffectiveGains(1e-9, 1e-9))
+
+
+def closed_form_power(tau, rate, gains):
+    """P(tau) = tau (2^(R/tau) - 1)/alpha1 + (1 - tau)(2^(R/(1 - tau)) - 1)/alpha2."""
+    with np.errstate(over="ignore"):
+        return (tau * np.expm1(rate / tau * math.log(2.0)) / gains.alpha1
+                + (1.0 - tau) * np.expm1(rate / (1.0 - tau) * math.log(2.0)) / gains.alpha2)
+
+
+def test_min_power_matches_dense_tau_grid():
+    # draws from acceptance criterion 4's gain and rate ranges
+    rng = np.random.default_rng(6)
+    taus = np.linspace(0.0, 1.0, 200_001)[1:-1]
+    for _ in range(200):
+        b_sr = 10 ** rng.uniform(-9, -6)
+        b_rd = 10 ** rng.uniform(-9, -6)
+        variance = 10 ** rng.uniform(-2, 3) * NOISE
+        target = rng.uniform(0.5, 8.0)
+        gains = effective_gains_single(b_sr, b_rd, variance, NOISE)
+        sol = df_min_power(target, gains)
+        assert sol.average_power <= closed_form_power(taus, target, gains).min() * (1 + 1e-9)
+        assert sol.average_power == pytest.approx(
+            closed_form_power(sol.tau1, target, gains), rel=1e-12)
+        r1 = sol.tau1 * math.log2(1.0 + sol.p1 * gains.alpha1)
+        r2 = (1.0 - sol.tau1) * math.log2(1.0 + sol.p2 * gains.alpha2)
+        assert r1 == pytest.approx(target, rel=1e-12)
+        assert r2 == pytest.approx(target, rel=1e-12)
+        assert sol.average_power == sol.tau1 * sol.p1 + (1 - sol.tau1) * sol.p2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rate", [40.0, 2000.0, 1e6, math.inf])
+def test_min_power_far_beyond_the_cap_is_infeasible(rate):
+    for gains in (EffectiveGains(1e5, 1e6), EffectiveGains(1e2, 1e7),
+                  EffectiveGains(1e12, 1e12), EffectiveGains(1e-9, 1e-9)):
+        with pytest.raises(InfeasibleError):
+            df_min_power(rate, gains)
+    # within the gain bound, but the optimum overflows a float
+    with pytest.raises(InfeasibleError):
+        df_min_power(1000.0, EffectiveGains(1e300, 1e300))
+
+
+@pytest.mark.filterwarnings("error")
+def test_min_power_cap_is_the_feasibility_boundary():
+    for gains in (EffectiveGains(3e4, 8e6), EffectiveGains(1e2, 1e2), EffectiveGains(1e7, 1e3)):
+        edge = df_inner_max_rate(POWER_UPPER_W, gains)[0]
+        sol = df_min_power(edge * (1 - 1e-9), gains)
+        assert sol.average_power <= POWER_UPPER_W
+        with pytest.raises(InfeasibleError):
+            df_min_power(edge * (1 + 1e-9), gains)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gains", [EffectiveGains(1e2, 1e7), EffectiveGains(1e7, 1e2),
+                                   EffectiveGains(1e5, 1e5), EffectiveGains(1e-3, 1e9)])
+def test_inner_max_rate_over_extreme_budgets(gains):
+    previous = 0.0
+    for budget in 10.0 ** np.arange(-12, 13):
+        rate, tau1, p1, p2 = df_inner_max_rate(budget, gains)
+        assert math.isfinite(rate) and rate > previous
+        assert 0.0 < tau1 < 1.0
+        assert tau1 * p1 + (1 - tau1) * p2 == pytest.approx(budget, rel=1e-9)
+        assert df_rate(tau1, p1, p2, gains) == pytest.approx(rate, rel=1e-9)
+        if budget <= POWER_UPPER_W:
+            assert df_min_power(rate, gains).average_power == pytest.approx(budget, rel=1e-9)
+        previous = rate
 
 
 def test_first_phase_hand_value():
