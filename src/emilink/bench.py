@@ -235,13 +235,15 @@ class _NodeLink:
     def emi_model(self, variance: float, density: emi_mod.AngularDensity) -> emi_mod.EmiModel:
         if density.kind == "isotropic":
             return emi_mod.EmiModel(variance, density, self.corr_iso)
-        corr = emi_mod.psd_project(emi_mod.corr_directional(
-            self.layout, density=density, nodes=self.scenario.quadrature_nodes))
-        return emi_mod.EmiModel(variance, density, corr)
+        return emi_mod.build_emi_model(self.layout, variance, density,
+                                       self.scenario.quadrature_nodes)
 
 
 def _dest_at(scenario: Scenario, distance: float) -> Vec3:
-    return Vec3(float(distance), scenario.dest_pos.y, scenario.dest_pos.z)
+    """Destination ``distance`` metres from the source along the source-destination axis."""
+    source = scenario.source_pos.as_array()
+    axis = scenario.dest_pos.as_array() - source
+    return Vec3.of(source + float(distance) * axis / np.linalg.norm(axis))
 
 
 def _gaussian_at(scenario: Scenario, azimuth: float, elevation: float) -> emi_mod.AngularDensity:
@@ -398,12 +400,14 @@ def run_fig7(scenario: Scenario, corr_out: dict | None = None) -> SweepResult:
     if corr_out is not None:
         corr_out["fig7_iso"] = node.corr_iso
         corr_out["fig7_case1"] = case1.correlation
+    dest_distance = float(np.linalg.norm(scenario.dest_pos.as_array()
+                                         - scenario.source_pos.as_array()))
     rows = []
     for d in scenario.distances():
         dest = _dest_at(scenario, d)
         az, el, beta_rd, h_rd = node.toward(dest)
         case2 = node.emi_model(variance, _gaussian_at(scenario, az, el))
-        if corr_out is not None and math.isclose(d, scenario.dest_pos.x):
+        if corr_out is not None and math.isclose(d, dest_distance):
             corr_out["fig7_case2"] = case2.correlation
         for mode, model in (
                 ("heuristic_none", node.emi_model(0.0, iso)),

@@ -10,6 +10,15 @@ quadrature.  The isotropic density over that half-space is
 ``cos(theta) / (2 pi)``, which reproduces the sinc kernel for in-plane
 element separations (the quadrature/closed-form agreement is checked by
 the test suite).
+
+The quadrature works on the element-offset lattice.  An ``ArrayLayout`` is
+a rows x cols grid at pitch ``s`` in the local y-z plane, indexed row by
+row (``ArrayLayout`` rejects anything else), so ``R[n, m]`` depends only on
+the offset ``(r_n - r_m, c_n - c_m)``.  The kernel is evaluated once on
+the (2 rows - 1) x (2 cols - 1) offsets and gathered into the N x N
+matrix; the y (column) phase is summed over azimuth first and the z (row)
+phase over elevation after it.  The closed form ``corr_isotropic`` keeps
+its direct distance evaluation, so its output bytes do not move.
 """
 
 from __future__ import annotations
@@ -126,34 +135,43 @@ def _density_values(density: AngularDensity, phi: np.ndarray, theta: np.ndarray)
             * np.cos(theta))
 
 
-def _angle_grid(density: AngularDensity, nodes: int):
+def _weighted_grid(density: AngularDensity, nodes: int):
+    """Tensor rule nodes phi (P,), theta (T,) and unnormalized weights (P, T)."""
     phi_lo, phi_hi, th_lo, th_hi = _density_window(density)
     phi, w_phi = _quad_nodes(nodes, phi_lo, phi_hi)
     th, w_th = _quad_nodes(nodes, th_lo, th_hi)
-    pp, tt = np.meshgrid(phi, th, indexing="ij")
-    weights = np.outer(w_phi, w_th).ravel()
-    return pp.ravel(), tt.ravel(), weights
+    return phi, th, np.outer(w_phi, w_th) * _density_values(density, phi[:, None], th[None, :])
 
 
+@cache
 def _density_mass(density: AngularDensity, nodes: int) -> float:
-    phi, th, w = _angle_grid(density, nodes)
-    return float(np.sum(w * _density_values(density, phi, th)))
+    return float(np.sum(_weighted_grid(density, nodes)[2]))
 
 
 def _corr_quadrature(layout: ArrayLayout, wavelength: float,
                      density: AngularDensity, nodes: int, mass: float) -> np.ndarray:
-    phi, th, w = _angle_grid(density, nodes)
-    f = _density_values(density, phi, th) / mass
-    k = (2.0 * np.pi / wavelength) * np.stack([
-        np.cos(th) * np.cos(phi),
-        np.cos(th) * np.sin(phi),
-        np.sin(th),
-    ])
-    steering = np.exp(1j * (layout.positions @ k))       # (N, Q)
-    corr = (steering * (w * f)) @ steering.conj().T
-    corr = 0.5 * (corr + corr.conj().T)
-    np.fill_diagonal(corr, 1.0)
-    return corr
+    phi, th, weight = _weighted_grid(density, nodes)
+    ks = 2.0 * np.pi * layout.spacing / wavelength
+    rows, cols = layout.rows, layout.cols
+    # g[dc, t] = sum_p W[p, t] exp(j dc ks cos(theta_t) sin(phi_p)) for dc >= 0,
+    # the exponential advanced by a running product over dc
+    col_step = np.exp(1j * ks * np.outer(np.sin(phi), np.cos(th)))        # (P, T)
+    g = np.empty((cols, th.size), dtype=complex)
+    term = (weight / mass).astype(complex)
+    for dc in range(cols):
+        g[dc] = term.sum(axis=0)
+        term *= col_step
+    # kappa[dr, dc] = sum_t exp(j dr ks sin(theta_t)) g[dc, t], dr = -(rows-1)..rows-1
+    dr = np.arange(1 - rows, rows)
+    kappa = np.exp(1j * ks * np.outer(dr, np.sin(th))) @ g.T              # (2r-1, c)
+    # kappa(-d) = conj kappa(d): the dc = 0 column is mirrored from dr >= 0 and
+    # the origin pinned to 1, so the gathered matrix is exactly Hermitian.
+    kappa[:rows - 1, 0] = kappa[:rows - 1:-1, 0].conj()
+    kappa[rows - 1, 0] = 1.0
+    lattice = np.concatenate([kappa[::-1, :0:-1].conj(), kappa], axis=1)  # (2r-1, 2c-1)
+    r_idx, c_idx = np.divmod(np.arange(rows * cols), cols)
+    return lattice[r_idx[:, None] - r_idx[None, :] + rows - 1,
+                   c_idx[:, None] - c_idx[None, :] + cols - 1]
 
 
 def corr_directional(layout: ArrayLayout, wavelength: float | None = None,
@@ -161,9 +179,15 @@ def corr_directional(layout: ArrayLayout, wavelength: float | None = None,
                      nodes: int = 64) -> np.ndarray:
     """Correlation matrix for an arbitrary angular density by quadrature.
 
-    The density is normalized to unit mass on its quadrature window, which
-    forces an exactly unit diagonal.  Raises NumericalError when the mass
-    estimate has not converged to 1e-6 (relative) under node doubling.
+    The layout must be the row-major grid that ``ArrayLayout`` enforces:
+    the kernel kappa(dr, dc) is built once per element offset, as
+    sum_t exp(j dr ks sin(theta_t)) sum_p W[p, t] exp(j dc ks cos(theta_t) sin(phi_p))
+    with ks = 2 pi spacing / wavelength and W the normalized tensor weights,
+    for dc >= 0 only; kappa(-d) = conj kappa(d) fills the rest, so the
+    result is exactly Hermitian.  The density is normalized to unit mass on
+    its quadrature window, and the diagonal is exactly 1.  Raises
+    NumericalError when the mass estimate has not converged to 1e-6
+    (relative) under node doubling.
     """
     if layout.n_elements == 0:
         raise ValueError("layout must be non-empty")

@@ -58,7 +58,9 @@ class ArrayLayout:
     """Rectangular grid of array elements in the local y-z plane.
 
     ``positions`` is an (N, 3) array of local element centres indexed
-    row-by-row; ``orientation`` maps local to global coordinates.
+    row-by-row: element ``n = r * cols + c`` sits at ``(0, c, r) * spacing``
+    up to a translation common to all elements (checked to 1e-9 spacing).
+    ``orientation`` maps local to global coordinates.
     """
 
     positions: np.ndarray
@@ -76,6 +78,13 @@ class ArrayLayout:
             raise ValueError("rows * cols must equal the number of elements")
         if self.wavelength <= 0:
             raise ValueError("wavelength must be positive")
+        if not self.spacing > 0:
+            raise ValueError("spacing must be positive")
+        r_idx, c_idx = np.divmod(np.arange(pos.shape[0]), self.cols)
+        offsets = np.column_stack([np.zeros(pos.shape[0]), c_idx, r_idx]) * self.spacing
+        if not np.abs(pos - pos[0] - offsets).max() <= 1e-9 * self.spacing:
+            raise ValueError(f"positions must be the row-major {self.rows}x{self.cols} grid "
+                             f"at spacing {self.spacing!r} in the local y-z plane")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "orientation", np.asarray(self.orientation, dtype=float))
 

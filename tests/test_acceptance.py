@@ -5,12 +5,15 @@ full-sweep fixtures are module-scoped so the expensive runs happen once.
 """
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emilink
 from emilink import (AngularDensity, CombinerKind, EffectiveGains, EmiModel,
                      IrsLink, LosChannel, PhaseConfig, Scenario, Vec3, corr_directional,
                      corr_isotropic, df_inner_max_rate, df_min_power, df_rate,
@@ -474,12 +477,16 @@ def test_criterion_8_gradient_check():
 
 
 def test_criterion_9_cli_determinism(tmp_path):
+    # the child imports the same emilink as this process, installed or not
+    package_root = str(Path(emilink.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     outputs = []
     for name in ("a", "b"):
         outdir = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "emilink.cli", "fig4", "--out", str(outdir)],
-            capture_output=True, text=True, check=False)
+            capture_output=True, text=True, check=False, env=env)
         assert proc.returncode == 0, proc.stderr
         outputs.append((outdir / "fig4.csv").read_bytes())
     ok = outputs[0] == outputs[1] and len(outputs[0]) > 0

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from emilink import (LinkBudget, Scenario, SweepResult, SweepRow, format_csv,
+from emilink import (LinkBudget, Scenario, SweepResult, SweepRow, Vec3, format_csv,
                      format_svg, parse_csv, pathloss_umi, run_fig3, run_fig4,
                      run_fig5, run_fig6, run_fig7, run_fig8,
                      repetition_required_power, scenario_from_config, watt_to_dbm)
@@ -160,6 +160,18 @@ def test_fig3_emi_penalties():
     irs_emi = powers_by(result, "irs_n16", "heuristic_iso")
     for d in irs_clean:
         assert 0.0 <= irs_emi[d] - irs_clean[d] < 5.0
+
+
+def test_fig3_distance_sweep_follows_the_source_destination_axis():
+    # the paper scene mirrored onto the y axis keeps every distance and the
+    # isotropic EMI, so each row keeps its power
+    mirrored = Scenario(source_pos=Vec3(0.0, 0.0, 0.0), node_pos=Vec3(10.0, 60.0, 0.0),
+                        dest_pos=Vec3(0.0, 60.0, 0.0))
+    paper, other = run_fig3(Scenario()), run_fig3(mirrored)
+    assert [(r.sweep_var, r.technology, r.mode) for r in paper.rows] == \
+        [(r.sweep_var, r.technology, r.mode) for r in other.rows]
+    shift = max(abs(a.power_dbm - b.power_dbm) for a, b in zip(paper.rows, other.rows))
+    assert shift <= 1e-9, f"worst row shift {shift:.2e} dB"
 
 
 def test_fig4_monotone_in_rho():

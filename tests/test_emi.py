@@ -94,6 +94,52 @@ def test_corr_directional_refinement_bound():
     assert np.abs(r64 - r32).max() <= err_est + 1e-12
 
 
+def gram_oracle(layout, density, nodes=64):
+    """The quadrature as a Gram product S diag(w f / mass) S^H over every node.
+
+    Builds its own density window, density values, tensor Gauss-Legendre
+    rule and steering matrix from the element positions.
+    """
+    half = math.pi / 2
+    if density.kind == "isotropic":
+        window = (-half, half, -half, half)
+    else:
+        spread_a, spread_e = 8 * density.std_azimuth, 8 * density.std_elevation
+        window = (max(-half, density.mean_azimuth - spread_a),
+                  min(half, density.mean_azimuth + spread_a),
+                  max(-half, density.mean_elevation - spread_e),
+                  min(half, density.mean_elevation + spread_e))
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    phi_lo, phi_hi, th_lo, th_hi = window
+    phi = 0.5 * (phi_hi + phi_lo) + 0.5 * (phi_hi - phi_lo) * x
+    th = 0.5 * (th_hi + th_lo) + 0.5 * (th_hi - th_lo) * x
+    pp, tt = (a.ravel() for a in np.meshgrid(phi, th, indexing="ij"))
+    weights = np.outer(0.5 * (phi_hi - phi_lo) * w, 0.5 * (th_hi - th_lo) * w).ravel()
+    f = np.cos(tt)
+    if density.kind == "gaussian":
+        f = f * np.exp(-0.5 * ((pp - density.mean_azimuth) / density.std_azimuth) ** 2
+                       - 0.5 * ((tt - density.mean_elevation) / density.std_elevation) ** 2)
+    wf = weights * f / np.sum(weights * f)
+    k = (2 * np.pi / layout.wavelength) * np.stack(
+        [np.cos(tt) * np.cos(pp), np.cos(tt) * np.sin(pp), np.sin(tt)])
+    steering = np.exp(1j * (layout.positions @ k))
+    return (steering * wf) @ steering.conj().T
+
+
+@pytest.mark.parametrize("n", [1, 7, 12, 23, 80, 400])
+@pytest.mark.parametrize("density", [
+    AngularDensity.isotropic(),
+    AngularDensity.gaussian(0.0, 0.0, math.radians(10), math.radians(10)),
+    AngularDensity.gaussian(0.6, -0.3, math.radians(8), math.radians(15)),
+], ids=["isotropic", "gauss_broadside", "gauss_off_broadside"])
+def test_corr_directional_matches_gram_oracle(n, density):
+    lay = make_layout(n, LAM)
+    r = corr_directional(lay, density=density)
+    assert np.abs(r - gram_oracle(lay, density)).max() <= 1e-12
+    assert np.array_equal(r, r.conj().T)
+    assert np.array_equal(np.diag(r), np.ones(n))
+
+
 def test_corr_directional_unresolvable_density_raises():
     lay = make_layout(4, LAM)
     spiky = AngularDensity.gaussian(0.0, 0.0, 1e-7, 1e-7)

@@ -148,6 +148,27 @@ def test_los_channel_two_element_phase():
     assert_allclose(np.angle(ch.coefficients), [0.0, math.pi], atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [
+    np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.05]]),      # a column where a row is declared
+    np.array([[0.0, 0.05, 0.0], [0.0, 0.0, 0.0]]),      # columns out of order
+    np.array([[0.0, 0.0, 0.0], [0.0, 0.06, 0.0]]),      # pitch differs from the spacing
+    np.array([[0.0, 0.0, 0.0], [0.01, 0.05, 0.0]]),     # off the local y-z plane
+    np.array([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]]),
+])
+def test_array_layout_rejects_non_grid_positions(bad):
+    from emilink import ArrayLayout
+    with pytest.raises(ValueError, match="row-major 1x2 grid"):
+        ArrayLayout(bad, rows=1, cols=2, spacing=0.05, wavelength=0.1)
+
+
+def test_array_layout_accepts_translated_grid():
+    from emilink import ArrayLayout
+    lay = make_layout(12, 0.1)
+    moved = ArrayLayout(lay.positions + np.array([0.3, -1.2, 7.0]), lay.rows, lay.cols,
+                        lay.spacing, lay.wavelength)
+    assert moved.n_elements == 12
+
+
 def test_los_channel_rejects_negative_gain():
     with pytest.raises(ValueError):
         los_channel(-1.0, 0.0, 0.0, make_layout(4, 0.1))
