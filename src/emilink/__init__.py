@@ -9,9 +9,9 @@ from .scene import (ArrayLayout, LinkBudget, LosChannel, Vec3, angles_between,
 from .emi import (AngularDensity, EmiModel, build_emi_model, corr_directional,
                   corr_directional_error, corr_isotropic, emi_quadratic_form,
                   psd_project)
-from .irs import (IrsLink, IrsSolution, PhaseConfig, irs_min_power_emi_aware,
-                  irs_rate, irs_required_power, irs_sinr, irs_sinr_gradient,
-                  phases_emi_aware, phases_noise_only)
+from .irs import (IrsLink, IrsSolution, OptimizedPhases, PhaseConfig,
+                  irs_min_power_emi_aware, irs_rate, irs_required_power, irs_sinr,
+                  irs_sinr_gradient, phases_emi_aware, phases_noise_only)
 from .relay import (CombinerKind, EffectiveGains, RelaySolution, df_inner_max_rate,
                     df_min_power, df_rate, effective_gain_first_phase,
                     effective_gain_second_phase, effective_gains_single,

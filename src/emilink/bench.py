@@ -20,7 +20,7 @@ import numpy as np
 from . import emi as emi_mod
 from . import irs as irs_mod
 from . import relay as relay_mod
-from .errors import InfeasibleError
+from .errors import InfeasibleError, capped_power
 from .scene import (LinkBudget, Vec3, angles_between, dbm_to_watt, los_channel,
                     make_layout, pathloss_umi, watt_to_dbm)
 
@@ -254,7 +254,7 @@ def _gaussian_at(scenario: Scenario, azimuth: float, elevation: float) -> emi_mo
 def _irs_heuristic_row(sweep_var, link, target_rate, tech, mode) -> SweepRow:
     try:
         phases = irs_mod.phases_noise_only(link.h_sr, link.h_rd)
-        power = irs_mod.irs_required_power(target_rate, link, phases)
+        power = capped_power(irs_mod.irs_required_power(target_rate, link, phases), target_rate)
         rate = irs_mod.irs_rate(power, link, phases)
     except InfeasibleError:
         return SweepRow(sweep_var, tech, mode, math.inf, math.nan, 0)
@@ -272,8 +272,11 @@ def _irs_optimized_row(sweep_var, link, target_rate, tech, mode) -> SweepRow:
 
 def _df_repetition_row(sweep_var, beta_sr, beta_rd, variance, noise, target_rate,
                        mode) -> SweepRow:
-    power = relay_mod.repetition_required_power(target_rate, beta_sr, beta_rd,
-                                                variance, noise)
+    try:
+        power = capped_power(relay_mod.repetition_required_power(
+            target_rate, beta_sr, beta_rd, variance, noise), target_rate)
+    except InfeasibleError:
+        return SweepRow(sweep_var, "df", mode, math.inf, math.nan, 0)
     gains = relay_mod.effective_gains_single(beta_sr, beta_rd, variance, noise)
     snr = 2.0 * power * gains.alpha1 * gains.alpha2 / (gains.alpha1 + gains.alpha2)
     rate = relay_mod.df_rate(0.5, snr / gains.alpha1, snr / gains.alpha2, gains)

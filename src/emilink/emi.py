@@ -19,6 +19,11 @@ the (2 rows - 1) x (2 cols - 1) offsets and gathered into the N x N
 matrix; the y (column) phase is summed over azimuth first and the z (row)
 phase over elevation after it.  The closed form ``corr_isotropic`` keeps
 its direct distance evaluation, so its output bytes do not move.
+
+``build_emi_model`` projects only the sinc closed form onto the PSD cone
+(``psd_project``, one eigendecomposition per layout in the sweeps).  The
+quadrature matrix is a positively weighted sum of outer products, PSD by
+construction, and is used as it is.
 """
 
 from __future__ import annotations
@@ -255,12 +260,13 @@ def build_emi_model(layout: ArrayLayout, variance: float,
                     density: AngularDensity, nodes: int = 64) -> EmiModel:
     """Assemble the correlation matrix for ``density`` and wrap it up.
 
-    Isotropic densities use the sinc closed form; anything else goes through
-    the quadrature.  The result is projected onto the PSD cone to remove
-    quadrature round-off.
+    Isotropic densities use the sinc closed form, projected onto the PSD
+    cone: sampled at arbitrary element distances the sinc kernel need not
+    be PSD in floating point.  Anything else goes through the quadrature and
+    is returned as it is: a sum of s s^H outer products with positive
+    weights is PSD by construction, and projecting it would only move
+    round-off at the cost of a full eigendecomposition.
     """
     if density.kind == "isotropic":
-        corr = corr_isotropic(layout)
-    else:
-        corr = corr_directional(layout, density=density, nodes=nodes)
-    return EmiModel(variance, density, psd_project(corr))
+        return EmiModel(variance, density, psd_project(corr_isotropic(layout)))
+    return EmiModel(variance, density, corr_directional(layout, density=density, nodes=nodes))

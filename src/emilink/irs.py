@@ -4,10 +4,16 @@ The end-to-end SINR with transmit power p and reflection phases phi_n is
 
     p |h_rd^T Phi h_sr|^2 / (variance * ||h_rd^T Phi R^(1/2)||^2 + noise)
 
-where Phi = diag(exp(j phi_n)).  Closing the phases on the channel product
-(phi_n = -arg(h_sr_n h_rd_n)) maximizes the numerator and is optimal without
-interference; the interference-aware optimizer below runs projected gradient
-ascent on the SINR starting from that configuration.
+where Phi = diag(exp(j phi_n)).  It is p times a power-free gain g(phi), so
+the best phases do not depend on p: they are optimized once and the
+required power follows in closed form.  Closing the phases on the channel
+product (phi_n = -arg(h_sr_n h_rd_n)) maximizes the numerator and is optimal
+without interference.  The interference-aware optimizer starts there and
+maximizes g by minorization-maximization on the unit-modulus torus (Sun,
+Babu and Palomar, IEEE Trans. Signal Process. 65(3), 2017): each step is a
+phase alignment costing one product with R, and a step size 1/lam that
+halves whenever a step fails to raise g keeps g from ever falling without
+an eigendecomposition of R.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emi import EmiModel, emi_quadratic_form
-from .errors import InfeasibleError
+from .errors import InfeasibleError, capped_power
 from .scene import LosChannel
 
 TWO_PI = 2.0 * np.pi
@@ -59,8 +65,17 @@ class IrsLink:
 
 
 @dataclass(frozen=True)
+class OptimizedPhases(PhaseConfig):
+    """Phases from ``phases_emi_aware`` plus its iteration count and whether
+    it met its tolerance."""
+
+    iterations: int
+    converged: bool
+
+
+@dataclass(frozen=True)
 class IrsSolution:
-    """Required power and phase configuration from the fixed-point solver."""
+    """Required power and phase configuration from the EMI-aware optimizer."""
 
     power_w: float
     phases: PhaseConfig
@@ -119,73 +134,64 @@ def irs_sinr_gradient(power_w: float, link: IrsLink, phases: np.ndarray) -> np.n
     return power_w * (d_num * denom - abs(cascade) ** 2 * link.emi.variance * d_quad) / denom ** 2
 
 
-def phases_emi_aware(link: IrsLink, power_w: float, *, init: PhaseConfig | None = None,
-                     step0: float = 1.0, shrink: float = 0.5, slope: float = 1e-4,
-                     tol: float = 1e-8, max_iters: int = 1000) -> PhaseConfig:
-    """Tune the phases against the interference statistics.
+def phases_emi_aware(link: IrsLink, *, init: PhaseConfig | None = None,
+                     tol: float = 1e-8, max_iters: int = 1000) -> OptimizedPhases:
+    """Phases that maximize the power-free gain g = SINR / p, by MM.
 
-    Projected gradient ascent on the SINR with Armijo backtracking,
-    initialized at the noise-only configuration ("projection" is phase
-    wrapping, which is free since the objective is 2*pi-periodic).  Never
-    returns a configuration worse than its initialization; warns instead of
-    failing when the iteration limit is hit.
+    With z = exp(-j phi), a = h_rd * h_sr and B = variance D R D^H + (noise/N) I
+    (D = diag(h_rd)), g(z) = |a^H z|^2 / z^H B z on the unit-modulus torus.
+    Each step maximizes the linear minorizer of the Dinkelbach surrogate
+    z^H (a a^H + g (lam I - B)) z, which is a phase alignment:
+    z <- exp(j arg(a (a^H z) + g (lam z - B z))), one product with R.  The
+    surrogate is convex, so the step cannot lower g, once lam >= lambda_max(B);
+    lam starts at the Rayleigh quotient z^H B z / N and doubles whenever a step
+    fails to raise g, so no eigendecomposition is needed and g never falls.
+    Starts from ``init`` (default: the noise-only phases) and stops when g
+    changes by at most ``tol`` (relative) in a step; warns instead of failing
+    when ``max_iters`` steps run out.
     """
-    if power_w <= 0:
-        raise ValueError("power must be positive")
     config = init if init is not None else phases_noise_only(link.h_sr, link.h_rd)
-    phases = config.phases.copy()
-    value = irs_sinr(power_w, link, PhaseConfig(phases))
+    d = link.h_rd.coefficients
+    a = link.h_sr.coefficients * d
+    corr, variance = link.emi.correlation, link.emi.variance
+    floor = link.noise_power_w / d.size
+
+    def gain(z):
+        bz = variance * d * (corr @ (d.conj() * z)) + floor * z
+        return float(abs(np.vdot(a, z)) ** 2 / np.vdot(z, bz).real), bz
+
+    phases = config.phases
+    z = np.exp(-1j * phases)
+    g, bz = gain(z)
+    lam = np.vdot(z, bz).real / d.size
     converged = False
-    for _ in range(max_iters):
-        grad = irs_sinr_gradient(power_w, link, phases)
-        grad_sq = float(grad @ grad)
-        if grad_sq == 0.0:
-            converged = True
-            break
-        step = step0
-        candidate_value = value
-        accepted = False
-        while step > 1e-20:
-            candidate = phases + step * grad
-            candidate_value = irs_sinr(power_w, link, PhaseConfig(candidate))
-            if candidate_value >= value + slope * step * grad_sq:
-                accepted = True
-                break
-            step *= shrink
-        if not accepted:
-            converged = True
-            break
-        improvement = (candidate_value - value) / value if value > 0 else np.inf
-        phases = np.mod(candidate, TWO_PI)
-        value = candidate_value
-        if improvement < tol:
-            converged = True
-            break
+    iterations = 0
+    while iterations < max_iters and not converged:
+        iterations += 1
+        angle = np.angle(a * np.vdot(a, z) + g * (lam * z - bz))
+        candidate = np.exp(1j * angle)
+        g_new, b_candidate = gain(candidate)
+        converged = abs(g_new - g) <= tol * g
+        if g_new > g:
+            z, bz, g, phases = candidate, b_candidate, g_new, -angle
+        else:
+            lam *= 2.0
     if not converged:
         warnings.warn("phase optimization hit the iteration limit; returning best iterate",
                       RuntimeWarning, stacklevel=2)
-    return PhaseConfig(phases)
+    return OptimizedPhases(phases, iterations, converged)
 
 
 def irs_min_power_emi_aware(target_rate: float, link: IrsLink, *,
-                            tol: float = 1e-6, max_outer: int = 20,
-                            **opt_kwargs) -> IrsSolution:
+                            tol: float = 1e-8, max_iters: int = 1000) -> IrsSolution:
     """Minimum power to reach ``target_rate`` with interference-aware phases.
 
-    Alternates phase optimization at the current power with the power update
-    until the power change falls below ``tol`` (relative).  The result never
-    exceeds the noise-only-phases power.
+    SINR = p g(phi), so the best phases do not depend on the power: they are
+    found once by ``phases_emi_aware`` (``tol`` and ``max_iters`` are its
+    own) and the power follows in closed form.  The result never exceeds the
+    noise-only-phases power.  Raises InfeasibleError when it exceeds
+    POWER_UPPER_W.
     """
-    config = phases_noise_only(link.h_sr, link.h_rd)
-    power = irs_required_power(target_rate, link, config)
-    outer = 0
-    converged = False
-    for outer in range(1, max_outer + 1):
-        config = phases_emi_aware(link, power, init=config, **opt_kwargs)
-        new_power = irs_required_power(target_rate, link, config)
-        done = abs(new_power - power) <= tol * power
-        power = new_power
-        if done:
-            converged = True
-            break
-    return IrsSolution(power, config, outer, converged)
+    config = phases_emi_aware(link, tol=tol, max_iters=max_iters)
+    power = capped_power(irs_required_power(target_rate, link, config), target_rate)
+    return IrsSolution(power, config, config.iterations, config.converged)

@@ -26,12 +26,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InfeasibleError, NumericalError
+from .errors import POWER_UPPER_W, InfeasibleError, NumericalError, capped_power
 
 LN2 = math.log(2.0)
 REL_TOL = 1e-13  # relative width at which a bisection stops
 EXP_LIMIT = 700.0  # e^700 is finite; larger exponents are scaled down first
-POWER_UPPER_W = 1e5
 
 
 class CombinerKind(Enum):
@@ -178,8 +177,7 @@ def df_min_power(target_rate: float, gains: EffectiveGains) -> RelaySolution:
     if target_rate > math.log1p(POWER_UPPER_W * _harmonic(gains)) / LN2:
         raise InfeasibleError(f"rate {target_rate} unreachable within {POWER_UPPER_W:.0e} W")
     tau1, p1, p2, power, steps = _min_power_at(target_rate, gains)
-    if not power <= POWER_UPPER_W:
-        raise InfeasibleError(f"rate {target_rate} unreachable within {POWER_UPPER_W:.0e} W")
+    capped_power(power, target_rate)
     return RelaySolution(tau1, p1, p2, power, df_rate(tau1, p1, p2, gains), steps)
 
 

@@ -263,6 +263,18 @@ def test_all_rows_achieve_target_rate():
                 assert row.rate_bps_hz == pytest.approx(6.0, rel=2e-5), (runner, row)
 
 
+def test_power_cap_applies_to_every_technology():
+    # 40 bit/s/Hz needs ~116 dBm through the surface, beyond the 80 dBm cap
+    scenario = Scenario(target_rate=40.0)
+    fig8 = run_fig8(scenario).rows
+    rows = run_fig4(scenario).rows + tuple(
+        r for r in fig8 if r.technology == "irs_n75" or r.technology.startswith("df"))
+    assert {r.technology for r in rows} >= {"irs_n75", "df", "df_mmse", "df_mr"}
+    for row in rows:
+        assert math.isinf(row.power_dbm) and math.isnan(row.rate_bps_hz), row
+        assert row.solver_iters == 0
+
+
 def test_cli_writes_csv(tmp_path):
     out = tmp_path / "results"
     code = cli.main(["fig4", "--out", str(out)])

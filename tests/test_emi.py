@@ -215,6 +215,23 @@ def test_build_emi_model_dispatch():
     assert np.linalg.eigvalsh(gauss.correlation)[0] >= -1e-12
 
 
+@pytest.mark.parametrize("n", [7, 23, 80, 400])
+@pytest.mark.parametrize("density", [
+    AngularDensity.isotropic(),
+    AngularDensity.gaussian(0.6, -0.3, math.radians(10), math.radians(10)),
+], ids=["isotropic", "off_broadside_gaussian"])
+def test_quadrature_correlation_is_psd_by_construction(n, density):
+    lay = make_layout(n, LAM)
+    r = corr_directional(lay, density=density)
+    vals = np.linalg.eigvalsh(r)
+    assert vals[0] >= -1e-13 * vals[-1]
+    model = build_emi_model(lay, 1e-12, density)
+    if density.kind == "isotropic":
+        assert np.array_equal(model.correlation, psd_project(corr_isotropic(lay)))
+    else:
+        assert np.array_equal(model.correlation, r)
+
+
 def test_density_validation():
     with pytest.raises(ValueError):
         AngularDensity("weird")

@@ -215,7 +215,7 @@ def test_emi_aware_reduces_to_heuristic_without_emi():
     quiet = IrsLink(link.h_sr, link.h_rd,
                     EmiModel(0.0, AngularDensity.isotropic(), link.emi.correlation), NOISE)
     heur = phases_noise_only(link.h_sr, link.h_rd)
-    tuned = phases_emi_aware(quiet, 0.01)
+    tuned = phases_emi_aware(quiet)
     assert irs_rate(0.01, quiet, tuned) == pytest.approx(irs_rate(0.01, quiet, heur), rel=1e-9)
 
 
@@ -229,7 +229,7 @@ def test_emi_aware_beats_heuristic_on_rank_one_emi():
     spiked = IrsLink(link.h_sr, link.h_rd, emi, NOISE)
     heur = phases_noise_only(link.h_sr, link.h_rd)
     power = irs_required_power(6.0, spiked, heur)
-    tuned = phases_emi_aware(spiked, power)
+    tuned = phases_emi_aware(spiked)
     assert irs_rate(power, spiked, tuned) > irs_rate(power, spiked, heur) + 1e-6
 
 
@@ -239,7 +239,7 @@ def test_emi_aware_matches_grid_oracle_n2():
     phases = np.linspace(0.0, 2 * np.pi, steps, endpoint=False)
     for _ in range(5):
         link = random_link(rng, 2, rho_db=10.0)
-        tuned = phases_emi_aware(link, 1e-3)
+        tuned = phases_emi_aware(link)
         achieved = irs_sinr(1e-3, link, tuned)
         a = link.h_sr.coefficients * link.h_rd.coefficients
         e1 = np.exp(1j * phases)[:, None]
@@ -259,7 +259,7 @@ def test_emi_aware_never_worse_than_init():
     for _ in range(10):
         link = random_link(rng, 8, rho_db=25.0)
         heur = phases_noise_only(link.h_sr, link.h_rd)
-        tuned = phases_emi_aware(link, 1e-3)
+        tuned = phases_emi_aware(link)
         assert (irs_sinr(1e-3, link, tuned)
                 >= irs_sinr(1e-3, link, heur) * (1 - 1e-12))
 
@@ -269,7 +269,7 @@ def test_emi_aware_iteration_limit_warns():
     link = random_link(rng, 8, rho_db=25.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        phases_emi_aware(link, 1e-3, max_iters=1, tol=0.0)
+        phases_emi_aware(link, max_iters=1, tol=0.0)
     assert any(issubclass(w.category, RuntimeWarning) for w in caught)
 
 
@@ -312,6 +312,58 @@ def test_min_power_strict_improvement_on_rank_one():
     heur25 = irs_required_power(6.0, spiked25,
                                 phases_noise_only(link25.h_sr, link25.h_rd))
     assert irs_min_power_emi_aware(6.0, spiked25).power_w < heur25 * (1 - 1e-7)
+
+
+def relaxation_bound_power(target, link):
+    """(2^R - 1) / a^H B^-1 a: the required power with unit modulus relaxed to |z|^2 = N."""
+    d = link.h_rd.coefficients
+    a = link.h_sr.coefficients * d
+    b = (link.emi.variance * d[:, None] * link.emi.correlation * d.conj()[None, :]
+         + link.noise_power_w / d.size * np.eye(d.size))
+    return (2.0 ** target - 1.0) / np.real(a.conj() @ np.linalg.solve(b, a))
+
+
+@pytest.mark.parametrize("n", [16, 75])
+@pytest.mark.parametrize("rho_db", [-10.0, 10.0, 25.0, 40.0])
+def test_min_power_between_relaxation_bound_and_heuristic(n, rho_db):
+    link = reference_link(n=n, rho_db=rho_db)
+    p_heur = irs_required_power(6.0, link, phases_noise_only(link.h_sr, link.h_rd))
+    sol = irs_min_power_emi_aware(6.0, link)
+    assert relaxation_bound_power(6.0, link) * (1 - 1e-9) <= sol.power_w <= p_heur
+
+
+def test_emi_aware_sinr_non_decreasing_in_iterations():
+    rng = np.random.default_rng(13)
+    link = random_link(rng, 24, rho_db=30.0)
+    sinrs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for k in range(1, 21):
+            sinrs.append(irs_sinr(1e-3, link, phases_emi_aware(link, max_iters=k, tol=0.0)))
+    assert all(later >= earlier * (1 - 1e-12) for earlier, later in zip(sinrs, sinrs[1:]))
+    assert sinrs[-1] > sinrs[0]
+
+
+def test_emi_aware_phases_are_stationary():
+    # first-order optimality on the torus, read off the analytic gradient
+    rng = np.random.default_rng(14)
+    links = [reference_link(n=75, rho_db=40.0), reference_link(n=75, rho_db=25.0),
+             reference_link(n=16, rho_db=40.0)]
+    links += [random_link(rng, 24, rho_db=30.0) for _ in range(3)]
+    for link in links:
+        start = phases_noise_only(link.h_sr, link.h_rd).phases
+        tuned = phases_emi_aware(link).phases
+        assert (np.linalg.norm(irs_sinr_gradient(1.0, link, tuned))
+                <= 5e-3 * np.linalg.norm(irs_sinr_gradient(1.0, link, start)))
+
+
+def test_min_power_iteration_limit_reported():
+    rng = np.random.default_rng(12)
+    link = random_link(rng, 8, rho_db=25.0)
+    with pytest.warns(RuntimeWarning, match="iteration limit"):
+        sol = irs_min_power_emi_aware(6.0, link, max_iters=1, tol=0.0)
+    assert sol.converged is False
+    assert sol.iterations == 1
 
 
 def test_phase_config_wraps():
