@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -109,10 +110,33 @@ def test_emit_unwritable_path(tmp_path):
 
 
 def test_golden_fixture_csv():
-    import pathlib
     sc = Scenario(irs_elements=(9,), irs_reference_elements=9, rho_sweep=(0.0, 30.0, 4))
     golden = pathlib.Path(__file__).parent / "data" / "golden_fig4.csv"
     assert format_csv(run_fig4(sc)) == golden.read_text()
+
+
+# Unsorted surface sizes with a repeat: rows follow first appearance and a
+# repeated size is evaluated once.  The distance sweep hits the destination
+# distance (60 m), so fig7 dumps its case-2 correlation.
+GOLDEN_CONFIG = {
+    "irs": {"elements": [16, 9, 16], "reference_elements": 16},
+    "relay": {"antennas": 4},
+    "sweeps": {"distance_m": [20.0, 120.0, 6], "rho_db": [-10.0, 40.0, 6]},
+}
+GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("fig", ["fig3", "fig4", "fig5", "fig6", "fig7", "fig8"])
+def test_cli_output_matches_golden_bytes(fig, tmp_path):
+    # goldens written by the CLI before the sweeps were folded into one path
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(GOLDEN_CONFIG))
+    out = tmp_path / "out"
+    assert cli.main([fig, "--config", str(cfg), "--out", str(out), "--dump-corr"]) == 0
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted(p.name for p in GOLDEN_DIR.glob(f"{fig}[._]*"))
+    for name in written:
+        assert (out / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
 
 
 def test_svg_output():
