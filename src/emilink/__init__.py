@@ -4,11 +4,10 @@ interference."""
 
 from .errors import InfeasibleError, NumericalError
 from .scene import (ArrayLayout, LinkBudget, LosChannel, Vec3, angles_between,
-                    db_to_linear, dbm_to_watt, linear_to_db, los_channel,
-                    make_layout, pathloss_umi, watt_to_dbm, wave_vector)
+                    dbm_to_watt, los_channel, make_layout, pathloss_umi, watt_to_dbm,
+                    wave_vector)
 from .emi import (AngularDensity, EmiModel, build_emi_model, corr_directional,
-                  corr_directional_error, corr_isotropic, emi_quadratic_form,
-                  psd_project)
+                  corr_isotropic, emi_quadratic_form, psd_project)
 from .irs import (IrsLink, IrsSolution, OptimizedPhases, PhaseConfig,
                   irs_min_power_emi_aware, irs_rate, irs_required_power, irs_sinr,
                   irs_sinr_gradient, phases_emi_aware, phases_noise_only)
@@ -17,7 +16,7 @@ from .relay import (CombinerKind, EffectiveGains, RelaySolution, df_inner_max_ra
                     effective_gain_second_phase, effective_gains_single,
                     repetition_required_power)
 from .bench import (RUNNERS, Scenario, SweepResult, SweepRow, emit, format_csv,
-                    format_svg, load_scenario, parse_csv, run_fig3, run_fig4,
+                    format_svg, load_scenario, run_fig3, run_fig4,
                     run_fig5, run_fig6, run_fig7, run_fig8, scenario_from_config)
 
 __version__ = "0.1.0"

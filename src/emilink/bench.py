@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from . import emi as emi_mod
 from . import irs as irs_mod
 from . import relay as relay_mod
 from .errors import InfeasibleError, capped_power
-from .scene import (LinkBudget, Vec3, angles_between, dbm_to_watt, los_channel,
+from .scene import (LinkBudget, LosChannel, Vec3, angles_between, dbm_to_watt, los_channel,
                     make_layout, pathloss_umi, watt_to_dbm)
 
 CSV_HEADER = "sweep_var,technology,mode,power_dbm,rate_bps_hz,solver_iters"
@@ -42,15 +43,17 @@ class Scenario:
     irs_elements: tuple[int, ...] = (50, 75, 100)
     irs_reference_elements: int = 75
     relay_antennas: tuple[int, ...] = tuple(range(1, 81))
-    combiner: relay_mod.CombinerKind = relay_mod.CombinerKind.MMSE
     distance_sweep: tuple[float, float, int] = (20.0, 120.0, 26)
     rho_sweep: tuple[float, float, int] = (-10.0, 40.0, 26)
-    emi_aware: bool = False
     quadrature_nodes: int = 64
 
     def __post_init__(self):
         if not self.target_rate > 0:
             raise ValueError(f"target rate must be positive, got {self.target_rate!r}")
+        if not math.isfinite(self.rho_db):
+            raise ValueError(f"rho_db must be finite, got {self.rho_db!r}")
+        if not 0.0 < self.emi_spread_deg < math.inf:
+            raise ValueError(f"emi_spread_deg must be finite and > 0, got {self.emi_spread_deg!r}")
         for name in ("distance_sweep", "rho_sweep"):
             steps = getattr(self, name)[2]
             if not (float(steps).is_integer() and steps >= 1):
@@ -105,6 +108,8 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 # configuration file handling
 
+# budget.bandwidth_hz, relay.combiner and optimization.emi_aware enter no
+# computation; they stay accepted (and ignored) so version-1 files still load.
 _CONFIG_DEFAULTS = {
     "version": CONFIG_VERSION,
     "geometry": {
@@ -150,7 +155,6 @@ def scenario_from_config(raw: dict) -> Scenario:
         raise ValueError(f"unsupported config version: {cfg['version']!r}")
     budget = LinkBudget(
         carrier_frequency_ghz=float(cfg["budget"]["carrier_frequency_ghz"]),
-        bandwidth_hz=float(cfg["budget"]["bandwidth_hz"]),
         noise_power_w=dbm_to_watt(float(cfg["budget"]["noise_dbm"])),
         gain_node_dbi=float(cfg["budget"]["node_gain_dbi"]),
         gain_endpoint_dbi=float(cfg["budget"]["endpoint_gain_dbi"]),
@@ -172,10 +176,8 @@ def scenario_from_config(raw: dict) -> Scenario:
         irs_elements=tuple(int(n) for n in elements),
         irs_reference_elements=int(cfg["irs"]["reference_elements"]),
         relay_antennas=tuple(int(m) for m in antennas),
-        combiner=relay_mod.CombinerKind(cfg["relay"]["combiner"]),
         distance_sweep=tuple(cfg["sweeps"]["distance_m"]),
         rho_sweep=tuple(cfg["sweeps"]["rho_db"]),
-        emi_aware=bool(cfg["optimization"]["emi_aware"]),
         quadrature_nodes=int(cfg["quadrature_nodes"]),
     )
 
@@ -208,6 +210,10 @@ def _facing_orientation(scenario: Scenario) -> np.ndarray:
     return np.array([[bx, -by, 0.0], [by, bx, 0.0], [0.0, 0.0, 1.0]])
 
 
+def _hop_gain(scenario: Scenario, a: Vec3, b: Vec3) -> float:
+    return pathloss_umi(float(np.linalg.norm(b.as_array() - a.as_array())), scenario.budget)
+
+
 class _NodeLink:
     """Channels and interference models at the surface/relay for one layout."""
 
@@ -215,81 +221,126 @@ class _NodeLink:
         self.scenario = scenario
         self.layout = make_layout(n_elements, scenario.budget.wavelength,
                                   orientation=_facing_orientation(scenario))
-        self.corr_iso = emi_mod.psd_project(emi_mod.corr_isotropic(self.layout))
-        src_az, src_el = angles_between(scenario.node_pos, scenario.source_pos,
-                                        self.layout.orientation)
-        self.source_angles = (src_az, src_el)
-        self.beta_sr = pathloss_umi(
-            float(np.linalg.norm(scenario.node_pos.as_array() - scenario.source_pos.as_array())),
-            scenario.budget)
-        self.h_sr = los_channel(self.beta_sr, src_az, src_el, self.layout)
+        self.source_angles = angles_between(scenario.node_pos, scenario.source_pos,
+                                            self.layout.orientation)
+        self.h_sr = los_channel(_hop_gain(scenario, scenario.source_pos, scenario.node_pos),
+                                *self.source_angles, self.layout)
+        # models are built with variance 0; emi_model sets the variance of each use
+        self.iso = emi_mod.build_emi_model(self.layout, 0.0, emi_mod.AngularDensity.isotropic())
+        self._h_rd: dict[Vec3, LosChannel] = {}
 
-    def toward(self, dest: Vec3):
-        """Destination-side channel quantities for one sweep point."""
-        sc = self.scenario
-        az, el = angles_between(sc.node_pos, dest, self.layout.orientation)
-        beta_rd = pathloss_umi(
-            float(np.linalg.norm(dest.as_array() - sc.node_pos.as_array())), sc.budget)
-        return az, el, beta_rd, los_channel(beta_rd, az, el, self.layout)
+    def toward(self, dest: Vec3) -> LosChannel:
+        """Node-to-destination channel, built once per destination."""
+        if dest not in self._h_rd:
+            az, el = angles_between(self.scenario.node_pos, dest, self.layout.orientation)
+            self._h_rd[dest] = los_channel(_hop_gain(self.scenario, self.scenario.node_pos, dest),
+                                           az, el, self.layout)
+        return self._h_rd[dest]
 
-    def emi_model(self, variance: float, density: emi_mod.AngularDensity) -> emi_mod.EmiModel:
-        if density.kind == "isotropic":
-            return emi_mod.EmiModel(variance, density, self.corr_iso)
-        return emi_mod.build_emi_model(self.layout, variance, density,
-                                       self.scenario.quadrature_nodes)
+    def _gaussian(self, azimuth: float, elevation: float) -> emi_mod.EmiModel:
+        spread = math.radians(self.scenario.emi_spread_deg)
+        density = emi_mod.AngularDensity.gaussian(azimuth, elevation, spread, spread)
+        return emi_mod.build_emi_model(self.layout, 0.0, density, self.scenario.quadrature_nodes)
 
+    @cached_property
+    def case1(self) -> emi_mod.EmiModel:
+        return self._gaussian(*self.source_angles)
 
-def _dest_at(scenario: Scenario, distance: float) -> Vec3:
-    """Destination ``distance`` metres from the source along the source-destination axis."""
-    source = scenario.source_pos.as_array()
-    axis = scenario.dest_pos.as_array() - source
-    return Vec3.of(source + float(distance) * axis / np.linalg.norm(axis))
-
-
-def _gaussian_at(scenario: Scenario, azimuth: float, elevation: float) -> emi_mod.AngularDensity:
-    spread = math.radians(scenario.emi_spread_deg)
-    return emi_mod.AngularDensity.gaussian(azimuth, elevation, spread, spread)
-
-
-def _irs_heuristic_row(sweep_var, link, target_rate, tech, mode) -> SweepRow:
-    try:
-        phases = irs_mod.phases_noise_only(link.h_sr, link.h_rd)
-        power = capped_power(irs_mod.irs_required_power(target_rate, link, phases), target_rate)
-        rate = irs_mod.irs_rate(power, link, phases)
-    except InfeasibleError:
-        return SweepRow(sweep_var, tech, mode, math.inf, math.nan, 0)
-    return SweepRow(sweep_var, tech, mode, watt_to_dbm(power), rate, 0)
+    def emi_model(self, emi: str, variance: float, h_rd: LosChannel) -> emi_mod.EmiModel:
+        """EMI named none (variance 0), iso, case1 (gaussian centred on the
+        source direction) or case2 (centred on the direction of ``h_rd``)."""
+        if emi in ("none", "iso"):
+            model = self.iso
+        elif emi == "case1":
+            model = self.case1
+        else:
+            model = self._gaussian(h_rd.azimuth, h_rd.elevation)
+        return replace(model, variance=0.0 if emi == "none" else variance)
 
 
-def _irs_optimized_row(sweep_var, link, target_rate, tech, mode) -> SweepRow:
-    try:
-        sol = irs_mod.irs_min_power_emi_aware(target_rate, link)
-        rate = irs_mod.irs_rate(sol.power_w, link, sol.phases)
-    except InfeasibleError:
-        return SweepRow(sweep_var, tech, mode, math.inf, math.nan, 0)
-    return SweepRow(sweep_var, tech, mode, watt_to_dbm(sol.power_w), rate, sol.iterations)
+def _irs_heuristic(target_rate, link):
+    phases = irs_mod.phases_noise_only(link.h_sr, link.h_rd)
+    power = capped_power(irs_mod.irs_required_power(target_rate, link, phases), target_rate)
+    return power, irs_mod.irs_rate(power, link, phases), 0
 
 
-def _df_repetition_row(sweep_var, beta_sr, beta_rd, variance, noise, target_rate,
-                       mode) -> SweepRow:
-    try:
-        power = capped_power(relay_mod.repetition_required_power(
-            target_rate, beta_sr, beta_rd, variance, noise), target_rate)
-    except InfeasibleError:
-        return SweepRow(sweep_var, "df", mode, math.inf, math.nan, 0)
+def _irs_optimized(target_rate, link):
+    sol = irs_mod.irs_min_power_emi_aware(target_rate, link)
+    return sol.power_w, irs_mod.irs_rate(sol.power_w, link, sol.phases), sol.iterations
+
+
+def _df_repetition(target_rate, beta_sr, beta_rd, variance, noise):
+    power = capped_power(relay_mod.repetition_required_power(
+        target_rate, beta_sr, beta_rd, variance, noise), target_rate)
     gains = relay_mod.effective_gains_single(beta_sr, beta_rd, variance, noise)
     snr = 2.0 * power * gains.alpha1 * gains.alpha2 / (gains.alpha1 + gains.alpha2)
-    rate = relay_mod.df_rate(0.5, snr / gains.alpha1, snr / gains.alpha2, gains)
-    return SweepRow(sweep_var, "df", mode, watt_to_dbm(power), rate, 0)
+    return power, relay_mod.df_rate(0.5, snr / gains.alpha1, snr / gains.alpha2, gains), 0
 
 
-def _df_optimized_row(sweep_var, gains, target_rate, tech, mode) -> SweepRow:
+def _df_optimized(target_rate, gains):
+    sol = relay_mod.df_min_power(target_rate, gains)
+    return sol.average_power, sol.achieved_rate, sol.iterations
+
+
+_IRS_SOLVERS = {"heuristic": _irs_heuristic, "optimized": _irs_optimized}
+# on a single-antenna relay, from (target rate, beta_sr, beta_rd, EMI variance, noise)
+_DF_SOLVERS = {"repetition": _df_repetition,
+               "optimized": lambda rate, *link: _df_optimized(
+                   rate, relay_mod.effective_gains_single(*link))}
+
+
+def _row(sweep_var, tech, mode, solve, *args) -> SweepRow:
+    """Row of ``solve(*args)`` -> (power W, rate, iterations); infeasible
+    targets give the inf/nan/0 sentinel row."""
     try:
-        sol = relay_mod.df_min_power(target_rate, gains)
+        power, rate, iterations = solve(*args)
     except InfeasibleError:
         return SweepRow(sweep_var, tech, mode, math.inf, math.nan, 0)
-    return SweepRow(sweep_var, tech, mode, watt_to_dbm(sol.average_power),
-                    sol.achieved_rate, sol.iterations)
+    return SweepRow(sweep_var, tech, mode, watt_to_dbm(power), rate, iterations)
+
+
+def _sweep(scenario: Scenario, variable: str, sizes, irs_modes, df_modes,
+           corr_out: dict | None = None) -> SweepResult:
+    """Rows over the distance (``distance_m``) or EMI-to-noise (``rho_db``) sweep.
+
+    At each point: every surface mode on a surface of each size in ``sizes``
+    (a repeated size runs once), then every relay mode on a single-antenna
+    relay.  A mode is ``<solver>_<emi>``, the solver ``heuristic`` or
+    ``optimized`` for the surface and ``repetition`` or ``optimized`` for the
+    relay, the EMI one of ``_NodeLink.emi_model``'s.  ``corr_out`` receives
+    the surface correlation of each EMI model by name; case2 only at the
+    destination's own distance.
+    """
+    noise, target = scenario.budget.noise_power_w, scenario.target_rate
+    nodes = [_NodeLink(scenario, n) for n in dict.fromkeys(sizes)]
+    if variable == "rho_db":
+        points = [(float(rho), scenario.dest_pos, 10.0 ** (rho / 10.0) * noise, True)
+                  for rho in scenario.rhos_db()]
+    else:  # the destination d metres from the source along the source-destination axis
+        source = scenario.source_pos.as_array()
+        axis = scenario.dest_pos.as_array() - source
+        length = np.linalg.norm(axis)
+        points = [(float(d), Vec3.of(source + float(d) * axis / length), scenario.emi_variance,
+                   math.isclose(d, length)) for d in scenario.distances()]
+    beta_sr = _hop_gain(scenario, scenario.source_pos, scenario.node_pos)
+    rows = []
+    for x, dest, variance, at_dest in points:
+        for node in nodes:
+            h_rd = node.toward(dest)
+            for mode in irs_modes:
+                solver, emi = mode.split("_")
+                model = node.emi_model(emi, variance, h_rd)
+                if corr_out is not None and emi != "none" and (emi != "case2" or at_dest):
+                    corr_out[emi] = model.correlation
+                link = irs_mod.IrsLink(node.h_sr, h_rd, model, noise)
+                rows.append(_row(x, f"irs_n{node.layout.n_elements}", mode,
+                                 _IRS_SOLVERS[solver], target, link))
+        beta_rd = _hop_gain(scenario, scenario.node_pos, dest)
+        for mode in df_modes:
+            solver, emi = mode.split("_")
+            rows.append(_row(x, "df", mode, _DF_SOLVERS[solver], target, beta_sr, beta_rd,
+                             0.0 if emi == "none" else variance, noise))
+    return SweepResult(variable, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -301,61 +352,20 @@ def run_fig3(scenario: Scenario) -> SweepResult:
     Surface rows use the noise-only phase heuristic; relay rows use
     repetition coding.  Each appears with and without isotropic EMI.
     """
-    noise = scenario.budget.noise_power_w
-    rows = []
-    nodes = {n: _NodeLink(scenario, n) for n in scenario.irs_elements}
-    iso = emi_mod.AngularDensity.isotropic()
-    for d in scenario.distances():
-        dest = _dest_at(scenario, d)
-        for n, node in nodes.items():
-            h_rd = node.toward(dest)[3]
-            for mode, variance in (("heuristic_none", 0.0),
-                                   ("heuristic_iso", scenario.emi_variance)):
-                link = irs_mod.IrsLink(node.h_sr, h_rd, node.emi_model(variance, iso), noise)
-                rows.append(_irs_heuristic_row(float(d), link, scenario.target_rate,
-                                               f"irs_n{n}", mode))
-        any_node = next(iter(nodes.values()))
-        beta_rd = any_node.toward(dest)[2]
-        for mode, variance in (("repetition_none", 0.0),
-                               ("repetition_iso", scenario.emi_variance)):
-            rows.append(_df_repetition_row(float(d), any_node.beta_sr, beta_rd, variance,
-                                           noise, scenario.target_rate, mode))
-    return SweepResult("distance_m", tuple(rows))
+    return _sweep(scenario, "distance_m", scenario.irs_elements,
+                  ("heuristic_none", "heuristic_iso"), ("repetition_none", "repetition_iso"))
 
 
 def run_fig4(scenario: Scenario) -> SweepResult:
     """Required power vs interference-to-noise ratio, no optimization."""
-    noise = scenario.budget.noise_power_w
-    node = _NodeLink(scenario, scenario.irs_reference_elements)
-    _, _, beta_rd, h_rd = node.toward(scenario.dest_pos)
-    iso = emi_mod.AngularDensity.isotropic()
-    rows = []
-    for rho_db in scenario.rhos_db():
-        variance = 10.0 ** (rho_db / 10.0) * noise
-        link = irs_mod.IrsLink(node.h_sr, h_rd, node.emi_model(variance, iso), noise)
-        rows.append(_irs_heuristic_row(float(rho_db), link, scenario.target_rate,
-                                       f"irs_n{node.layout.n_elements}", "heuristic_iso"))
-        rows.append(_df_repetition_row(float(rho_db), node.beta_sr, beta_rd, variance,
-                                       noise, scenario.target_rate, "repetition_iso"))
-    return SweepResult("rho_db", tuple(rows))
+    return _sweep(scenario, "rho_db", (scenario.irs_reference_elements,),
+                  ("heuristic_iso",), ("repetition_iso",))
 
 
 def run_fig5(scenario: Scenario) -> SweepResult:
     """As run_fig4 but with both technologies optimized against EMI."""
-    noise = scenario.budget.noise_power_w
-    node = _NodeLink(scenario, scenario.irs_reference_elements)
-    _, _, beta_rd, h_rd = node.toward(scenario.dest_pos)
-    iso = emi_mod.AngularDensity.isotropic()
-    rows = []
-    for rho_db in scenario.rhos_db():
-        variance = 10.0 ** (rho_db / 10.0) * noise
-        link = irs_mod.IrsLink(node.h_sr, h_rd, node.emi_model(variance, iso), noise)
-        rows.append(_irs_optimized_row(float(rho_db), link, scenario.target_rate,
-                                       f"irs_n{node.layout.n_elements}", "optimized_iso"))
-        gains = relay_mod.effective_gains_single(node.beta_sr, beta_rd, variance, noise)
-        rows.append(_df_optimized_row(float(rho_db), gains, scenario.target_rate,
-                                      "df", "optimized_iso"))
-    return SweepResult("rho_db", tuple(rows))
+    return _sweep(scenario, "rho_db", (scenario.irs_reference_elements,),
+                  ("optimized_iso",), ("optimized_iso",))
 
 
 def run_fig6(scenario: Scenario) -> SweepResult:
@@ -364,28 +374,8 @@ def run_fig6(scenario: Scenario) -> SweepResult:
     Non-optimized rows are included so that the optimization gain can be
     read off row-wise.
     """
-    noise = scenario.budget.noise_power_w
-    variance = scenario.emi_variance
-    nodes = {n: _NodeLink(scenario, n) for n in scenario.irs_elements}
-    iso = emi_mod.AngularDensity.isotropic()
-    rows = []
-    for d in scenario.distances():
-        dest = _dest_at(scenario, d)
-        for n, node in nodes.items():
-            h_rd = node.toward(dest)[3]
-            link = irs_mod.IrsLink(node.h_sr, h_rd, node.emi_model(variance, iso), noise)
-            rows.append(_irs_heuristic_row(float(d), link, scenario.target_rate,
-                                           f"irs_n{n}", "heuristic_iso"))
-            rows.append(_irs_optimized_row(float(d), link, scenario.target_rate,
-                                           f"irs_n{n}", "optimized_iso"))
-        any_node = next(iter(nodes.values()))
-        beta_rd = any_node.toward(dest)[2]
-        rows.append(_df_repetition_row(float(d), any_node.beta_sr, beta_rd, variance,
-                                       noise, scenario.target_rate, "repetition_iso"))
-        gains = relay_mod.effective_gains_single(any_node.beta_sr, beta_rd, variance, noise)
-        rows.append(_df_optimized_row(float(d), gains, scenario.target_rate,
-                                      "df", "optimized_iso"))
-    return SweepResult("distance_m", tuple(rows))
+    return _sweep(scenario, "distance_m", scenario.irs_elements,
+                  ("heuristic_iso", "optimized_iso"), ("repetition_iso", "optimized_iso"))
 
 
 def run_fig7(scenario: Scenario, corr_out: dict | None = None) -> SweepResult:
@@ -394,32 +384,13 @@ def run_fig7(scenario: Scenario, corr_out: dict | None = None) -> SweepResult:
     Modes: no EMI, isotropic, gaussian centred on the source direction
     (case 1) and on the destination direction (case 2).
     """
-    noise = scenario.budget.noise_power_w
-    variance = scenario.emi_variance
-    node = _NodeLink(scenario, scenario.irs_reference_elements)
-    tech = f"irs_n{node.layout.n_elements}"
-    iso = emi_mod.AngularDensity.isotropic()
-    case1 = node.emi_model(variance, _gaussian_at(scenario, *node.source_angles))
+    corr = {}
+    result = _sweep(scenario, "distance_m", (scenario.irs_reference_elements,),
+                    ("heuristic_none", "heuristic_iso", "heuristic_case1", "heuristic_case2"),
+                    (), corr)
     if corr_out is not None:
-        corr_out["fig7_iso"] = node.corr_iso
-        corr_out["fig7_case1"] = case1.correlation
-    dest_distance = float(np.linalg.norm(scenario.dest_pos.as_array()
-                                         - scenario.source_pos.as_array()))
-    rows = []
-    for d in scenario.distances():
-        dest = _dest_at(scenario, d)
-        az, el, beta_rd, h_rd = node.toward(dest)
-        case2 = node.emi_model(variance, _gaussian_at(scenario, az, el))
-        if corr_out is not None and math.isclose(d, dest_distance):
-            corr_out["fig7_case2"] = case2.correlation
-        for mode, model in (
-                ("heuristic_none", node.emi_model(0.0, iso)),
-                ("heuristic_iso", node.emi_model(variance, iso)),
-                ("heuristic_case1", case1),
-                ("heuristic_case2", case2)):
-            link = irs_mod.IrsLink(node.h_sr, h_rd, model, noise)
-            rows.append(_irs_heuristic_row(float(d), link, scenario.target_rate, tech, mode))
-    return SweepResult("distance_m", tuple(rows))
+        corr_out.update((f"fig7_{emi}", matrix) for emi, matrix in corr.items())
+    return result
 
 
 def run_fig8(scenario: Scenario, corr_out: dict | None = None) -> SweepResult:
@@ -432,44 +403,33 @@ def run_fig8(scenario: Scenario, corr_out: dict | None = None) -> SweepResult:
     noise = scenario.budget.noise_power_w
     variance = scenario.emi_variance
     target = scenario.target_rate
-
-    irs_node = _NodeLink(scenario, scenario.irs_reference_elements)
-    dest_az, dest_el, _, h_rd_irs = irs_node.toward(scenario.dest_pos)
-    case2_density = _gaussian_at(scenario, dest_az, dest_el)
-    irs_refs = {}
-    for emi_name, model in (("iso", irs_node.emi_model(variance, emi_mod.AngularDensity.isotropic())),
-                            ("case2", irs_node.emi_model(variance, case2_density))):
-        link = irs_mod.IrsLink(irs_node.h_sr, h_rd_irs, model, noise)
-        irs_refs[emi_name] = _irs_optimized_row(0.0, link, target,
-                                                f"irs_n{irs_node.layout.n_elements}",
-                                                f"optimized_{emi_name}")
+    surface = _NodeLink(scenario, scenario.irs_reference_elements)
+    h_rd = surface.toward(scenario.dest_pos)
+    refs = []
+    for emi in ("iso", "case2"):
+        link = irs_mod.IrsLink(surface.h_sr, h_rd, surface.emi_model(emi, variance, h_rd), noise)
+        refs.append(_row(0.0, f"irs_n{surface.layout.n_elements}", f"optimized_{emi}",
+                         _irs_optimized, target, link))
     rows = []
     for m in scenario.relay_antennas:
-        relay_node = _NodeLink(scenario, m)
-        _, _, _, h_rd = relay_node.toward(scenario.dest_pos)
+        relay = _NodeLink(scenario, m)
+        h_rd = relay.toward(scenario.dest_pos)
         alpha2 = relay_mod.effective_gain_second_phase(h_rd.coefficients, noise)
-        h_sr = relay_node.h_sr.coefficients
-        models = {
-            "iso": relay_node.emi_model(variance, emi_mod.AngularDensity.isotropic()),
-            "case2": relay_node.emi_model(variance, case2_density),
-        }
+        h_sr = relay.h_sr.coefficients
+        models = {emi: relay.emi_model(emi, variance, h_rd) for emi in ("iso", "case2")}
         if corr_out is not None and m == max(scenario.relay_antennas):
-            corr_out["fig8_iso"] = models["iso"].correlation
-            corr_out["fig8_case2"] = models["case2"].correlation
-        for emi_name, model in models.items():
+            corr_out.update((f"fig8_{emi}", model.correlation) for emi, model in models.items())
+        for emi, model in models.items():
             cov = model.variance * model.correlation + noise * np.eye(m)
             for kind in (relay_mod.CombinerKind.MMSE, relay_mod.CombinerKind.MR):
                 alpha1 = relay_mod.effective_gain_first_phase(h_sr, cov, kind)
-                gains = relay_mod.EffectiveGains(alpha1, alpha2)
-                rows.append(_df_optimized_row(float(m), gains, target,
-                                              f"df_{kind.value}", f"optimized_{emi_name}"))
+                rows.append(_row(float(m), f"df_{kind.value}", f"optimized_{emi}", _df_optimized,
+                                 target, relay_mod.EffectiveGains(alpha1, alpha2)))
         alpha1_clean = relay_mod.effective_gain_first_phase(
             h_sr, noise * np.eye(m), relay_mod.CombinerKind.MR)
-        rows.append(_df_optimized_row(float(m), relay_mod.EffectiveGains(alpha1_clean, alpha2),
-                                      target, "df", "optimized_none"))
-        for emi_name in ("iso", "case2"):
-            ref = irs_refs[emi_name]
-            rows.append(replace(ref, sweep_var=float(m)))
+        rows.append(_row(float(m), "df", "optimized_none", _df_optimized, target,
+                         relay_mod.EffectiveGains(alpha1_clean, alpha2)))
+        rows.extend(replace(ref, sweep_var=float(m)) for ref in refs)
     return SweepResult("antennas", tuple(rows))
 
 
@@ -496,16 +456,6 @@ def format_csv(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_csv(text: str, sweep_variable: str = "") -> SweepResult:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("unrecognized CSV header")
-    rows = []
-    for ln in lines[1:]:
-        sweep, tech, mode, power, rate, iters = ln.split(",")
-        rows.append(SweepRow(float(sweep), tech, mode, float(power),
-                             float(rate), int(iters)))
-    return SweepResult(sweep_variable, tuple(rows))
 
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",

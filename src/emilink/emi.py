@@ -20,10 +20,11 @@ matrix; the y (column) phase is summed over azimuth first and the z (row)
 phase over elevation after it.  The closed form ``corr_isotropic`` keeps
 its direct distance evaluation, so its output bytes do not move.
 
-``build_emi_model`` projects only the sinc closed form onto the PSD cone
-(``psd_project``, one eigendecomposition per layout in the sweeps).  The
-quadrature matrix is a positively weighted sum of outer products, PSD by
-construction, and is used as it is.
+``build_emi_model`` is the one place that decides on a projection: it
+projects only the sinc closed form onto the PSD cone (``psd_project``, one
+eigendecomposition per layout in the sweeps).  The quadrature matrix is a
+positively weighted sum of outer products, PSD by construction, and is used
+as it is.
 """
 
 from __future__ import annotations
@@ -96,13 +97,11 @@ class EmiModel:
         return self.correlation.shape[0]
 
 
-def corr_isotropic(layout: ArrayLayout, wavelength: float | None = None) -> np.ndarray:
+def corr_isotropic(layout: ArrayLayout) -> np.ndarray:
     """Closed-form isotropic correlation sinc(2 d_nm / lambda)."""
-    if wavelength is None:
-        wavelength = layout.wavelength
     pos = layout.positions
     dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-    return np.sinc(2.0 * dist / wavelength)
+    return np.sinc(2.0 * dist / layout.wavelength)
 
 
 def _density_window(density: AngularDensity) -> tuple[float, float, float, float]:
@@ -153,10 +152,10 @@ def _density_mass(density: AngularDensity, nodes: int) -> float:
     return float(np.sum(_weighted_grid(density, nodes)[2]))
 
 
-def _corr_quadrature(layout: ArrayLayout, wavelength: float,
-                     density: AngularDensity, nodes: int, mass: float) -> np.ndarray:
+def _corr_quadrature(layout: ArrayLayout, density: AngularDensity, nodes: int,
+                     mass: float) -> np.ndarray:
     phi, th, weight = _weighted_grid(density, nodes)
-    ks = 2.0 * np.pi * layout.spacing / wavelength
+    ks = 2.0 * np.pi * layout.spacing / layout.wavelength
     rows, cols = layout.rows, layout.cols
     # g[dc, t] = sum_p W[p, t] exp(j dc ks cos(theta_t) sin(phi_p)) for dc >= 0,
     # the exponential advanced by a running product over dc
@@ -179,7 +178,7 @@ def _corr_quadrature(layout: ArrayLayout, wavelength: float,
                    c_idx[:, None] - c_idx[None, :] + cols - 1]
 
 
-def corr_directional(layout: ArrayLayout, wavelength: float | None = None,
+def corr_directional(layout: ArrayLayout,
                      density: AngularDensity = AngularDensity.isotropic(),
                      nodes: int = 64) -> np.ndarray:
     """Correlation matrix for an arbitrary angular density by quadrature.
@@ -194,12 +193,8 @@ def corr_directional(layout: ArrayLayout, wavelength: float | None = None,
     NumericalError when the mass estimate has not converged to 1e-6
     (relative) under node doubling.
     """
-    if layout.n_elements == 0:
-        raise ValueError("layout must be non-empty")
     if nodes < 2:
         raise ValueError("need at least 2 quadrature nodes per axis")
-    if wavelength is None:
-        wavelength = layout.wavelength
 
     mass = _density_mass(density, nodes)
     mass_fine = _density_mass(density, 2 * nodes)
@@ -207,25 +202,7 @@ def corr_directional(layout: ArrayLayout, wavelength: float | None = None,
         raise NumericalError(
             f"density normalization did not converge ({mass!r} vs {mass_fine!r}); "
             "increase the quadrature nodes")
-    return _corr_quadrature(layout, wavelength, density, nodes, mass)
-
-
-def corr_directional_error(layout: ArrayLayout, wavelength: float | None = None,
-                           density: AngularDensity = AngularDensity.isotropic(),
-                           nodes: int = 64) -> tuple[np.ndarray, float]:
-    """corr_directional plus a conservative quadrature-error estimate.
-
-    The estimate is the entrywise change from the half-resolution companion
-    rule (which skips the convergence gate); for this spectrally convergent
-    quadrature it upper-bounds the change a further node doubling can make.
-    """
-    fine = corr_directional(layout, wavelength, density, nodes)
-    if wavelength is None:
-        wavelength = layout.wavelength
-    coarse_nodes = max(2, nodes // 2)
-    coarse = _corr_quadrature(layout, wavelength, density, coarse_nodes,
-                              _density_mass(density, coarse_nodes))
-    return fine, float(np.abs(fine - coarse).max())
+    return _corr_quadrature(layout, density, nodes, mass)
 
 
 def psd_project(matrix: np.ndarray) -> np.ndarray:

@@ -6,6 +6,8 @@ as infeasible for every technology alike: when the transmit power it needs
 exceeds POWER_UPPER_W.
 """
 
+import math
+
 POWER_UPPER_W = 1e5  # 80 dBm
 
 
@@ -22,3 +24,9 @@ def capped_power(power_w: float, target_rate: float) -> float:
     if not power_w <= POWER_UPPER_W:
         raise InfeasibleError(f"rate {target_rate} unreachable within {POWER_UPPER_W:.0e} W")
     return power_w
+
+
+def pow2m1(x: float) -> float:
+    """2^x - 1, the SNR a rate of x bit/s/Hz needs, or inf where 2^x overflows
+    a float (x >= 1024), so that a huge target reads as infeasible."""
+    return 2.0 ** x - 1.0 if x < 1024.0 else math.inf

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emi import EmiModel, emi_quadratic_form
-from .errors import InfeasibleError, capped_power
+from .errors import InfeasibleError, capped_power, pow2m1
 from .scene import LosChannel
 
 TWO_PI = 2.0 * np.pi
@@ -119,7 +119,7 @@ def irs_required_power(target_rate: float, link: IrsLink, config: PhaseConfig) -
     if gain == 0.0:
         raise InfeasibleError("cascaded channel is zero; no power achieves the rate")
     interference = link.emi.variance * emi_quadratic_form(v, link.emi.correlation)
-    return (2.0 ** target_rate - 1.0) * (interference + link.noise_power_w) / gain
+    return pow2m1(target_rate) * (interference + link.noise_power_w) / gain
 
 
 def irs_sinr_gradient(power_w: float, link: IrsLink, phases: np.ndarray) -> np.ndarray:

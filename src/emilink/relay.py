@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import POWER_UPPER_W, InfeasibleError, NumericalError, capped_power
+from .errors import POWER_UPPER_W, InfeasibleError, NumericalError, capped_power, pow2m1
 
 LN2 = math.log(2.0)
 REL_TOL = 1e-13  # relative width at which a bisection stops
@@ -87,13 +87,14 @@ def repetition_required_power(target_rate: float, beta_sr: float, beta_rd: float
     """Average power of repetition coding (tau1 = 1/2, equalized phase rates)."""
     if beta_sr <= 0 or beta_rd <= 0:
         raise ValueError("channel gains must be positive")
-    return ((2.0 ** (2.0 * target_rate) - 1.0)
+    return (pow2m1(2.0 * target_rate)
             * (beta_sr * noise_power_w + beta_rd * (emi_variance + noise_power_w))
             / (2.0 * beta_rd * beta_sr))
 
 
 def _exp2m1(x: float) -> float:
-    """2^x - 1, or inf where that overflows a float."""
+    """2^x - 1, or inf where that overflows a float.  Unlike ``errors.pow2m1``
+    it goes through expm1, so small per-phase rates keep full precision."""
     return math.expm1(x * LN2) if x < 1024.0 else math.inf
 
 

@@ -20,9 +20,9 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-# Default surface orientation: local broadside (+x) points along global -y,
-# local y along global +x, local z stays vertical.  With the node placed at
-# (60, 10, 0) this faces the surface toward the source-destination line.
+# Orientation for callers that pass none: local broadside (+x) along global
+# -y, local y along global +x, local z vertical.  The sweeps derive theirs
+# from the geometry instead (the broadside faces the source-destination axis).
 DEFAULT_ORIENTATION = np.array([
     [0.0, 1.0, 0.0],
     [-1.0, 0.0, 0.0],
@@ -113,14 +113,13 @@ class LosChannel:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Carrier, bandwidth, noise and antenna-gain bookkeeping.
+    """Carrier, noise and antenna-gain bookkeeping.
 
     ``noise_power_w`` is the thermal noise power in watts; antenna gains are
     in dBi, split between the IRS/relay node side and the terminal side.
     """
 
     carrier_frequency_ghz: float = 3.0
-    bandwidth_hz: float = 10e6
     noise_power_w: float = 10.0 ** ((-94.0 - 30.0) / 10.0)
     gain_node_dbi: float = 5.0
     gain_endpoint_dbi: float = 0.0
@@ -134,14 +133,6 @@ class LinkBudget:
     @property
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / (self.carrier_frequency_ghz * 1e9)
-
-
-def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
 
 
 def dbm_to_watt(x_dbm: float) -> float:
