@@ -126,6 +126,7 @@ def test_emit_unwritable_path(tmp_path):
 
 
 def test_golden_fixture_csv():
+    import pathlib
     sc = Scenario(irs_elements=(9,), irs_reference_elements=9, rho_sweep=(0.0, 30.0, 4))
     golden = pathlib.Path(__file__).parent / "data" / "golden_fig4.csv"
     assert format_csv(run_fig4(sc)) == golden.read_text()
