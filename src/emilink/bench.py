@@ -55,7 +55,9 @@ class Scenario:
         if not 0.0 < self.emi_spread_deg < math.inf:
             raise ValueError(f"emi_spread_deg must be finite and > 0, got {self.emi_spread_deg!r}")
         for name in ("distance_sweep", "rho_sweep"):
-            steps = getattr(self, name)[2]
+            lo, hi, steps = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name} end points must be finite, got {lo!r} and {hi!r}")
             if not (float(steps).is_integer() and steps >= 1):
                 raise ValueError(f"{name} needs a whole number of steps >= 1, got {steps!r}")
         counts = (*self.irs_elements, self.irs_reference_elements, *self.relay_antennas)
@@ -299,40 +301,34 @@ def _row(sweep_var, tech, mode, solve, *args) -> SweepRow:
     return SweepRow(sweep_var, tech, mode, watt_to_dbm(power), rate, iterations)
 
 
-def _sweep(scenario: Scenario, variable: str, sizes, irs_modes, df_modes,
-           corr_out: dict | None = None) -> SweepResult:
+def _sweep(scenario: Scenario, variable: str, sizes, irs_modes, df_modes) -> SweepResult:
     """Rows over the distance (``distance_m``) or EMI-to-noise (``rho_db``) sweep.
 
     At each point: every surface mode on a surface of each size in ``sizes``
     (a repeated size runs once), then every relay mode on a single-antenna
     relay.  A mode is ``<solver>_<emi>``, the solver ``heuristic`` or
     ``optimized`` for the surface and ``repetition`` or ``optimized`` for the
-    relay, the EMI one of ``_NodeLink.emi_model``'s.  ``corr_out`` receives
-    the surface correlation of each EMI model by name; case2 only at the
-    destination's own distance.
+    relay, the EMI one of ``_NodeLink.emi_model``'s.
     """
     noise, target = scenario.budget.noise_power_w, scenario.target_rate
     nodes = [_NodeLink(scenario, n) for n in dict.fromkeys(sizes)]
     if variable == "rho_db":
-        points = [(float(rho), scenario.dest_pos, 10.0 ** (rho / 10.0) * noise, True)
+        points = [(float(rho), scenario.dest_pos, 10.0 ** (rho / 10.0) * noise)
                   for rho in scenario.rhos_db()]
     else:  # the destination d metres from the source along the source-destination axis
         source = scenario.source_pos.as_array()
         axis = scenario.dest_pos.as_array() - source
         length = np.linalg.norm(axis)
-        points = [(float(d), Vec3.of(source + float(d) * axis / length), scenario.emi_variance,
-                   math.isclose(d, length)) for d in scenario.distances()]
+        points = [(float(d), Vec3.of(source + float(d) * axis / length), scenario.emi_variance)
+                  for d in scenario.distances()]
     beta_sr = _hop_gain(scenario, scenario.source_pos, scenario.node_pos)
     rows = []
-    for x, dest, variance, at_dest in points:
+    for x, dest, variance in points:
         for node in nodes:
             h_rd = node.toward(dest)
             for mode in irs_modes:
                 solver, emi = mode.split("_")
-                model = node.emi_model(emi, variance, h_rd)
-                if corr_out is not None and emi != "none" and (emi != "case2" or at_dest):
-                    corr_out[emi] = model.correlation
-                link = irs_mod.IrsLink(node.h_sr, h_rd, model, noise)
+                link = irs_mod.IrsLink(node.h_sr, h_rd, node.emi_model(emi, variance, h_rd), noise)
                 rows.append(_row(x, f"irs_n{node.layout.n_elements}", mode,
                                  _IRS_SOLVERS[solver], target, link))
         beta_rd = _hop_gain(scenario, scenario.node_pos, dest)
@@ -382,15 +378,17 @@ def run_fig7(scenario: Scenario, corr_out: dict | None = None) -> SweepResult:
     """Surface power vs distance under different interference distributions.
 
     Modes: no EMI, isotropic, gaussian centred on the source direction
-    (case 1) and on the destination direction (case 2).
+    (case 1) and on the destination direction (case 2).  ``corr_out``
+    receives the three surface correlations, case 2 toward the configured
+    destination whether or not the distance sweep passes through it.
     """
-    corr = {}
-    result = _sweep(scenario, "distance_m", (scenario.irs_reference_elements,),
-                    ("heuristic_none", "heuristic_iso", "heuristic_case1", "heuristic_case2"),
-                    (), corr)
     if corr_out is not None:
-        corr_out.update((f"fig7_{emi}", matrix) for emi, matrix in corr.items())
-    return result
+        node = _NodeLink(scenario, scenario.irs_reference_elements)
+        h_rd = node.toward(scenario.dest_pos)
+        corr_out.update((f"fig7_{emi}", node.emi_model(emi, 0.0, h_rd).correlation)
+                        for emi in ("iso", "case1", "case2"))
+    return _sweep(scenario, "distance_m", (scenario.irs_reference_elements,),
+                  ("heuristic_none", "heuristic_iso", "heuristic_case1", "heuristic_case2"), ())
 
 
 def run_fig8(scenario: Scenario, corr_out: dict | None = None) -> SweepResult:

@@ -6,15 +6,17 @@ Conventions used throughout the package:
   theta from the horizontal plane, so a unit propagation direction is
   (cos(theta)cos(phi), cos(theta)sin(phi), sin(theta)) and local broadside
   is phi = theta = 0 (the local +x axis).
-* array layouts live in the local y-z plane (grid columns along y, rows
-  along z) with the centroid at the local origin; ``orientation`` is the
-  3x3 rotation taking local coordinates to global ones.
+* an array layout is a rows x cols grid in the local y-z plane (columns
+  along y, rows along z); its element positions follow from the grid and
+  its spacing, with the centroid at the local origin.  ``orientation`` is
+  the 3x3 rotation taking local coordinates to global ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,15 +57,14 @@ class Vec3:
 
 @dataclass(frozen=True)
 class ArrayLayout:
-    """Rectangular grid of array elements in the local y-z plane.
+    """Rectangular rows x cols grid of array elements in the local y-z plane.
 
-    ``positions`` is an (N, 3) array of local element centres indexed
-    row-by-row: element ``n = r * cols + c`` sits at ``(0, c, r) * spacing``
-    up to a translation common to all elements (checked to 1e-9 spacing).
-    ``orientation`` maps local to global coordinates.
+    ``positions`` is the (N, 3) array of local element centres, derived
+    from the grid and indexed row by row: element ``n = r * cols + c`` sits
+    at ``(0, c, r) * spacing`` shifted so that the centroid is the local
+    origin.  ``orientation`` maps local to global coordinates.
     """
 
-    positions: np.ndarray
     rows: int
     cols: int
     spacing: float
@@ -71,26 +72,25 @@ class ArrayLayout:
     orientation: np.ndarray = field(default_factory=lambda: DEFAULT_ORIENTATION.copy())
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] == 0:
-            raise ValueError("positions must be a non-empty (N, 3) array")
-        if self.rows * self.cols != pos.shape[0]:
-            raise ValueError("rows * cols must equal the number of elements")
-        if self.wavelength <= 0:
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (self.rows, self.cols)):
+            raise ValueError("rows and cols must be whole numbers >= 1")
+        if not self.wavelength > 0:
             raise ValueError("wavelength must be positive")
-        if not self.spacing > 0:
-            raise ValueError("spacing must be positive")
-        r_idx, c_idx = np.divmod(np.arange(pos.shape[0]), self.cols)
-        offsets = np.column_stack([np.zeros(pos.shape[0]), c_idx, r_idx]) * self.spacing
-        if not np.abs(pos - pos[0] - offsets).max() <= 1e-9 * self.spacing:
-            raise ValueError(f"positions must be the row-major {self.rows}x{self.cols} grid "
-                             f"at spacing {self.spacing!r} in the local y-z plane")
-        object.__setattr__(self, "positions", pos)
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError("spacing must be finite and positive")
         object.__setattr__(self, "orientation", np.asarray(self.orientation, dtype=float))
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        rows, cols, spacing = self.rows, self.cols, self.spacing
+        r_idx, c_idx = np.meshgrid(np.arange(1, rows + 1), np.arange(1, cols + 1), indexing="ij")
+        y = (c_idx.ravel() - 0.5 - cols / 2.0) * spacing
+        z = (r_idx.ravel() - 0.5 - rows / 2.0) * spacing
+        return np.column_stack([np.zeros_like(y), y, z])
 
     @property
     def n_elements(self) -> int:
-        return self.positions.shape[0]
+        return self.rows * self.cols
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,10 @@ class LinkBudget:
     gain_endpoint_dbi: float = 0.0
 
     def __post_init__(self):
+        for name in ("carrier_frequency_ghz", "noise_power_w", "gain_node_dbi",
+                     "gain_endpoint_dbi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.carrier_frequency_ghz <= 0:
             raise ValueError("carrier frequency must be positive")
         if self.noise_power_w <= 0:
@@ -152,36 +156,22 @@ def wave_vector(azimuth: float, elevation: float, wavelength: float) -> Vec3:
     return Vec3(k * ct * math.cos(azimuth), k * ct * math.sin(azimuth), k * math.sin(elevation))
 
 
-def make_layout(n_elements: int, wavelength: float, rows_override: int | None = None,
+def make_layout(n_elements: int, wavelength: float,
                 orientation: np.ndarray | None = None) -> ArrayLayout:
     """Build a half-wavelength rectangular grid with n_elements elements.
 
     The rows x cols factorization is the exact factor pair closest to a
-    square (rows <= cols, cols - rows minimal); pass ``rows_override`` to
-    force a specific row count.  Element centres are spaced wavelength/2
-    apart and shifted so the centroid sits at the local origin.
+    square (rows <= cols, cols - rows minimal); build ``ArrayLayout``
+    directly for any other shape.
     """
     if n_elements < 1:
         raise ValueError("need at least one element")
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
-    if rows_override is not None:
-        if rows_override < 1 or n_elements % rows_override:
-            raise ValueError("rows_override must divide the element count")
-        rows = rows_override
-    else:
-        rows = int(math.isqrt(n_elements))
-        while n_elements % rows:
-            rows -= 1
-    cols = n_elements // rows
-    spacing = wavelength / 2.0
-    r_idx, c_idx = np.meshgrid(np.arange(1, rows + 1), np.arange(1, cols + 1), indexing="ij")
-    y = (c_idx.ravel() - 0.5 - cols / 2.0) * spacing
-    z = (r_idx.ravel() - 0.5 - rows / 2.0) * spacing
-    positions = np.column_stack([np.zeros_like(y), y, z])
+    rows = int(math.isqrt(n_elements))
+    while n_elements % rows:
+        rows -= 1
     if orientation is None:
         orientation = DEFAULT_ORIENTATION.copy()
-    return ArrayLayout(positions, rows, cols, spacing, wavelength, orientation)
+    return ArrayLayout(rows, n_elements // rows, wavelength / 2.0, wavelength, orientation)
 
 
 def angles_between(origin, target, orientation: np.ndarray | None = None) -> tuple[float, float]:

@@ -87,6 +87,12 @@ def test_scenario_from_config_rejects_unknown_keys():
     ({"emi": {"spread_deg": 0.0}}, "spread"),
     ({"emi": {"spread_deg": -5.0}}, "spread"),
     ({"emi": {"spread_deg": math.nan}}, "spread"),
+    ({"budget": {"noise_dbm": math.nan}}, "noise_power_w"),
+    ({"budget": {"node_gain_dbi": math.nan}}, "gain_node_dbi"),
+    ({"budget": {"endpoint_gain_dbi": math.nan}}, "gain_endpoint_dbi"),
+    ({"budget": {"carrier_frequency_ghz": math.nan}}, "carrier_frequency_ghz"),
+    ({"sweeps": {"rho_db": [-10.0, math.nan, 26]}}, "rho_sweep"),
+    ({"sweeps": {"distance_m": [math.nan, 120.0, 26]}}, "distance_sweep"),
 ])
 def test_scenario_from_config_rejects_bad_values(raw, message):
     # rejected while the Scenario is built, before any sweep work
@@ -352,6 +358,22 @@ def test_cli_dump_corr(tmp_path):
     assert code == 0
     assert sorted(p.name for p in out.glob("*_corr.csv")) == [
         "fig8_case2_corr.csv", "fig8_iso_corr.csv"]
+
+
+def test_cli_dump_corr_fig7_sweep_missing_destination(tmp_path):
+    # 25..115 m in 7 steps never lands on the 60 m destination distance;
+    # the case-2 dump is still taken toward the configured destination
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "geometry": {"source_m": [0, 0, 0], "node_m": [10, 60, 0],
+                     "destination_m": [0, 60, 0]},
+        "irs": {"elements": [9], "reference_elements": 9},
+        "sweeps": {"distance_m": [25.0, 115.0, 7]},
+    }))
+    out = tmp_path / "o"
+    assert cli.main(["fig7", "--config", str(cfg), "--out", str(out), "--dump-corr"]) == 0
+    assert sorted(p.name for p in out.glob("*_corr.csv")) == [
+        "fig7_case1_corr.csv", "fig7_case2_corr.csv", "fig7_iso_corr.csv"]
 
 
 def test_cli_error_exit_code(tmp_path):

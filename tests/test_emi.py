@@ -209,7 +209,7 @@ def test_quadratic_form_rejects_mismatch():
 def test_build_emi_model_dispatch():
     lay = make_layout(9, LAM)
     iso = build_emi_model(lay, 1e-12, AngularDensity.isotropic())
-    assert_allclose(iso.correlation, psd_project(corr_isotropic(lay)), atol=1e-14)
+    assert np.array_equal(iso.correlation, corr_isotropic(lay))
     dens = AngularDensity.gaussian(0.2, 0.0, math.radians(10), math.radians(10))
     gauss = build_emi_model(lay, 1e-12, dens, nodes=48)
     assert gauss.n_elements == 9
@@ -228,9 +228,17 @@ def test_quadrature_correlation_is_psd_by_construction(n, density):
     assert vals[0] >= -1e-13 * vals[-1]
     model = build_emi_model(lay, 1e-12, density)
     if density.kind == "isotropic":
-        assert np.array_equal(model.correlation, psd_project(corr_isotropic(lay)))
+        assert np.array_equal(model.correlation, corr_isotropic(lay))
     else:
         assert np.array_equal(model.correlation, r)
+
+
+@pytest.mark.parametrize("n", [7, 23, 80, 400, 1600])
+def test_sinc_correlation_is_psd_as_built(n):
+    # sin(kd)/(kd) is positive definite on R^3 (Bochner), so only round-off
+    # can push an eigenvalue below zero: -1.3e-16 of the largest at n = 1600
+    vals = np.linalg.eigvalsh(corr_isotropic(make_layout(n, LAM)))
+    assert vals[0] >= -1e-13 * vals[-1]
 
 
 def test_density_validation():

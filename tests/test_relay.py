@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from emilink import (CombinerKind, EffectiveGains, InfeasibleError, df_inner_max_rate,
-                     df_min_power, df_rate, effective_gain_first_phase,
+from emilink import (ArrayLayout, CombinerKind, EffectiveGains, InfeasibleError,
+                     df_inner_max_rate, df_min_power, df_rate, effective_gain_first_phase,
                      effective_gain_second_phase, effective_gains_single,
                      los_channel, make_layout, repetition_required_power)
 from emilink.relay import POWER_UPPER_W
@@ -271,7 +271,7 @@ def test_first_phase_orthogonal_rank_one_interference():
     # half-wavelength line array: steering vectors whose sine-azimuths
     # differ by 2/M are exactly orthogonal
     lam = 0.1
-    lay = make_layout(8, lam, rows_override=1)
+    lay = ArrayLayout(1, 8, lam / 2, lam)
     h = los_channel(1.0, 0.0, 0.0, lay).coefficients
     a = los_channel(1.0, math.asin(2.0 / 8.0), 0.0, lay).coefficients
     assert abs(h.conj() @ a) < 1e-10

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from emilink import (LinkBudget, Vec3, angles_between, dbm_to_watt, los_channel,
-                     make_layout, pathloss_umi, watt_to_dbm, wave_vector)
+from emilink import (ArrayLayout, LinkBudget, Vec3, angles_between, dbm_to_watt,
+                     los_channel, make_layout, pathloss_umi, watt_to_dbm, wave_vector)
 from emilink.scene import DEFAULT_ORIENTATION
 
 
@@ -63,8 +63,8 @@ def test_make_layout_single_element():
 
 
 def test_make_layout_grid_geometry():
-    lay = make_layout(12, 0.2, rows_override=3)
-    assert (lay.rows, lay.cols) == (3, 4)
+    lay = ArrayLayout(3, 4, 0.1, 0.2)
+    assert lay.n_elements == 12
     # centroid at the origin, row-major ordering at half-wavelength pitch
     assert_allclose(lay.positions.mean(axis=0), [0, 0, 0], atol=1e-15)
     assert_allclose(lay.positions[1] - lay.positions[0], [0.0, 0.1, 0.0], atol=1e-15)
@@ -74,8 +74,9 @@ def test_make_layout_grid_geometry():
 def test_make_layout_rejects_bad_args():
     with pytest.raises(ValueError):
         make_layout(0, 0.1)
-    with pytest.raises(ValueError):
-        make_layout(10, 0.1, rows_override=3)
+    for rows, cols, spacing in ((0, 4, 0.05), (3, 0, 0.05), (2.5, 2, 0.05), (3, 4, math.nan)):
+        with pytest.raises(ValueError):
+            ArrayLayout(rows, cols, spacing, 0.1)
 
 
 def test_angles_between_identity_axis():
@@ -136,36 +137,13 @@ def test_los_channel_unit_modulus():
 
 
 def test_los_channel_two_element_phase():
-    # elements at the origin and lambda/2 along y; azimuth pi/2 gives
-    # k^T u = (2 pi / lambda)(lambda / 2) = pi on the second element
-    from emilink import ArrayLayout
+    # two elements lambda/2 apart along y; azimuth pi/2 gives a phase step of
+    # k^T (u_1 - u_0) = (2 pi / lambda)(lambda / 2) = pi between them
     lam = 0.1
-    lay = ArrayLayout(np.array([[0.0, 0.0, 0.0], [0.0, lam / 2, 0.0]]),
-                      rows=1, cols=2, spacing=lam / 2, wavelength=lam,
-                      orientation=np.eye(3))
+    lay = ArrayLayout(1, 2, lam / 2, lam, orientation=np.eye(3))
     ch = los_channel(1.0, math.pi / 2, 0.0, lay)
-    assert_allclose(np.angle(ch.coefficients), [0.0, math.pi], atol=1e-12)
-
-
-@pytest.mark.parametrize("bad", [
-    np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.05]]),      # a column where a row is declared
-    np.array([[0.0, 0.05, 0.0], [0.0, 0.0, 0.0]]),      # columns out of order
-    np.array([[0.0, 0.0, 0.0], [0.0, 0.06, 0.0]]),      # pitch differs from the spacing
-    np.array([[0.0, 0.0, 0.0], [0.01, 0.05, 0.0]]),     # off the local y-z plane
-    np.array([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]]),
-])
-def test_array_layout_rejects_non_grid_positions(bad):
-    from emilink import ArrayLayout
-    with pytest.raises(ValueError, match="row-major 1x2 grid"):
-        ArrayLayout(bad, rows=1, cols=2, spacing=0.05, wavelength=0.1)
-
-
-def test_array_layout_accepts_translated_grid():
-    from emilink import ArrayLayout
-    lay = make_layout(12, 0.1)
-    moved = ArrayLayout(lay.positions + np.array([0.3, -1.2, 7.0]), lay.rows, lay.cols,
-                        lay.spacing, lay.wavelength)
-    assert moved.n_elements == 12
+    step = np.angle(ch.coefficients[1] / ch.coefficients[0])
+    assert abs(step) == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_los_channel_rejects_negative_gain():
