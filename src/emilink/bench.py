@@ -4,7 +4,7 @@ antenna-count experiments, with CSV and SVG output.
 A ``Scenario`` collects geometry, link budget and sweep grids (defaults
 follow the reference setup: source at the origin, surface/relay at
 (60, 10, 0) m, destination on the x-axis, 3 GHz carrier, -94 dBm noise,
-6 bit/s/Hz target).  Each ``run_fig*`` function returns a ``SweepResult``
+6 bit/s/Hz target).  Each ``run_figN(scenario)`` returns a ``SweepResult``
 whose rows carry the minimum transmit power per technology and mode;
 ``emit`` serializes results byte-stably.
 """
@@ -31,7 +31,8 @@ CONFIG_VERSION = 1
 
 @dataclass(frozen=True)
 class Scenario:
-    """Declarative description of one experiment family."""
+    """Declarative description of one experiment family.  The field defaults
+    are the reference setup; a config file keeps them for the keys it omits."""
 
     source_pos: Vec3 = Vec3(0.0, 0.0, 0.0)
     node_pos: Vec3 = Vec3(60.0, 10.0, 0.0)
@@ -61,13 +62,23 @@ class Scenario:
             if not (float(steps).is_integer() and steps >= 1):
                 raise ValueError(f"{name} needs a whole number of steps >= 1, got {steps!r}")
         counts = (*self.irs_elements, self.irs_reference_elements, *self.relay_antennas)
-        if not self.irs_elements or not self.relay_antennas or min(counts) < 1:
-            raise ValueError("element and antenna counts must be non-empty and >= 1")
-        if self.quadrature_nodes < 2:
-            raise ValueError("need at least 2 quadrature nodes per axis")
+        if not (self.irs_elements and self.relay_antennas
+                and all(float(n).is_integer() and n >= 1 for n in counts)):
+            raise ValueError("element and antenna counts must be non-empty whole numbers >= 1")
+        if not (float(self.quadrature_nodes).is_integer() and self.quadrature_nodes >= 2):
+            raise ValueError("need a whole number of at least 2 quadrature nodes per axis")
+        # whole floats such as 75.0 are stored as ints
+        for name in ("irs_elements", "relay_antennas"):
+            object.__setattr__(self, name, tuple(int(n) for n in getattr(self, name)))
+        for name in ("irs_reference_elements", "quadrature_nodes"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if len({self.source_pos, self.node_pos, self.dest_pos}) < 3:
             raise ValueError("source, node and destination positions must be distinct")
         _facing_orientation(self)  # raises when the array broadside is undefined
+        ends = [self.source_pos.as_array(), self.dest_pos.as_array(), *self.sweep_destinations()]
+        if np.linalg.norm(np.array(ends) - self.node_pos.as_array(), axis=1).min() < 1.0:
+            raise ValueError("every hop to or from the node, swept destinations included, "
+                             "must be at least 1 m long (path loss model validity)")
 
     @property
     def emi_variance(self) -> float:
@@ -80,6 +91,12 @@ class Scenario:
     def rhos_db(self) -> np.ndarray:
         lo, hi, steps = self.rho_sweep
         return np.linspace(lo, hi, int(steps))
+
+    def sweep_destinations(self) -> np.ndarray:
+        """Destinations d metres from the source toward dest_pos, one row per d of distances."""
+        source = self.source_pos.as_array()
+        axis = self.dest_pos.as_array() - source
+        return source + self.distances()[:, None] * axis / np.linalg.norm(axis)
 
 
 @dataclass(frozen=True)
@@ -110,78 +127,64 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 # configuration file handling
 
-# budget.bandwidth_hz, relay.combiner and optimization.emi_aware enter no
-# computation; they stay accepted (and ignored) so version-1 files still load.
-_CONFIG_DEFAULTS = {
-    "version": CONFIG_VERSION,
-    "geometry": {
-        "source_m": [0.0, 0.0, 0.0],
-        "node_m": [60.0, 10.0, 0.0],
-        "destination_m": [60.0, 0.0, 0.0],
-    },
-    "budget": {
-        "carrier_frequency_ghz": 3.0,
-        "bandwidth_hz": 10e6,
-        "noise_dbm": -94.0,
-        "node_gain_dbi": 5.0,
-        "endpoint_gain_dbi": 0.0,
-    },
-    "target_rate_bps_hz": 6.0,
-    "emi": {"rho_db": 25.0, "spread_deg": 10.0},
-    "irs": {"elements": [50, 75, 100], "reference_elements": 75},
-    "relay": {"antennas": 80, "combiner": "mmse"},
-    "sweeps": {"distance_m": [20.0, 120.0, 26], "rho_db": [-10.0, 40.0, 26]},
-    "optimization": {"emi_aware": False},
-    "quadrature_nodes": 64,
+def _antenna_counts(value) -> tuple:
+    """A list of relay antenna counts, or a count M meaning 1..M (passed on
+    as it is, for Scenario to reject, when M is not whole)."""
+    if isinstance(value, list):
+        return tuple(value)
+    return tuple(range(1, int(value) + 1)) if float(value).is_integer() else (value,)
+
+
+# Each config key maps to the field it sets ("budget." for a LinkBudget field)
+# and the conversion of its value.  None marks the version, checked on its own,
+# and three keys that enter no computation but keep version-1 files loading:
+# budget.bandwidth_hz, relay.combiner and optimization.emi_aware.
+_CONFIG_KEYS = {
+    "version": None,
+    "geometry": {"source_m": ("source_pos", Vec3.of), "node_m": ("node_pos", Vec3.of),
+                 "destination_m": ("dest_pos", Vec3.of)},
+    "budget": {"carrier_frequency_ghz": ("budget.carrier_frequency_ghz", float),
+               "bandwidth_hz": None,
+               "noise_dbm": ("budget.noise_power_w", dbm_to_watt),
+               "node_gain_dbi": ("budget.gain_node_dbi", float),
+               "endpoint_gain_dbi": ("budget.gain_endpoint_dbi", float)},
+    "target_rate_bps_hz": ("target_rate", float),
+    "emi": {"rho_db": ("rho_db", float), "spread_deg": ("emi_spread_deg", float)},
+    "irs": {"elements": ("irs_elements", lambda n: tuple(n) if isinstance(n, list) else (n,)),
+            "reference_elements": ("irs_reference_elements", float)},
+    "relay": {"antennas": ("relay_antennas", _antenna_counts), "combiner": None},
+    "sweeps": {"distance_m": ("distance_sweep", tuple), "rho_db": ("rho_sweep", tuple)},
+    "optimization": {"emi_aware": None},
+    "quadrature_nodes": ("quadrature_nodes", float),
 }
 
 
-def _merge_strict(defaults: dict, overrides: dict, path: str = "") -> dict:
-    merged = dict(defaults)
-    for key, value in overrides.items():
-        if key not in defaults:
+def _config_fields(raw: dict, keys: dict, path: str) -> dict:
+    """Field values set by the config object ``raw``, which may use only ``keys``."""
+    fields = {}
+    for key, value in raw.items():
+        if key not in keys:
             raise ValueError(f"unknown config key: {path}{key}")
-        if isinstance(defaults[key], dict):
+        if isinstance(keys[key], dict):
             if not isinstance(value, dict):
                 raise ValueError(f"config key {path}{key} must be an object")
-            merged[key] = _merge_strict(defaults[key], value, f"{path}{key}.")
-        else:
-            merged[key] = value
-    return merged
+            fields.update(_config_fields(value, keys[key], f"{path}{key}."))
+        elif keys[key] is not None:
+            name, convert = keys[key]
+            fields[name] = convert(value)
+    return fields
 
 
 def scenario_from_config(raw: dict) -> Scenario:
     """Build a Scenario from a parsed config document (strict keys)."""
-    cfg = _merge_strict(_CONFIG_DEFAULTS, raw)
-    if cfg["version"] != CONFIG_VERSION:
-        raise ValueError(f"unsupported config version: {cfg['version']!r}")
-    budget = LinkBudget(
-        carrier_frequency_ghz=float(cfg["budget"]["carrier_frequency_ghz"]),
-        noise_power_w=dbm_to_watt(float(cfg["budget"]["noise_dbm"])),
-        gain_node_dbi=float(cfg["budget"]["node_gain_dbi"]),
-        gain_endpoint_dbi=float(cfg["budget"]["endpoint_gain_dbi"]),
-    )
-    antennas = cfg["relay"]["antennas"]
-    if isinstance(antennas, int):
-        antennas = list(range(1, antennas + 1))
-    elements = cfg["irs"]["elements"]
-    if isinstance(elements, int):
-        elements = [elements]
-    return Scenario(
-        source_pos=Vec3.of(cfg["geometry"]["source_m"]),
-        node_pos=Vec3.of(cfg["geometry"]["node_m"]),
-        dest_pos=Vec3.of(cfg["geometry"]["destination_m"]),
-        budget=budget,
-        target_rate=float(cfg["target_rate_bps_hz"]),
-        rho_db=float(cfg["emi"]["rho_db"]),
-        emi_spread_deg=float(cfg["emi"]["spread_deg"]),
-        irs_elements=tuple(int(n) for n in elements),
-        irs_reference_elements=int(cfg["irs"]["reference_elements"]),
-        relay_antennas=tuple(int(m) for m in antennas),
-        distance_sweep=tuple(cfg["sweeps"]["distance_m"]),
-        rho_sweep=tuple(cfg["sweeps"]["rho_db"]),
-        quadrature_nodes=int(cfg["quadrature_nodes"]),
-    )
+    if not isinstance(raw, dict):
+        raise ValueError(f"a config document must be an object, got {type(raw).__name__}")
+    if raw.get("version", CONFIG_VERSION) != CONFIG_VERSION:
+        raise ValueError(f"unsupported config version: {raw['version']!r}")
+    fields = _config_fields(raw, _CONFIG_KEYS, "")
+    budget = {name.removeprefix("budget."): fields.pop(name)
+              for name in list(fields) if name.startswith("budget.")}
+    return Scenario(budget=LinkBudget(**budget), **fields)
 
 
 def load_scenario(path) -> Scenario:
@@ -315,12 +318,9 @@ def _sweep(scenario: Scenario, variable: str, sizes, irs_modes, df_modes) -> Swe
     if variable == "rho_db":
         points = [(float(rho), scenario.dest_pos, 10.0 ** (rho / 10.0) * noise)
                   for rho in scenario.rhos_db()]
-    else:  # the destination d metres from the source along the source-destination axis
-        source = scenario.source_pos.as_array()
-        axis = scenario.dest_pos.as_array() - source
-        length = np.linalg.norm(axis)
-        points = [(float(d), Vec3.of(source + float(d) * axis / length), scenario.emi_variance)
-                  for d in scenario.distances()]
+    else:
+        points = [(float(d), Vec3.of(dest), scenario.emi_variance)
+                  for d, dest in zip(scenario.distances(), scenario.sweep_destinations())]
     beta_sr = _hop_gain(scenario, scenario.source_pos, scenario.node_pos)
     rows = []
     for x, dest, variance in points:
@@ -374,24 +374,17 @@ def run_fig6(scenario: Scenario) -> SweepResult:
                   ("heuristic_iso", "optimized_iso"), ("repetition_iso", "optimized_iso"))
 
 
-def run_fig7(scenario: Scenario, corr_out: dict | None = None) -> SweepResult:
+def run_fig7(scenario: Scenario) -> SweepResult:
     """Surface power vs distance under different interference distributions.
 
     Modes: no EMI, isotropic, gaussian centred on the source direction
-    (case 1) and on the destination direction (case 2).  ``corr_out``
-    receives the three surface correlations, case 2 toward the configured
-    destination whether or not the distance sweep passes through it.
+    (case 1) and on the destination direction (case 2).
     """
-    if corr_out is not None:
-        node = _NodeLink(scenario, scenario.irs_reference_elements)
-        h_rd = node.toward(scenario.dest_pos)
-        corr_out.update((f"fig7_{emi}", node.emi_model(emi, 0.0, h_rd).correlation)
-                        for emi in ("iso", "case1", "case2"))
     return _sweep(scenario, "distance_m", (scenario.irs_reference_elements,),
                   ("heuristic_none", "heuristic_iso", "heuristic_case1", "heuristic_case2"), ())
 
 
-def run_fig8(scenario: Scenario, corr_out: dict | None = None) -> SweepResult:
+def run_fig8(scenario: Scenario) -> SweepResult:
     """Relay power vs antenna count with MR/MMSE combining.
 
     Covers isotropic EMI and the destination-centred gaussian (case 2) at
@@ -414,10 +407,8 @@ def run_fig8(scenario: Scenario, corr_out: dict | None = None) -> SweepResult:
         h_rd = relay.toward(scenario.dest_pos)
         alpha2 = relay_mod.effective_gain_second_phase(h_rd.coefficients, noise)
         h_sr = relay.h_sr.coefficients
-        models = {emi: relay.emi_model(emi, variance, h_rd) for emi in ("iso", "case2")}
-        if corr_out is not None and m == max(scenario.relay_antennas):
-            corr_out.update((f"fig8_{emi}", model.correlation) for emi, model in models.items())
-        for emi, model in models.items():
+        for emi in ("iso", "case2"):
+            model = relay.emi_model(emi, variance, h_rd)
             cov = model.variance * model.correlation + noise * np.eye(m)
             for kind in (relay_mod.CombinerKind.MMSE, relay_mod.CombinerKind.MR):
                 alpha1 = relay_mod.effective_gain_first_phase(h_sr, cov, kind)
@@ -441,6 +432,21 @@ RUNNERS = {
 }
 
 
+def correlations(figure: str, scenario: Scenario) -> dict[str, np.ndarray]:
+    """EMI correlation matrices of ``figure``, keyed ``<figure>_<emi>``: fig7's
+    reference surface under iso, case1 and case2, fig8's largest relay under
+    iso and case2, each toward the configured destination; none otherwise."""
+    if figure == "fig7":
+        emis, size = ("iso", "case1", "case2"), scenario.irs_reference_elements
+    elif figure == "fig8":
+        emis, size = ("iso", "case2"), max(scenario.relay_antennas)
+    else:
+        return {}
+    node = _NodeLink(scenario, size)
+    h_rd = node.toward(scenario.dest_pos)
+    return {f"{figure}_{emi}": node.emi_model(emi, 0.0, h_rd).correlation for emi in emis}
+
+
 # ---------------------------------------------------------------------------
 # output
 
@@ -454,18 +460,15 @@ def format_csv(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-
-
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
                 "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
 
-def format_svg(result: SweepResult, title: str | None = None) -> str:
+def format_svg(result: SweepResult) -> str:
     """Minimal deterministic line plot (power in dBm against the sweep)."""
     if not result.rows:
         raise ValueError("refusing to emit an empty result")
-    if title is None:
-        title = f"minimum transmit power vs {result.sweep_variable}"
+    title = f"minimum transmit power vs {result.sweep_variable}"
     series: dict[tuple[str, str], list[SweepRow]] = {}
     for row in result.rows:
         if row.feasible:

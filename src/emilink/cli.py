@@ -30,18 +30,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = bench.load_scenario(args.config) if args.config else bench.Scenario()
-        runner = bench.RUNNERS[args.figure]
-        corr_out: dict | None = {} if args.dump_corr else None
-        if args.figure in ("fig7", "fig8"):
-            result = runner(scenario, corr_out=corr_out)
-        else:
-            result = runner(scenario)
+        result = bench.RUNNERS[args.figure](scenario)
         args.out.mkdir(parents=True, exist_ok=True)
         target = args.out / f"{args.figure}.{args.format}"
         bench.emit(result, args.format, target)
         print(target)
-        if corr_out:
-            for name, matrix in sorted(corr_out.items()):
+        if args.dump_corr:
+            for name, matrix in sorted(bench.correlations(args.figure, scenario).items()):
                 dump_path = args.out / f"{name}_corr.csv"
                 bench.dump_matrix_csv(matrix, dump_path)
                 print(dump_path)

@@ -134,8 +134,8 @@ def irs_sinr_gradient(power_w: float, link: IrsLink, phases: np.ndarray) -> np.n
     return power_w * (d_num * denom - abs(cascade) ** 2 * link.emi.variance * d_quad) / denom ** 2
 
 
-def phases_emi_aware(link: IrsLink, *, init: PhaseConfig | None = None,
-                     tol: float = 1e-8, max_iters: int = 1000) -> OptimizedPhases:
+def phases_emi_aware(link: IrsLink, *, tol: float = 1e-8,
+                     max_iters: int = 1000) -> OptimizedPhases:
     """Phases that maximize the power-free gain g = SINR / p, by MM.
 
     With z = exp(-j phi), a = h_rd * h_sr and B = variance D R D^H + (noise/N) I
@@ -146,11 +146,10 @@ def phases_emi_aware(link: IrsLink, *, init: PhaseConfig | None = None,
     surrogate is convex, so the step cannot lower g, once lam >= lambda_max(B);
     lam starts at the Rayleigh quotient z^H B z / N and doubles whenever a step
     fails to raise g, so no eigendecomposition is needed and g never falls.
-    Starts from ``init`` (default: the noise-only phases) and stops when g
-    changes by at most ``tol`` (relative) in a step; warns instead of failing
-    when ``max_iters`` steps run out.
+    Starts from the noise-only phases and stops when g changes by at most
+    ``tol`` (relative) in a step; warns instead of failing when ``max_iters``
+    steps run out.
     """
-    config = init if init is not None else phases_noise_only(link.h_sr, link.h_rd)
     d = link.h_rd.coefficients
     a = link.h_sr.coefficients * d
     corr, variance = link.emi.correlation, link.emi.variance
@@ -160,7 +159,7 @@ def phases_emi_aware(link: IrsLink, *, init: PhaseConfig | None = None,
         bz = variance * d * (corr @ (d.conj() * z)) + floor * z
         return float(abs(np.vdot(a, z)) ** 2 / np.vdot(z, bz).real), bz
 
-    phases = config.phases
+    phases = phases_noise_only(link.h_sr, link.h_rd).phases
     z = np.exp(-1j * phases)
     g, bz = gain(z)
     lam = np.vdot(z, bz).real / d.size

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import inspect
 import json
 import math
 import pathlib
@@ -12,7 +13,7 @@ from emilink import (LinkBudget, Scenario, SweepResult, SweepRow, Vec3, format_c
                      format_svg, pathloss_umi, run_fig3, run_fig4,
                      run_fig5, run_fig6, run_fig7, run_fig8,
                      repetition_required_power, scenario_from_config, watt_to_dbm)
-from emilink.bench import CSV_HEADER, dump_matrix_csv
+from emilink.bench import CSV_HEADER, RUNNERS, correlations, dump_matrix_csv
 from emilink import cli
 
 SMALL = Scenario(distance_sweep=(20.0, 120.0, 6), rho_sweep=(-10.0, 40.0, 6),
@@ -93,11 +94,51 @@ def test_scenario_from_config_rejects_unknown_keys():
     ({"budget": {"carrier_frequency_ghz": math.nan}}, "carrier_frequency_ghz"),
     ({"sweeps": {"rho_db": [-10.0, math.nan, 26]}}, "rho_sweep"),
     ({"sweeps": {"distance_m": [math.nan, 120.0, 26]}}, "distance_sweep"),
+    ({"irs": {"elements": [2.5]}}, "counts"),
+    ({"irs": {"reference_elements": 9.9}}, "counts"),
+    ({"relay": {"antennas": 3.5}}, "counts"),
+    ({"relay": {"antennas": [2, 3.5]}}, "counts"),
+    ({"quadrature_nodes": 64.7}, "quadrature"),
+    ([{"version": 1}], "must be an object"),
+    ("fig3", "must be an object"),
+    # hops under 1 m: node to destination, source to node, node to the
+    # destination of the 28 m sweep point
+    ({"geometry": {"node_m": [60.0, 0.5, 0.0]}}, "1 m"),
+    ({"geometry": {"node_m": [0.5, 0.3, 0.0]}}, "1 m"),
+    ({"geometry": {"node_m": [28.0, 0.5, 0.0]}}, "1 m"),
 ])
 def test_scenario_from_config_rejects_bad_values(raw, message):
     # rejected while the Scenario is built, before any sweep work
     with pytest.raises(ValueError, match=message):
         scenario_from_config(raw)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"irs_elements": (2.5,)}, "counts"),
+    ({"irs_reference_elements": 9.9}, "counts"),
+    ({"relay_antennas": (1, 3.5)}, "counts"),
+    ({"quadrature_nodes": 64.7}, "quadrature"),
+])
+def test_scenario_rejects_fractional_counts(kwargs, message):
+    # built directly, without the config loader in front
+    with pytest.raises(ValueError, match=message):
+        Scenario(**kwargs)
+
+
+def test_whole_float_counts_load_as_ints():
+    sc = scenario_from_config({"irs": {"elements": [50.0, 75, 100.0], "reference_elements": 75.0},
+                               "relay": {"antennas": 80.0}, "quadrature_nodes": 64.0})
+    assert sc == Scenario()
+    counts = (*sc.irs_elements, sc.irs_reference_elements, *sc.relay_antennas,
+              sc.quadrature_nodes)
+    assert all(type(n) is int for n in counts)
+
+
+def test_readme_config_block_is_the_default_scenario():
+    # the README's example config and the Scenario defaults must not drift apart
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    assert scenario_from_config(json.loads(block)) == Scenario()
 
 
 def test_csv_round_trip_and_header():
@@ -374,6 +415,19 @@ def test_cli_dump_corr_fig7_sweep_missing_destination(tmp_path):
     assert cli.main(["fig7", "--config", str(cfg), "--out", str(out), "--dump-corr"]) == 0
     assert sorted(p.name for p in out.glob("*_corr.csv")) == [
         "fig7_case1_corr.csv", "fig7_case2_corr.csv", "fig7_iso_corr.csv"]
+
+
+def test_every_runner_takes_only_a_scenario():
+    for name, runner in RUNNERS.items():
+        assert list(inspect.signature(runner).parameters) == ["scenario"], name
+
+
+def test_correlations_by_figure():
+    assert {fig: sorted(correlations(fig, SMALL)) for fig in RUNNERS} == {
+        "fig3": [], "fig4": [], "fig5": [], "fig6": [],
+        "fig7": ["fig7_case1", "fig7_case2", "fig7_iso"], "fig8": ["fig8_case2", "fig8_iso"]}
+    assert correlations("fig7", SMALL)["fig7_iso"].shape == (16, 16)
+    assert correlations("fig8", SMALL)["fig8_case2"].shape == (4, 4)
 
 
 def test_cli_error_exit_code(tmp_path):
