@@ -6,11 +6,11 @@ from .errors import InfeasibleError, NumericalError
 from .scene import (ArrayLayout, LinkBudget, LosChannel, Vec3, angles_between,
                     dbm_to_watt, los_channel, make_layout, pathloss_umi, watt_to_dbm,
                     wave_vector)
-from .emi import (AngularDensity, EmiModel, build_emi_model, corr_directional,
-                  corr_isotropic, emi_quadratic_form, psd_project)
-from .irs import (IrsLink, IrsSolution, OptimizedPhases, PhaseConfig,
-                  irs_min_power_emi_aware, irs_rate, irs_required_power, irs_sinr,
-                  irs_sinr_gradient, phases_emi_aware, phases_noise_only)
+from .emi import (AngularDensity, corr_directional, corr_isotropic, emi_quadratic_form,
+                  psd_project)
+from .irs import (IrsLink, IrsSolution, OptimizedPhases, irs_min_power_emi_aware, irs_rate,
+                  irs_required_power, irs_sinr, irs_sinr_gradient, phases_emi_aware,
+                  phases_noise_only)
 from .relay import (CombinerKind, EffectiveGains, RelaySolution, df_inner_max_rate,
                     df_min_power, df_rate, effective_gain_first_phase,
                     effective_gain_second_phase, effective_gains_single,

@@ -171,7 +171,15 @@ def _config_fields(raw: dict, keys: dict, path: str) -> dict:
             fields.update(_config_fields(value, keys[key], f"{path}{key}."))
         elif keys[key] is not None:
             name, convert = keys[key]
-            fields[name] = convert(value)
+            numbers = value if isinstance(value, list) else [value]
+            if (not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in numbers)
+                    or path in ("geometry.", "sweeps.") and len(numbers) != 3):
+                raise ValueError(f"config key {path}{key} must be a number or a list of numbers "
+                                 f"(3 for a position or a sweep), got {value!r}")
+            try:
+                fields[name] = convert(value)
+            except TypeError:  # a list where one number belongs
+                raise ValueError(f"config key {path}{key} must be a number") from None
     return fields
 
 
@@ -179,8 +187,9 @@ def scenario_from_config(raw: dict) -> Scenario:
     """Build a Scenario from a parsed config document (strict keys)."""
     if not isinstance(raw, dict):
         raise ValueError(f"a config document must be an object, got {type(raw).__name__}")
-    if raw.get("version", CONFIG_VERSION) != CONFIG_VERSION:
-        raise ValueError(f"unsupported config version: {raw['version']!r}")
+    version = raw.get("version", CONFIG_VERSION)
+    if isinstance(version, bool) or version != CONFIG_VERSION:
+        raise ValueError(f"unsupported config version: {version!r}")
     fields = _config_fields(raw, _CONFIG_KEYS, "")
     budget = {name.removeprefix("budget."): fields.pop(name)
               for name in list(fields) if name.startswith("budget.")}
@@ -220,7 +229,7 @@ def _hop_gain(scenario: Scenario, a: Vec3, b: Vec3) -> float:
 
 
 class _NodeLink:
-    """Channels and interference models at the surface/relay for one layout."""
+    """Channels and EMI correlations at the surface/relay for one layout."""
 
     def __init__(self, scenario: Scenario, n_elements: int):
         self.scenario = scenario
@@ -230,8 +239,7 @@ class _NodeLink:
                                             self.layout.orientation)
         self.h_sr = los_channel(_hop_gain(scenario, scenario.source_pos, scenario.node_pos),
                                 *self.source_angles, self.layout)
-        # models are built with variance 0; emi_model sets the variance of each use
-        self.iso = emi_mod.build_emi_model(self.layout, 0.0, emi_mod.AngularDensity.isotropic())
+        self.iso = emi_mod.corr_isotropic(self.layout)
         self._h_rd: dict[Vec3, LosChannel] = {}
 
     def toward(self, dest: Vec3) -> LosChannel:
@@ -242,25 +250,23 @@ class _NodeLink:
                                            az, el, self.layout)
         return self._h_rd[dest]
 
-    def _gaussian(self, azimuth: float, elevation: float) -> emi_mod.EmiModel:
+    def _gaussian(self, azimuth: float, elevation: float) -> np.ndarray:
         spread = math.radians(self.scenario.emi_spread_deg)
         density = emi_mod.AngularDensity.gaussian(azimuth, elevation, spread, spread)
-        return emi_mod.build_emi_model(self.layout, 0.0, density, self.scenario.quadrature_nodes)
+        return emi_mod.corr_directional(self.layout, density, self.scenario.quadrature_nodes)
 
     @cached_property
-    def case1(self) -> emi_mod.EmiModel:
+    def case1(self) -> np.ndarray:
         return self._gaussian(*self.source_angles)
 
-    def emi_model(self, emi: str, variance: float, h_rd: LosChannel) -> emi_mod.EmiModel:
-        """EMI named none (variance 0), iso, case1 (gaussian centred on the
-        source direction) or case2 (centred on the direction of ``h_rd``)."""
+    def correlation(self, emi: str, h_rd: LosChannel) -> np.ndarray:
+        """Correlation of the EMI named none or iso (sinc), case1 (gaussian centred
+        on the source direction) or case2 (centred on the direction of ``h_rd``)."""
         if emi in ("none", "iso"):
-            model = self.iso
-        elif emi == "case1":
-            model = self.case1
-        else:
-            model = self._gaussian(h_rd.azimuth, h_rd.elevation)
-        return replace(model, variance=0.0 if emi == "none" else variance)
+            return self.iso
+        if emi == "case1":
+            return self.case1
+        return self._gaussian(h_rd.azimuth, h_rd.elevation)
 
 
 def _irs_heuristic(target_rate, link):
@@ -311,7 +317,8 @@ def _sweep(scenario: Scenario, variable: str, sizes, irs_modes, df_modes) -> Swe
     (a repeated size runs once), then every relay mode on a single-antenna
     relay.  A mode is ``<solver>_<emi>``, the solver ``heuristic`` or
     ``optimized`` for the surface and ``repetition`` or ``optimized`` for the
-    relay, the EMI one of ``_NodeLink.emi_model``'s.
+    relay, the EMI one of ``_NodeLink.correlation``'s; EMI none means no
+    interference (variance 0).
     """
     noise, target = scenario.budget.noise_power_w, scenario.target_rate
     nodes = [_NodeLink(scenario, n) for n in dict.fromkeys(sizes)]
@@ -324,18 +331,19 @@ def _sweep(scenario: Scenario, variable: str, sizes, irs_modes, df_modes) -> Swe
     beta_sr = _hop_gain(scenario, scenario.source_pos, scenario.node_pos)
     rows = []
     for x, dest, variance in points:
+        variances = {m: 0.0 if m.endswith("_none") else variance for m in irs_modes + df_modes}
         for node in nodes:
             h_rd = node.toward(dest)
             for mode in irs_modes:
                 solver, emi = mode.split("_")
-                link = irs_mod.IrsLink(node.h_sr, h_rd, node.emi_model(emi, variance, h_rd), noise)
+                link = irs_mod.IrsLink(node.h_sr, h_rd, variances[mode],
+                                       node.correlation(emi, h_rd), noise)
                 rows.append(_row(x, f"irs_n{node.layout.n_elements}", mode,
                                  _IRS_SOLVERS[solver], target, link))
         beta_rd = _hop_gain(scenario, scenario.node_pos, dest)
         for mode in df_modes:
-            solver, emi = mode.split("_")
-            rows.append(_row(x, "df", mode, _DF_SOLVERS[solver], target, beta_sr, beta_rd,
-                             0.0 if emi == "none" else variance, noise))
+            rows.append(_row(x, "df", mode, _DF_SOLVERS[mode.split("_")[0]], target, beta_sr,
+                             beta_rd, variances[mode], noise))
     return SweepResult(variable, tuple(rows))
 
 
@@ -398,7 +406,7 @@ def run_fig8(scenario: Scenario) -> SweepResult:
     h_rd = surface.toward(scenario.dest_pos)
     refs = []
     for emi in ("iso", "case2"):
-        link = irs_mod.IrsLink(surface.h_sr, h_rd, surface.emi_model(emi, variance, h_rd), noise)
+        link = irs_mod.IrsLink(surface.h_sr, h_rd, variance, surface.correlation(emi, h_rd), noise)
         refs.append(_row(0.0, f"irs_n{surface.layout.n_elements}", f"optimized_{emi}",
                          _irs_optimized, target, link))
     rows = []
@@ -408,8 +416,7 @@ def run_fig8(scenario: Scenario) -> SweepResult:
         alpha2 = relay_mod.effective_gain_second_phase(h_rd.coefficients, noise)
         h_sr = relay.h_sr.coefficients
         for emi in ("iso", "case2"):
-            model = relay.emi_model(emi, variance, h_rd)
-            cov = model.variance * model.correlation + noise * np.eye(m)
+            cov = variance * relay.correlation(emi, h_rd) + noise * np.eye(m)
             for kind in (relay_mod.CombinerKind.MMSE, relay_mod.CombinerKind.MR):
                 alpha1 = relay_mod.effective_gain_first_phase(h_sr, cov, kind)
                 rows.append(_row(float(m), f"df_{kind.value}", f"optimized_{emi}", _df_optimized,
@@ -444,7 +451,7 @@ def correlations(figure: str, scenario: Scenario) -> dict[str, np.ndarray]:
         return {}
     node = _NodeLink(scenario, size)
     h_rd = node.toward(scenario.dest_pos)
-    return {f"{figure}_{emi}": node.emi_model(emi, 0.0, h_rd).correlation for emi in emis}
+    return {f"{figure}_{emi}": node.correlation(emi, h_rd) for emi in emis}
 
 
 # ---------------------------------------------------------------------------

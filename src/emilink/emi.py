@@ -1,12 +1,14 @@
 """Spatial correlation of electromagnetic interference across an array.
 
 The interference field at the surface is zero-mean complex Gaussian with
-covariance ``variance * R``.  For an isotropic angular power density the
-correlation has the closed form ``R[n, m] = sinc(2 |u_n - u_m| / lambda)``;
-for a general density it is the double integral of
-``exp(j k(phi, theta)^T (u_n - u_m)) f(phi, theta)`` over the front
-half-space of the array, evaluated here by tensor Gauss-Legendre
-quadrature.  The isotropic density over that half-space is
+covariance ``variance * R``.  The correlation R is returned as a plain
+array and the variance stays with its user: the surface link ``IrsLink``
+holds both, and the relay sweep forms ``variance * R + noise * I``.  For
+an isotropic angular power density the correlation has the closed form
+``R[n, m] = sinc(2 |u_n - u_m| / lambda)``; for a general density it is
+the double integral of ``exp(j k(phi, theta)^T (u_n - u_m)) f(phi, theta)``
+over the front half-space of the array, evaluated here by tensor
+Gauss-Legendre quadrature.  The isotropic density over that half-space is
 ``cos(theta) / (2 pi)``, which reproduces the sinc kernel for in-plane
 element separations (the quadrature/closed-form agreement is checked by
 the test suite).
@@ -48,7 +50,7 @@ HALF_PI = np.pi / 2.0
 
 # Gaussian densities are integrated over +-GAUSS_WINDOW_SIGMAS standard
 # deviations (clipped to the front half-space) so that narrow densities
-# remain resolved by the default node count.
+# remain resolved by the scenario's default 64 nodes.
 GAUSS_WINDOW_SIGMAS = 8.0
 
 
@@ -81,27 +83,6 @@ class AngularDensity:
     def gaussian(mean_azimuth, mean_elevation, std_azimuth, std_elevation) -> "AngularDensity":
         return AngularDensity("gaussian", mean_azimuth, mean_elevation,
                               std_azimuth, std_elevation)
-
-
-@dataclass(frozen=True)
-class EmiModel:
-    """Interference variance (W) plus its spatial correlation matrix."""
-
-    variance: float
-    density: AngularDensity
-    correlation: np.ndarray
-
-    def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError("variance must be nonnegative")
-        corr = np.asarray(self.correlation)
-        if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
-            raise ValueError("correlation must be a square matrix")
-        object.__setattr__(self, "correlation", corr)
-
-    @property
-    def n_elements(self) -> int:
-        return self.correlation.shape[0]
 
 
 def corr_isotropic(layout: ArrayLayout) -> np.ndarray:
@@ -185,9 +166,7 @@ def _corr_quadrature(layout: ArrayLayout, density: AngularDensity, nodes: int,
                    c_idx[:, None] - c_idx[None, :] + cols - 1]
 
 
-def corr_directional(layout: ArrayLayout,
-                     density: AngularDensity = AngularDensity.isotropic(),
-                     nodes: int = 64) -> np.ndarray:
+def corr_directional(layout: ArrayLayout, density: AngularDensity, nodes: int) -> np.ndarray:
     """Correlation matrix for an arbitrary angular density by quadrature.
 
     The kernel kappa(dr, dc) is built once per element offset of the
@@ -238,19 +217,3 @@ def emi_quadratic_form(v: np.ndarray, corr: np.ndarray) -> float:
         raise ValueError("dimension mismatch between vector and matrix")
     value = float(np.real(v @ corr @ v.conj()))
     return max(value, 0.0)
-
-
-def build_emi_model(layout: ArrayLayout, variance: float,
-                    density: AngularDensity, nodes: int = 64) -> EmiModel:
-    """Assemble the correlation matrix for ``density`` and wrap it up.
-
-    Isotropic densities use the sinc closed form, anything else the
-    quadrature, and both are returned as built: each is PSD in exact
-    arithmetic (sinc by Bochner's theorem, the quadrature as a positively
-    weighted sum of outer products), and the consumers absorb the sinc
-    form's round-off, first below zero on grids of over a thousand elements
-    (see the module docstring).
-    """
-    if density.kind == "isotropic":
-        return EmiModel(variance, density, corr_isotropic(layout))
-    return EmiModel(variance, density, corr_directional(layout, density=density, nodes=nodes))

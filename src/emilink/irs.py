@@ -4,10 +4,14 @@ The end-to-end SINR with transmit power p and reflection phases phi_n is
 
     p |h_rd^T Phi h_sr|^2 / (variance * ||h_rd^T Phi R^(1/2)||^2 + noise)
 
-where Phi = diag(exp(j phi_n)).  It is p times a power-free gain g(phi), so
-the best phases do not depend on p: they are optimized once and the
-required power follows in closed form.  Closing the phases on the channel
-product (phi_n = -arg(h_sr_n h_rd_n)) maximizes the numerator and is optimal
+where Phi = diag(exp(j phi_n)).  An ``IrsLink`` holds exactly what it
+reads: the two channels, the EMI variance and correlation R, and the noise.
+Phases are plain float arrays, one entry per element, wrapped by np.mod
+where they are produced; a vector of the wrong length is rejected.  The
+SINR is p times a power-free gain g(phi), so the best phases do not depend
+on p: they are optimized once and the required power follows in closed
+form.  Closing the phases on the channel product
+(phi_n = -arg(h_sr_n h_rd_n)) maximizes the numerator and is optimal
 without interference.  The interference-aware optimizer starts there and
 maximizes g by minorization-maximization on the unit-modulus torus (Sun,
 Babu and Palomar, IEEE Trans. Signal Process. 65(3), 2017): each step is a
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emi import EmiModel, emi_quadratic_form
+from .emi import emi_quadratic_form
 from .errors import InfeasibleError, capped_power, pow2m1
 from .scene import LosChannel
 
@@ -31,107 +35,98 @@ TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
-class PhaseConfig:
-    """Per-element reflection phases, wrapped into [0, 2*pi)."""
-
-    phases: np.ndarray
-
-    def __post_init__(self):
-        ph = np.mod(np.asarray(self.phases, dtype=float), TWO_PI)
-        if ph.ndim != 1 or ph.size == 0:
-            raise ValueError("phases must be a non-empty 1-d array")
-        object.__setattr__(self, "phases", ph)
-
-    @property
-    def n_elements(self) -> int:
-        return self.phases.size
-
-
-@dataclass(frozen=True)
 class IrsLink:
-    """Source->surface and surface->destination channels plus noise terms."""
+    """Source->surface and surface->destination channels, the EMI variance (W)
+    and correlation R at the surface, and the thermal noise power (W)."""
 
     h_sr: LosChannel
     h_rd: LosChannel
-    emi: EmiModel
+    emi_variance: float
+    correlation: np.ndarray
     noise_power_w: float
 
     def __post_init__(self):
         n = self.h_sr.n_elements
-        if self.h_rd.n_elements != n or self.emi.n_elements != n:
+        if self.h_rd.n_elements != n or np.shape(self.correlation) != (n, n):
             raise ValueError("channel and correlation dimensions disagree")
+        if not self.emi_variance >= 0:
+            raise ValueError("EMI variance must be nonnegative")
         if self.noise_power_w <= 0:
             raise ValueError("noise power must be positive")
 
 
 @dataclass(frozen=True)
-class OptimizedPhases(PhaseConfig):
-    """Phases from ``phases_emi_aware`` plus its iteration count and whether
-    it met its tolerance."""
+class OptimizedPhases:
+    """Phases from ``phases_emi_aware``, its iteration count and whether it
+    met its tolerance."""
 
+    phases: np.ndarray
     iterations: int
     converged: bool
 
 
 @dataclass(frozen=True)
 class IrsSolution:
-    """Required power and phase configuration from the EMI-aware optimizer."""
+    """Required power and phases from the EMI-aware optimizer."""
 
     power_w: float
-    phases: PhaseConfig
+    phases: np.ndarray
     iterations: int
-    converged: bool = True
+    converged: bool
 
 
-def phases_noise_only(h_sr: LosChannel, h_rd: LosChannel) -> PhaseConfig:
-    """Phases that align the cascaded channel: phi_n = -arg(h_sr_n h_rd_n)."""
+def phases_noise_only(h_sr: LosChannel, h_rd: LosChannel) -> np.ndarray:
+    """Phases that align the cascaded channel: phi_n = -arg(h_sr_n h_rd_n),
+    wrapped by np.mod into [0, 2 pi) (2 pi itself for a phase just below 0)."""
     prod = h_sr.coefficients * h_rd.coefficients
     if np.any(prod == 0):
         raise ValueError("phase alignment undefined for zero channel coefficients")
-    return PhaseConfig(-np.angle(prod))
+    return np.mod(-np.angle(prod), TWO_PI)
 
 
-def _combined(link: IrsLink, config: PhaseConfig):
+def _combined(link: IrsLink, phases: np.ndarray):
     """Row channel v = h_rd * exp(j phi) and the cascaded scalar v . h_sr."""
-    v = link.h_rd.coefficients * np.exp(1j * config.phases)
+    phases = np.asarray(phases)
+    if phases.shape != link.h_rd.coefficients.shape:
+        raise ValueError(f"need {link.h_rd.n_elements} phases, got shape {phases.shape}")
+    v = link.h_rd.coefficients * np.exp(1j * phases)
     return v, np.sum(v * link.h_sr.coefficients)
 
 
-def irs_sinr(power_w: float, link: IrsLink, config: PhaseConfig) -> float:
+def irs_sinr(power_w: float, link: IrsLink, phases: np.ndarray) -> float:
     if power_w < 0:
         raise ValueError("power must be nonnegative")
-    v, cascade = _combined(link, config)
-    interference = link.emi.variance * emi_quadratic_form(v, link.emi.correlation)
+    v, cascade = _combined(link, phases)
+    interference = link.emi_variance * emi_quadratic_form(v, link.correlation)
     return power_w * abs(cascade) ** 2 / (interference + link.noise_power_w)
 
 
-def irs_rate(power_w: float, link: IrsLink, config: PhaseConfig) -> float:
+def irs_rate(power_w: float, link: IrsLink, phases: np.ndarray) -> float:
     """End-to-end information rate log2(1 + SINR) in bit/s/Hz."""
-    return float(np.log2(1.0 + irs_sinr(power_w, link, config)))
+    return float(np.log2(1.0 + irs_sinr(power_w, link, phases)))
 
 
-def irs_required_power(target_rate: float, link: IrsLink, config: PhaseConfig) -> float:
+def irs_required_power(target_rate: float, link: IrsLink, phases: np.ndarray) -> float:
     """Transmit power that achieves ``target_rate`` with fixed phases."""
     if target_rate <= 0:
         raise ValueError("target rate must be positive")
-    v, cascade = _combined(link, config)
+    v, cascade = _combined(link, phases)
     gain = abs(cascade) ** 2
     if gain == 0.0:
         raise InfeasibleError("cascaded channel is zero; no power achieves the rate")
-    interference = link.emi.variance * emi_quadratic_form(v, link.emi.correlation)
+    interference = link.emi_variance * emi_quadratic_form(v, link.correlation)
     return pow2m1(target_rate) * (interference + link.noise_power_w) / gain
 
 
 def irs_sinr_gradient(power_w: float, link: IrsLink, phases: np.ndarray) -> np.ndarray:
     """Analytic gradient of the SINR with respect to the phase vector."""
-    v = link.h_rd.coefficients * np.exp(1j * np.asarray(phases))
-    cascade = np.sum(v * link.h_sr.coefficients)
-    corr_v = link.emi.correlation @ v.conj()
+    v, cascade = _combined(link, phases)
+    corr_v = link.correlation @ v.conj()
     quad = max(float(np.real(v @ corr_v)), 0.0)
-    denom = link.emi.variance * quad + link.noise_power_w
+    denom = link.emi_variance * quad + link.noise_power_w
     d_num = -2.0 * np.imag(np.conj(cascade) * link.h_sr.coefficients * v)
     d_quad = -2.0 * np.imag(v * corr_v)
-    return power_w * (d_num * denom - abs(cascade) ** 2 * link.emi.variance * d_quad) / denom ** 2
+    return power_w * (d_num * denom - abs(cascade) ** 2 * link.emi_variance * d_quad) / denom ** 2
 
 
 def phases_emi_aware(link: IrsLink, *, tol: float = 1e-8,
@@ -152,14 +147,14 @@ def phases_emi_aware(link: IrsLink, *, tol: float = 1e-8,
     """
     d = link.h_rd.coefficients
     a = link.h_sr.coefficients * d
-    corr, variance = link.emi.correlation, link.emi.variance
+    corr, variance = link.correlation, link.emi_variance
     floor = link.noise_power_w / d.size
 
     def gain(z):
         bz = variance * d * (corr @ (d.conj() * z)) + floor * z
         return float(abs(np.vdot(a, z)) ** 2 / np.vdot(z, bz).real), bz
 
-    phases = phases_noise_only(link.h_sr, link.h_rd).phases
+    phases = phases_noise_only(link.h_sr, link.h_rd)
     z = np.exp(-1j * phases)
     g, bz = gain(z)
     lam = np.vdot(z, bz).real / d.size
@@ -178,7 +173,7 @@ def phases_emi_aware(link: IrsLink, *, tol: float = 1e-8,
     if not converged:
         warnings.warn("phase optimization hit the iteration limit; returning best iterate",
                       RuntimeWarning, stacklevel=2)
-    return OptimizedPhases(phases, iterations, converged)
+    return OptimizedPhases(np.mod(phases, TWO_PI), iterations, converged)
 
 
 def irs_min_power_emi_aware(target_rate: float, link: IrsLink, *,
@@ -191,6 +186,6 @@ def irs_min_power_emi_aware(target_rate: float, link: IrsLink, *,
     noise-only-phases power.  Raises InfeasibleError when it exceeds
     POWER_UPPER_W.
     """
-    config = phases_emi_aware(link, tol=tol, max_iters=max_iters)
-    power = capped_power(irs_required_power(target_rate, link, config), target_rate)
-    return IrsSolution(power, config, config.iterations, config.converged)
+    opt = phases_emi_aware(link, tol=tol, max_iters=max_iters)
+    power = capped_power(irs_required_power(target_rate, link, opt.phases), target_rate)
+    return IrsSolution(power, opt.phases, opt.iterations, opt.converged)

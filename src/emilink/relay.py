@@ -59,7 +59,7 @@ class RelaySolution:
     p2: float
     average_power: float
     achieved_rate: float
-    iterations: int = 0
+    iterations: int
 
 
 def df_rate(tau1: float, p1: float, p2: float, gains: EffectiveGains) -> float:

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import emilink
-from emilink import (AngularDensity, CombinerKind, EffectiveGains, EmiModel,
-                     IrsLink, LosChannel, PhaseConfig, Scenario, Vec3, corr_directional,
+from emilink import (AngularDensity, CombinerKind, EffectiveGains,
+                     IrsLink, LosChannel, Scenario, Vec3, corr_directional,
                      corr_isotropic, df_inner_max_rate, df_min_power, df_rate,
                      effective_gain_first_phase, effective_gains_single, irs_rate,
                      irs_required_power, irs_sinr, irs_sinr_gradient, make_layout,
@@ -213,9 +213,10 @@ def test_criterion_1_quadrature_cross_check():
     """
     lay = make_layout(25, 0.1)  # 5x5 grid at half-wavelength spacing
     ref = corr_isotropic(lay)
-    err16 = np.abs(corr_directional(lay, nodes=16) - ref).max()
-    err64 = np.abs(corr_directional(lay, nodes=64) - ref).max()
-    err128 = np.abs(corr_directional(lay, nodes=128) - ref).max()
+    iso = AngularDensity.isotropic()
+    err16 = np.abs(corr_directional(lay, iso, nodes=16) - ref).max()
+    err64 = np.abs(corr_directional(lay, iso, nodes=64) - ref).max()
+    err128 = np.abs(corr_directional(lay, iso, nodes=128) - ref).max()
     ok = (err64 < 1e-3) and (err128 <= max(err64, 1e-12)) and (err128 < err16)
     report(1, "quadrature cross-check", ok,
            f"err16={err16:.2e} err64={err64:.2e} err128={err128:.2e}")
@@ -230,9 +231,8 @@ def test_criterion_2_required_power_round_trip():
         h_rd = LosChannel(1.0, 0.0, 0.0, random_complex(rng, n, 1e-3))
         corr = random_unit_diag_psd(rng, n)
         variance = 10 ** rng.uniform(-1, 3) * NOISE
-        link = IrsLink(h_sr, h_rd, EmiModel(variance, AngularDensity.isotropic(), corr),
-                       NOISE)
-        config = PhaseConfig(rng.uniform(0, 2 * np.pi, n))
+        link = IrsLink(h_sr, h_rd, variance, corr, NOISE)
+        config = rng.uniform(0, 2 * np.pi, n)
         target = rng.uniform(0.25, 10.0)
         power = irs_required_power(target, link, config)
         worst = max(worst, abs(irs_rate(power, link, config) - target) / target)
@@ -459,8 +459,7 @@ def test_criterion_8_gradient_check():
         h_rd = LosChannel(1.0, 0.0, 0.0, random_complex(rng, n, 1e-3))
         corr = random_unit_diag_psd(rng, n)
         variance = 10 ** rng.uniform(0, 3) * NOISE
-        link = IrsLink(h_sr, h_rd, EmiModel(variance, AngularDensity.isotropic(), corr),
-                       NOISE)
+        link = IrsLink(h_sr, h_rd, variance, corr, NOISE)
         phases = rng.uniform(0, 2 * np.pi, n)
         power = 10 ** rng.uniform(-4, -1)
         grad = irs_sinr_gradient(power, link, phases)
@@ -469,8 +468,8 @@ def test_criterion_8_gradient_check():
         for i in range(n):
             delta = np.zeros(n)
             delta[i] = step
-            fd[i] = (irs_sinr(power, link, PhaseConfig(phases + delta))
-                     - irs_sinr(power, link, PhaseConfig(phases - delta))) / (2 * step)
+            fd[i] = (irs_sinr(power, link, phases + delta)
+                     - irs_sinr(power, link, phases - delta)) / (2 * step)
         worst = max(worst, float(np.abs(grad - fd).max() / np.abs(fd).max()))
     report(8, "analytic gradient vs finite differences", worst < 1e-4,
            f"worst relative mismatch {worst:.2e}")

@@ -3,7 +3,10 @@ import importlib.util
 import inspect
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -106,6 +109,24 @@ def test_scenario_from_config_rejects_unknown_keys():
     ({"geometry": {"node_m": [60.0, 0.5, 0.0]}}, "1 m"),
     ({"geometry": {"node_m": [0.5, 0.3, 0.0]}}, "1 m"),
     ({"geometry": {"node_m": [28.0, 0.5, 0.0]}}, "1 m"),
+    # JSON values of the wrong type or length, each named by its key
+    ({"relay": {"antennas": "80"}}, "relay.antennas"),
+    ({"relay": {"antennas": True}}, "relay.antennas"),
+    ({"version": True}, "version"),
+    ({"irs": {"reference_elements": "75"}}, "irs.reference_elements"),
+    ({"emi": {"rho_db": "25"}}, "emi.rho_db"),
+    ({"quadrature_nodes": "64"}, "quadrature_nodes"),
+    ({"target_rate_bps_hz": "6"}, "target_rate_bps_hz"),
+    ({"irs": {"elements": "75"}}, "irs.elements"),
+    ({"irs": {"elements": [True, 4]}}, "irs.elements"),
+    ({"budget": {"noise_dbm": "-94"}}, "budget.noise_dbm"),
+    ({"emi": {"spread_deg": None}}, "emi.spread_deg"),
+    ({"geometry": {"node_m": [60.0, 10.0]}}, "geometry.node_m"),
+    ({"geometry": {"source_m": 0.0}}, "geometry.source_m"),
+    ({"sweeps": {"rho_db": [-10.0, 40.0]}}, "sweeps.rho_db"),
+    ({"sweeps": {"distance_m": [20.0, 120.0, 26, 1]}}, "sweeps.distance_m"),
+    ({"target_rate_bps_hz": [6.0]}, "target_rate_bps_hz"),
+    ({"budget": {"node_gain_dbi": [5.0]}}, "budget.node_gain_dbi"),
 ])
 def test_scenario_from_config_rejects_bad_values(raw, message):
     # rejected while the Scenario is built, before any sweep work
@@ -139,6 +160,49 @@ def test_readme_config_block_is_the_default_scenario():
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("```json\n", 1)[1].split("```", 1)[0]
     assert scenario_from_config(json.loads(block)) == Scenario()
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    # the README's "Library use" example must keep running as exports change
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert (tmp_path / "fig5.csv").read_text(encoding="utf-8").startswith(CSV_HEADER + "\n")
+    assert len(capsys.readouterr().out.splitlines()) == Scenario().rho_sweep[2]
+
+
+# Imports emilink and runs the CLI with the given arguments, then prints the
+# top-level names of the modules it loaded from site-packages.
+_SITE_PACKAGES_PROBE = """
+import os, site, sys, sysconfig
+before = set(sys.modules)
+from emilink import cli
+assert cli.main(sys.argv[1:]) == 0
+roots = {os.path.realpath(p) for p in (*site.getsitepackages(), site.getusersitepackages(),
+                                       sysconfig.get_path("purelib"), sysconfig.get_path("platlib"))}
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before
+          if any(os.path.realpath(getattr(sys.modules[name], "__file__", None) or "")
+                 .startswith(root + os.sep) for root in roots)}
+print(" ".join(sorted(loaded)))
+"""
+
+
+def test_runs_on_numpy_alone(tmp_path):
+    # numpy is the only dependency; scipy and pytest plugins may be installed but
+    # must not be needed.  emilink counts too, in case it is installed there.
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps({"irs": {"elements": 16, "reference_elements": 16},
+                               "relay": {"antennas": 4}}))
+    package_root = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _SITE_PACKAGES_PROBE, "fig8", "--dump-corr",
+                           "--config", str(cfg), "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, check=False, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "numpy" in loaded and loaded <= {"numpy", "emilink"}, loaded
 
 
 def test_csv_round_trip_and_header():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from emilink import (AngularDensity, EmiModel, NumericalError, build_emi_model,
+from emilink import (AngularDensity, NumericalError,
                      corr_directional, corr_isotropic,
                      emi_quadratic_form, los_channel, make_layout, psd_project)
 from conftest import random_unit_diag_psd
@@ -54,21 +54,21 @@ def test_corr_isotropic_translation_invariant():
 
 def test_corr_directional_single_element():
     lay = make_layout(1, LAM)
-    r = corr_directional(lay)
+    r = corr_directional(lay, AngularDensity.isotropic(), 64)
     assert_allclose(r, [[1.0]], atol=1e-15)
 
 
 def test_corr_directional_matches_closed_form():
     # the quadrature convention is pinned by the sinc closed form
     lay = make_layout(25, LAM)
-    r = corr_directional(lay, nodes=64)
+    r = corr_directional(lay, AngularDensity.isotropic(), nodes=64)
     assert np.abs(r - corr_isotropic(lay)).max() < 1e-3
 
 
 def test_corr_directional_hermitian_unit_diagonal():
     lay = make_layout(12, LAM)
     dens = AngularDensity.gaussian(0.4, -0.1, math.radians(10), math.radians(10))
-    r = corr_directional(lay, density=dens)
+    r = corr_directional(lay, density=dens, nodes=64)
     assert_allclose(r, r.conj().T, atol=1e-14)
     assert_allclose(np.diag(r), 1.0, atol=1e-14)
 
@@ -78,7 +78,7 @@ def test_corr_directional_narrow_gaussian_is_rank_one():
     lay = make_layout(36, LAM)
     az, el = 0.35, -0.15
     sig = math.radians(0.1)
-    r = corr_directional(lay, density=AngularDensity.gaussian(az, el, sig, sig))
+    r = corr_directional(lay, density=AngularDensity.gaussian(az, el, sig, sig), nodes=64)
     vals, vecs = np.linalg.eigh(r)
     assert vals[-1] >= 0.99 * lay.n_elements
     steering = los_channel(1.0, az, el, lay).coefficients
@@ -135,7 +135,7 @@ def gram_oracle(layout, density, nodes=64):
 ], ids=["isotropic", "gauss_broadside", "gauss_off_broadside"])
 def test_corr_directional_matches_gram_oracle(n, density):
     lay = make_layout(n, LAM)
-    r = corr_directional(lay, density=density)
+    r = corr_directional(lay, density=density, nodes=64)
     assert np.abs(r - gram_oracle(lay, density)).max() <= 1e-12
     assert np.array_equal(r, r.conj().T)
     assert np.array_equal(np.diag(r), np.ones(n))
@@ -206,16 +206,6 @@ def test_quadratic_form_rejects_mismatch():
         emi_quadratic_form(np.ones(3), np.eye(4))
 
 
-def test_build_emi_model_dispatch():
-    lay = make_layout(9, LAM)
-    iso = build_emi_model(lay, 1e-12, AngularDensity.isotropic())
-    assert np.array_equal(iso.correlation, corr_isotropic(lay))
-    dens = AngularDensity.gaussian(0.2, 0.0, math.radians(10), math.radians(10))
-    gauss = build_emi_model(lay, 1e-12, dens, nodes=48)
-    assert gauss.n_elements == 9
-    assert np.linalg.eigvalsh(gauss.correlation)[0] >= -1e-12
-
-
 @pytest.mark.parametrize("n", [7, 23, 80, 400])
 @pytest.mark.parametrize("density", [
     AngularDensity.isotropic(),
@@ -223,14 +213,9 @@ def test_build_emi_model_dispatch():
 ], ids=["isotropic", "off_broadside_gaussian"])
 def test_quadrature_correlation_is_psd_by_construction(n, density):
     lay = make_layout(n, LAM)
-    r = corr_directional(lay, density=density)
+    r = corr_directional(lay, density=density, nodes=64)
     vals = np.linalg.eigvalsh(r)
     assert vals[0] >= -1e-13 * vals[-1]
-    model = build_emi_model(lay, 1e-12, density)
-    if density.kind == "isotropic":
-        assert np.array_equal(model.correlation, corr_isotropic(lay))
-    else:
-        assert np.array_equal(model.correlation, r)
 
 
 @pytest.mark.parametrize("n", [7, 23, 80, 400, 1600])
@@ -246,5 +231,3 @@ def test_density_validation():
         AngularDensity("weird")
     with pytest.raises(ValueError):
         AngularDensity.gaussian(0.0, 0.0, 0.0, 0.1)
-    with pytest.raises(ValueError):
-        EmiModel(-1.0, AngularDensity.isotropic(), np.eye(2))
