@@ -3,9 +3,8 @@ decode-and-forward relay assisted communication under electromagnetic
 interference."""
 
 from .errors import InfeasibleError, NumericalError
-from .scene import (ArrayLayout, LinkBudget, LosChannel, Vec3, angles_between,
-                    dbm_to_watt, los_channel, make_layout, pathloss_umi, watt_to_dbm,
-                    wave_vector)
+from .scene import (ArrayLayout, LinkBudget, Vec3, angles_between, dbm_to_watt,
+                    los_channel, make_layout, pathloss_umi, watt_to_dbm, wave_vector)
 from .emi import (AngularDensity, corr_directional, corr_isotropic, emi_quadratic_form,
                   psd_project)
 from .irs import (IrsLink, IrsSolution, OptimizedPhases, irs_min_power_emi_aware, irs_rate,

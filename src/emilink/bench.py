@@ -22,8 +22,8 @@ from . import emi as emi_mod
 from . import irs as irs_mod
 from . import relay as relay_mod
 from .errors import InfeasibleError, capped_power
-from .scene import (LinkBudget, LosChannel, Vec3, angles_between, dbm_to_watt, los_channel,
-                    make_layout, pathloss_umi, watt_to_dbm)
+from .scene import (LinkBudget, Vec3, angles_between, dbm_to_watt, los_channel, make_layout,
+                    pathloss_umi, watt_to_dbm)
 
 CSV_HEADER = "sweep_var,technology,mode,power_dbm,rate_bps_hz,solver_iters"
 CONFIG_VERSION = 1
@@ -229,25 +229,26 @@ def _hop_gain(scenario: Scenario, a: Vec3, b: Vec3) -> float:
 
 
 class _NodeLink:
-    """Channels and EMI correlations at the surface/relay for one layout."""
+    """Channels and EMI correlations at the surface/relay for one layout, all in
+    the local frame of the array facing the source-destination axis."""
 
     def __init__(self, scenario: Scenario, n_elements: int):
         self.scenario = scenario
-        self.layout = make_layout(n_elements, scenario.budget.wavelength,
-                                  orientation=_facing_orientation(scenario))
+        self.orientation = _facing_orientation(scenario)
+        self.layout = make_layout(n_elements, scenario.budget.wavelength)
         self.source_angles = angles_between(scenario.node_pos, scenario.source_pos,
-                                            self.layout.orientation)
+                                            self.orientation)
         self.h_sr = los_channel(_hop_gain(scenario, scenario.source_pos, scenario.node_pos),
                                 *self.source_angles, self.layout)
         self.iso = emi_mod.corr_isotropic(self.layout)
-        self._h_rd: dict[Vec3, LosChannel] = {}
+        self._h_rd: dict[Vec3, tuple[tuple[float, float], np.ndarray]] = {}
 
-    def toward(self, dest: Vec3) -> LosChannel:
-        """Node-to-destination channel, built once per destination."""
+    def toward(self, dest: Vec3) -> tuple[tuple[float, float], np.ndarray]:
+        """Angles of ``dest`` and the channel toward it, built once per destination."""
         if dest not in self._h_rd:
-            az, el = angles_between(self.scenario.node_pos, dest, self.layout.orientation)
-            self._h_rd[dest] = los_channel(_hop_gain(self.scenario, self.scenario.node_pos, dest),
-                                           az, el, self.layout)
+            angles = angles_between(self.scenario.node_pos, dest, self.orientation)
+            self._h_rd[dest] = angles, los_channel(
+                _hop_gain(self.scenario, self.scenario.node_pos, dest), *angles, self.layout)
         return self._h_rd[dest]
 
     def _gaussian(self, azimuth: float, elevation: float) -> np.ndarray:
@@ -259,14 +260,14 @@ class _NodeLink:
     def case1(self) -> np.ndarray:
         return self._gaussian(*self.source_angles)
 
-    def correlation(self, emi: str, h_rd: LosChannel) -> np.ndarray:
+    def correlation(self, emi: str, angles: tuple[float, float]) -> np.ndarray:
         """Correlation of the EMI named none or iso (sinc), case1 (gaussian centred
-        on the source direction) or case2 (centred on the direction of ``h_rd``)."""
+        on the source direction) or case2 (centred on the destination ``angles``)."""
         if emi in ("none", "iso"):
             return self.iso
         if emi == "case1":
             return self.case1
-        return self._gaussian(h_rd.azimuth, h_rd.elevation)
+        return self._gaussian(*angles)
 
 
 def _irs_heuristic(target_rate, link):
@@ -318,7 +319,7 @@ def _sweep(scenario: Scenario, variable: str, sizes, irs_modes, df_modes) -> Swe
     relay.  A mode is ``<solver>_<emi>``, the solver ``heuristic`` or
     ``optimized`` for the surface and ``repetition`` or ``optimized`` for the
     relay, the EMI one of ``_NodeLink.correlation``'s; EMI none means no
-    interference (variance 0).
+    interference (variance 0); surface links hold the plain channel arrays.
     """
     noise, target = scenario.budget.noise_power_w, scenario.target_rate
     nodes = [_NodeLink(scenario, n) for n in dict.fromkeys(sizes)]
@@ -333,11 +334,11 @@ def _sweep(scenario: Scenario, variable: str, sizes, irs_modes, df_modes) -> Swe
     for x, dest, variance in points:
         variances = {m: 0.0 if m.endswith("_none") else variance for m in irs_modes + df_modes}
         for node in nodes:
-            h_rd = node.toward(dest)
+            angles, h_rd = node.toward(dest)
             for mode in irs_modes:
                 solver, emi = mode.split("_")
                 link = irs_mod.IrsLink(node.h_sr, h_rd, variances[mode],
-                                       node.correlation(emi, h_rd), noise)
+                                       node.correlation(emi, angles), noise)
                 rows.append(_row(x, f"irs_n{node.layout.n_elements}", mode,
                                  _IRS_SOLVERS[solver], target, link))
         beta_rd = _hop_gain(scenario, scenario.node_pos, dest)
@@ -403,26 +404,26 @@ def run_fig8(scenario: Scenario) -> SweepResult:
     variance = scenario.emi_variance
     target = scenario.target_rate
     surface = _NodeLink(scenario, scenario.irs_reference_elements)
-    h_rd = surface.toward(scenario.dest_pos)
+    angles, h_rd = surface.toward(scenario.dest_pos)
     refs = []
     for emi in ("iso", "case2"):
-        link = irs_mod.IrsLink(surface.h_sr, h_rd, variance, surface.correlation(emi, h_rd), noise)
+        link = irs_mod.IrsLink(surface.h_sr, h_rd, variance, surface.correlation(emi, angles),
+                               noise)
         refs.append(_row(0.0, f"irs_n{surface.layout.n_elements}", f"optimized_{emi}",
                          _irs_optimized, target, link))
     rows = []
     for m in scenario.relay_antennas:
         relay = _NodeLink(scenario, m)
-        h_rd = relay.toward(scenario.dest_pos)
-        alpha2 = relay_mod.effective_gain_second_phase(h_rd.coefficients, noise)
-        h_sr = relay.h_sr.coefficients
+        angles, h_rd = relay.toward(scenario.dest_pos)
+        alpha2 = relay_mod.effective_gain_second_phase(h_rd, noise)
         for emi in ("iso", "case2"):
-            cov = variance * relay.correlation(emi, h_rd) + noise * np.eye(m)
+            cov = variance * relay.correlation(emi, angles) + noise * np.eye(m)
             for kind in (relay_mod.CombinerKind.MMSE, relay_mod.CombinerKind.MR):
-                alpha1 = relay_mod.effective_gain_first_phase(h_sr, cov, kind)
+                alpha1 = relay_mod.effective_gain_first_phase(relay.h_sr, cov, kind)
                 rows.append(_row(float(m), f"df_{kind.value}", f"optimized_{emi}", _df_optimized,
                                  target, relay_mod.EffectiveGains(alpha1, alpha2)))
         alpha1_clean = relay_mod.effective_gain_first_phase(
-            h_sr, noise * np.eye(m), relay_mod.CombinerKind.MR)
+            relay.h_sr, noise * np.eye(m), relay_mod.CombinerKind.MR)
         rows.append(_row(float(m), "df", "optimized_none", _df_optimized, target,
                          relay_mod.EffectiveGains(alpha1_clean, alpha2)))
         rows.extend(replace(ref, sweep_var=float(m)) for ref in refs)
@@ -450,8 +451,8 @@ def correlations(figure: str, scenario: Scenario) -> dict[str, np.ndarray]:
     else:
         return {}
     node = _NodeLink(scenario, size)
-    h_rd = node.toward(scenario.dest_pos)
-    return {f"{figure}_{emi}": node.correlation(emi, h_rd) for emi in emis}
+    angles, _ = node.toward(scenario.dest_pos)
+    return {f"{figure}_{emi}": node.correlation(emi, angles) for emi in emis}
 
 
 # ---------------------------------------------------------------------------

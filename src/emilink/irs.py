@@ -5,7 +5,8 @@ The end-to-end SINR with transmit power p and reflection phases phi_n is
     p |h_rd^T Phi h_sr|^2 / (variance * ||h_rd^T Phi R^(1/2)||^2 + noise)
 
 where Phi = diag(exp(j phi_n)).  An ``IrsLink`` holds exactly what it
-reads: the two channels, the EMI variance and correlation R, and the noise.
+reads: the two channels (equal-length 1-d complex arrays), the EMI variance
+and correlation R, and the noise.
 Phases are plain float arrays, one entry per element, wrapped by np.mod
 where they are produced; a vector of the wrong length is rejected.  The
 SINR is p times a power-free gain g(phi), so the best phases do not depend
@@ -29,7 +30,6 @@ import numpy as np
 
 from .emi import emi_quadratic_form
 from .errors import InfeasibleError, capped_power, pow2m1
-from .scene import LosChannel
 
 TWO_PI = 2.0 * np.pi
 
@@ -39,19 +39,19 @@ class IrsLink:
     """Source->surface and surface->destination channels, the EMI variance (W)
     and correlation R at the surface, and the thermal noise power (W)."""
 
-    h_sr: LosChannel
-    h_rd: LosChannel
+    h_sr: np.ndarray
+    h_rd: np.ndarray
     emi_variance: float
     correlation: np.ndarray
     noise_power_w: float
 
     def __post_init__(self):
-        n = self.h_sr.n_elements
-        if self.h_rd.n_elements != n or np.shape(self.correlation) != (n, n):
+        n = _check_channels(self.h_sr, self.h_rd)
+        if np.shape(self.correlation) != (n, n):
             raise ValueError("channel and correlation dimensions disagree")
         if not self.emi_variance >= 0:
             raise ValueError("EMI variance must be nonnegative")
-        if self.noise_power_w <= 0:
+        if not self.noise_power_w > 0:
             raise ValueError("noise power must be positive")
 
 
@@ -75,10 +75,18 @@ class IrsSolution:
     converged: bool
 
 
-def phases_noise_only(h_sr: LosChannel, h_rd: LosChannel) -> np.ndarray:
+def _check_channels(h_sr: np.ndarray, h_rd: np.ndarray) -> int:
+    """Element count of two 1-d channels of equal length; ValueError otherwise."""
+    if np.ndim(h_sr) != 1 or np.shape(h_sr) != np.shape(h_rd):
+        raise ValueError("need two 1-d channels of equal length")
+    return len(h_sr)
+
+
+def phases_noise_only(h_sr: np.ndarray, h_rd: np.ndarray) -> np.ndarray:
     """Phases that align the cascaded channel: phi_n = -arg(h_sr_n h_rd_n),
     wrapped by np.mod into [0, 2 pi) (2 pi itself for a phase just below 0)."""
-    prod = h_sr.coefficients * h_rd.coefficients
+    _check_channels(h_sr, h_rd)
+    prod = h_sr * h_rd
     if np.any(prod == 0):
         raise ValueError("phase alignment undefined for zero channel coefficients")
     return np.mod(-np.angle(prod), TWO_PI)
@@ -87,14 +95,14 @@ def phases_noise_only(h_sr: LosChannel, h_rd: LosChannel) -> np.ndarray:
 def _combined(link: IrsLink, phases: np.ndarray):
     """Row channel v = h_rd * exp(j phi) and the cascaded scalar v . h_sr."""
     phases = np.asarray(phases)
-    if phases.shape != link.h_rd.coefficients.shape:
-        raise ValueError(f"need {link.h_rd.n_elements} phases, got shape {phases.shape}")
-    v = link.h_rd.coefficients * np.exp(1j * phases)
-    return v, np.sum(v * link.h_sr.coefficients)
+    if phases.shape != link.h_rd.shape:
+        raise ValueError(f"need {link.h_rd.size} phases, got shape {phases.shape}")
+    v = link.h_rd * np.exp(1j * phases)
+    return v, np.sum(v * link.h_sr)
 
 
 def irs_sinr(power_w: float, link: IrsLink, phases: np.ndarray) -> float:
-    if power_w < 0:
+    if not power_w >= 0:
         raise ValueError("power must be nonnegative")
     v, cascade = _combined(link, phases)
     interference = link.emi_variance * emi_quadratic_form(v, link.correlation)
@@ -108,7 +116,7 @@ def irs_rate(power_w: float, link: IrsLink, phases: np.ndarray) -> float:
 
 def irs_required_power(target_rate: float, link: IrsLink, phases: np.ndarray) -> float:
     """Transmit power that achieves ``target_rate`` with fixed phases."""
-    if target_rate <= 0:
+    if not target_rate > 0:
         raise ValueError("target rate must be positive")
     v, cascade = _combined(link, phases)
     gain = abs(cascade) ** 2
@@ -124,7 +132,7 @@ def irs_sinr_gradient(power_w: float, link: IrsLink, phases: np.ndarray) -> np.n
     corr_v = link.correlation @ v.conj()
     quad = max(float(np.real(v @ corr_v)), 0.0)
     denom = link.emi_variance * quad + link.noise_power_w
-    d_num = -2.0 * np.imag(np.conj(cascade) * link.h_sr.coefficients * v)
+    d_num = -2.0 * np.imag(np.conj(cascade) * link.h_sr * v)
     d_quad = -2.0 * np.imag(v * corr_v)
     return power_w * (d_num * denom - abs(cascade) ** 2 * link.emi_variance * d_quad) / denom ** 2
 
@@ -145,8 +153,8 @@ def phases_emi_aware(link: IrsLink, *, tol: float = 1e-8,
     ``tol`` (relative) in a step; warns instead of failing when ``max_iters``
     steps run out.
     """
-    d = link.h_rd.coefficients
-    a = link.h_sr.coefficients * d
+    d = link.h_rd
+    a = link.h_sr * d
     corr, variance = link.correlation, link.emi_variance
     floor = link.noise_power_w / d.size
 

@@ -46,7 +46,7 @@ class EffectiveGains:
     alpha2: float
 
     def __post_init__(self):
-        if self.alpha1 <= 0 or self.alpha2 <= 0:
+        if not (self.alpha1 > 0 and self.alpha2 > 0):
             raise ValueError("effective gains must be positive")
 
 
@@ -66,7 +66,7 @@ def df_rate(tau1: float, p1: float, p2: float, gains: EffectiveGains) -> float:
     """Achievable decode-and-forward rate for the given split and powers."""
     if not 0.0 < tau1 < 1.0:
         raise ValueError("tau1 must lie strictly between 0 and 1")
-    if p1 < 0 or p2 < 0:
+    if not (p1 >= 0 and p2 >= 0):
         raise ValueError("powers must be nonnegative")
     r1 = tau1 * math.log2(1.0 + p1 * gains.alpha1)
     r2 = (1.0 - tau1) * math.log2(1.0 + p2 * gains.alpha2)
@@ -76,7 +76,7 @@ def df_rate(tau1: float, p1: float, p2: float, gains: EffectiveGains) -> float:
 def effective_gains_single(beta_sr: float, beta_rd: float,
                            emi_variance: float, noise_power_w: float) -> EffectiveGains:
     """Single-antenna gains: interference degrades only the first phase."""
-    if noise_power_w <= 0:
+    if not noise_power_w > 0:
         raise ValueError("noise power must be positive")
     return EffectiveGains(beta_sr / (emi_variance + noise_power_w),
                           beta_rd / noise_power_w)
@@ -85,8 +85,8 @@ def effective_gains_single(beta_sr: float, beta_rd: float,
 def repetition_required_power(target_rate: float, beta_sr: float, beta_rd: float,
                               emi_variance: float, noise_power_w: float) -> float:
     """Average power of repetition coding (tau1 = 1/2, equalized phase rates)."""
-    if beta_sr <= 0 or beta_rd <= 0:
-        raise ValueError("channel gains must be positive")
+    if not (beta_sr > 0 and beta_rd > 0 and emi_variance >= 0 and noise_power_w > 0):
+        raise ValueError("channel gains and noise must be positive, the EMI variance nonnegative")
     return (pow2m1(2.0 * target_rate)
             * (beta_sr * noise_power_w + beta_rd * (emi_variance + noise_power_w))
             / (2.0 * beta_rd * beta_sr))
@@ -207,7 +207,7 @@ def effective_gain_first_phase(h_sr: np.ndarray, covariance: np.ndarray,
 
 def effective_gain_second_phase(h_rd: np.ndarray, noise_power_w: float) -> float:
     """Second-phase gain ||h_rd||^2 / noise under unit-norm MR precoding."""
-    if noise_power_w <= 0:
+    if not noise_power_w > 0:
         raise ValueError("noise power must be positive")
     h = np.asarray(h_rd)
     norm_sq = float(np.real(h.conj() @ h))

@@ -8,28 +8,21 @@ Conventions used throughout the package:
   is phi = theta = 0 (the local +x axis).
 * an array layout is a rows x cols grid in the local y-z plane (columns
   along y, rows along z); its element positions follow from the grid and
-  its spacing, with the centroid at the local origin.  ``orientation`` is
-  the 3x3 rotation taking local coordinates to global ones.
+  its spacing, with the centroid at the local origin.  The 3x3 rotation
+  taking local coordinates to global ones (the orientation) belongs to the
+  caller, who passes it to ``angles_between``; the layout does not hold it.
+* a channel is a plain 1-d complex array, one coefficient per element.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-
-# Orientation for callers that pass none: local broadside (+x) along global
-# -y, local y along global +x, local z vertical.  The sweeps derive theirs
-# from the geometry instead (the broadside faces the source-destination axis).
-DEFAULT_ORIENTATION = np.array([
-    [0.0, 1.0, 0.0],
-    [-1.0, 0.0, 0.0],
-    [0.0, 0.0, 1.0],
-])
 
 
 @dataclass(frozen=True)
@@ -62,14 +55,13 @@ class ArrayLayout:
     ``positions`` is the (N, 3) array of local element centres, derived
     from the grid and indexed row by row: element ``n = r * cols + c`` sits
     at ``(0, c, r) * spacing`` shifted so that the centroid is the local
-    origin.  ``orientation`` maps local to global coordinates.
+    origin.
     """
 
     rows: int
     cols: int
     spacing: float
     wavelength: float
-    orientation: np.ndarray = field(default_factory=lambda: DEFAULT_ORIENTATION.copy())
 
     def __post_init__(self):
         if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (self.rows, self.cols)):
@@ -78,7 +70,6 @@ class ArrayLayout:
             raise ValueError("wavelength must be positive")
         if not 0.0 < self.spacing < math.inf:
             raise ValueError("spacing must be finite and positive")
-        object.__setattr__(self, "orientation", np.asarray(self.orientation, dtype=float))
 
     @cached_property
     def positions(self) -> np.ndarray:
@@ -91,24 +82,6 @@ class ArrayLayout:
     @property
     def n_elements(self) -> int:
         return self.rows * self.cols
-
-
-@dataclass(frozen=True)
-class LosChannel:
-    """Single-path line-of-sight channel toward a planar array.
-
-    ``coefficients[n] = sqrt(gain) * exp(j k(azimuth, elevation)^T u_n)``
-    so every coefficient has modulus sqrt(gain).
-    """
-
-    gain: float
-    azimuth: float
-    elevation: float
-    coefficients: np.ndarray
-
-    @property
-    def n_elements(self) -> int:
-        return self.coefficients.shape[0]
 
 
 @dataclass(frozen=True)
@@ -156,8 +129,7 @@ def wave_vector(azimuth: float, elevation: float, wavelength: float) -> Vec3:
     return Vec3(k * ct * math.cos(azimuth), k * ct * math.sin(azimuth), k * math.sin(elevation))
 
 
-def make_layout(n_elements: int, wavelength: float,
-                orientation: np.ndarray | None = None) -> ArrayLayout:
+def make_layout(n_elements: int, wavelength: float) -> ArrayLayout:
     """Build a half-wavelength rectangular grid with n_elements elements.
 
     The rows x cols factorization is the exact factor pair closest to a
@@ -169,17 +141,15 @@ def make_layout(n_elements: int, wavelength: float,
     rows = int(math.isqrt(n_elements))
     while n_elements % rows:
         rows -= 1
-    if orientation is None:
-        orientation = DEFAULT_ORIENTATION.copy()
-    return ArrayLayout(rows, n_elements // rows, wavelength / 2.0, wavelength, orientation)
+    return ArrayLayout(rows, n_elements // rows, wavelength / 2.0, wavelength)
 
 
-def angles_between(origin, target, orientation: np.ndarray | None = None) -> tuple[float, float]:
+def angles_between(origin, target, orientation: np.ndarray) -> tuple[float, float]:
     """Azimuth/elevation of ``target`` as seen from ``origin``.
 
-    The global direction is rotated into the array's local frame before the
-    angles are read off; phi falls in (-pi, pi], theta in [-pi/2, pi/2],
-    with phi = 0 at the poles.
+    The global direction is rotated into the local frame of the 3x3
+    ``orientation`` (local to global) before the angles are read off; phi
+    falls in (-pi, pi], theta in [-pi/2, pi/2], with phi = 0 at the poles.
     """
     o = Vec3.of(origin).as_array()
     t = Vec3.of(target).as_array()
@@ -187,8 +157,6 @@ def angles_between(origin, target, orientation: np.ndarray | None = None) -> tup
     norm = np.linalg.norm(d)
     if norm == 0.0:
         raise ValueError("origin and target coincide")
-    if orientation is None:
-        orientation = DEFAULT_ORIENTATION
     local = np.asarray(orientation).T @ (d / norm)
     elevation = math.asin(min(1.0, max(-1.0, local[2])))
     azimuth = math.atan2(local[1], local[0])
@@ -197,13 +165,12 @@ def angles_between(origin, target, orientation: np.ndarray | None = None) -> tup
     return azimuth, elevation
 
 
-def los_channel(gain: float, azimuth: float, elevation: float, layout: ArrayLayout) -> LosChannel:
-    """LoS channel vector sqrt(gain) * exp(j k^T u_n) over the layout."""
-    if gain < 0:
+def los_channel(gain: float, azimuth: float, elevation: float, layout: ArrayLayout) -> np.ndarray:
+    """LoS channel sqrt(gain) * exp(j k^T u_n) over the layout, a complex array."""
+    if not gain >= 0:
         raise ValueError("channel gain must be nonnegative")
     k = wave_vector(azimuth, elevation, layout.wavelength).as_array()
-    coeff = math.sqrt(gain) * np.exp(1j * (layout.positions @ k))
-    return LosChannel(gain, azimuth, elevation, coeff)
+    return math.sqrt(gain) * np.exp(1j * (layout.positions @ k))
 
 
 def pathloss_umi(distance: float, budget: LinkBudget) -> float:

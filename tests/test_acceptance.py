@@ -15,7 +15,7 @@ import pytest
 
 import emilink
 from emilink import (AngularDensity, CombinerKind, EffectiveGains,
-                     IrsLink, LosChannel, Scenario, Vec3, corr_directional,
+                     IrsLink, Scenario, Vec3, corr_directional,
                      corr_isotropic, df_inner_max_rate, df_min_power, df_rate,
                      effective_gain_first_phase, effective_gains_single, irs_rate,
                      irs_required_power, irs_sinr, irs_sinr_gradient, make_layout,
@@ -202,6 +202,52 @@ def fig8a_oracle(scenario, antennas):
     return mmse_dbm, dbm(snr_target / bound_gain), dbm(snr_target / noise_only_gain)
 
 
+def oracle_closed_form_rows(scenario, variable):
+    """Oracle powers (dBm) of every fig3 (``distance_m``) or fig4 (``rho_db``) row,
+    keyed (sweep value, technology, mode).
+
+    Surface rows use the noise-only phases, v = h_rd exp(-j arg(h_sr h_rd)),
+    and need (2^R - 1)(variance v^H R v + noise) / |sum v h_sr|^2.  Repetition
+    coding sends 2R bit/s/Hz in each half of the frame, so its average power
+    is (2^2R - 1)((variance + noise) / beta_sr + noise / beta_rd) / 2.
+    """
+    budget = scenario.budget
+    wavelength = SPEED_OF_LIGHT / (budget.carrier_frequency_ghz * 1e9)
+    noise = budget.noise_power_w
+    node, source, dest = (p.as_array() for p in
+                          (scenario.node_pos, scenario.source_pos, scenario.dest_pos))
+    if variable == "distance_m":
+        axis = (dest - source) / np.linalg.norm(dest - source)
+        lo, hi, steps = scenario.distance_sweep
+        points = [(float(x), source + x * axis, scenario.rho_db)
+                  for x in np.linspace(lo, hi, steps)]
+        sizes, emis = scenario.irs_elements, ("none", "iso")
+    else:
+        lo, hi, steps = scenario.rho_sweep
+        points = [(float(rho), dest, rho) for rho in np.linspace(lo, hi, steps)]
+        sizes, emis = (scenario.irs_reference_elements,), ("iso",)
+    beta_sr = oracle_gain(float(np.linalg.norm(node - source)), budget)
+    rows = {}
+    for x, target, rho in points:
+        variance = {"none": 0.0, "iso": 10.0 ** (rho / 10.0) * noise}
+        for n in sizes:
+            offsets = oracle_grid(n, wavelength, node, source, dest)
+            h_sr = oracle_los(offsets, node, source, budget, wavelength)
+            h_rd = oracle_los(offsets, node, target, budget, wavelength)
+            v = h_rd * np.exp(-1j * np.angle(h_sr * h_rd))
+            quad = float((v.conj() @ oracle_corr_iso(offsets, wavelength) @ v).real)
+            for emi in emis:
+                power = ((2.0 ** scenario.target_rate - 1.0) * (variance[emi] * quad + noise)
+                         / abs(np.sum(v * h_sr)) ** 2)
+                rows[(x, f"irs_n{n}", f"heuristic_{emi}")] = 10.0 * math.log10(power) + 30.0
+        beta_rd = oracle_gain(float(np.linalg.norm(target - node)), budget)
+        for emi in emis:
+            power = ((2.0 ** (2.0 * scenario.target_rate) - 1.0)
+                     * ((variance[emi] + noise) / beta_sr + noise / beta_rd) / 2.0)
+            rows[(x, "df", f"repetition_{emi}")] = 10.0 * math.log10(power) + 30.0
+    return rows
+
+
 def test_criterion_1_quadrature_cross_check():
     """Directional quadrature with the isotropic density reproduces the sinc
     closed form; refinement does not degrade it.
@@ -227,8 +273,8 @@ def test_criterion_2_required_power_round_trip():
     worst = 0.0
     for _ in range(1000):
         n = int(rng.integers(2, 33))
-        h_sr = LosChannel(1.0, 0.0, 0.0, random_complex(rng, n, 1e-4))
-        h_rd = LosChannel(1.0, 0.0, 0.0, random_complex(rng, n, 1e-3))
+        h_sr = random_complex(rng, n, 1e-4)
+        h_rd = random_complex(rng, n, 1e-3)
         corr = random_unit_diag_psd(rng, n)
         variance = 10 ** rng.uniform(-1, 3) * NOISE
         link = IrsLink(h_sr, h_rd, variance, corr, NOISE)
@@ -420,6 +466,25 @@ def test_fig8a_rotated_scene_matches_oracle():
     assert deviation <= 1e-3, f"worst row deviation {deviation:.2e} dB"
 
 
+@pytest.mark.parametrize("scenario", [
+    pytest.param(Scenario(), id="paper"),
+    pytest.param(Scenario(source_pos=Vec3(0.0, 0.0, 0.0), node_pos=Vec3(10.0, 60.0, 0.0),
+                          dest_pos=Vec3(0.0, 60.0, 0.0)), id="rotated"),
+])
+def test_fig3_fig4_rows_match_closed_form_oracle(scenario):
+    """Every fig3/fig4 row is a closed form of the oracle's own channels.
+
+    The worst deviation seen was 7.1e-15 dB (one unit in the last place of
+    the dBm values) on both scenes; 1e-13 dB leaves room for summation order.
+    """
+    for run, variable in ((run_fig3, "distance_m"), (run_fig4, "rho_db")):
+        rows = {(r.sweep_var, r.technology, r.mode): r.power_dbm for r in run(scenario).rows}
+        expected = oracle_closed_form_rows(scenario, variable)
+        assert rows.keys() == expected.keys()
+        deviation = max(abs(rows[key] - expected[key]) for key in expected)
+        assert deviation <= 1e-13, f"{run.__name__}: worst row deviation {deviation:.2e} dB"
+
+
 def test_criterion_6d_fig8b_crossovers(fig8_result):
     m, mmse = curve(fig8_result, "df_mmse", "optimized_case2")
     _, mr = curve(fig8_result, "df_mr", "optimized_case2")
@@ -455,8 +520,8 @@ def test_criterion_8_gradient_check():
     n = 16
     worst = 0.0
     for _ in range(100):
-        h_sr = LosChannel(1.0, 0.0, 0.0, random_complex(rng, n, 1e-4))
-        h_rd = LosChannel(1.0, 0.0, 0.0, random_complex(rng, n, 1e-3))
+        h_sr = random_complex(rng, n, 1e-4)
+        h_rd = random_complex(rng, n, 1e-3)
         corr = random_unit_diag_psd(rng, n)
         variance = 10 ** rng.uniform(0, 3) * NOISE
         link = IrsLink(h_sr, h_rd, variance, corr, NOISE)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -203,6 +204,29 @@ def test_runs_on_numpy_alone(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.splitlines()[-1].split())
     assert "numpy" in loaded and loaded <= {"numpy", "emilink"}, loaded
+
+
+def package_imports(path):
+    """Names of the emilink modules that the source file ``path`` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("emilink."):
+            found.add(node.module.removeprefix("emilink."))
+        elif isinstance(node, ast.Import):
+            found.update(a.name.removeprefix("emilink.") for a in node.names
+                         if a.name.startswith("emilink."))
+    return {name.split(".")[0] for name in found}
+
+
+def test_layer_graph():
+    # each layer imports only the layers below it, as the README table describes
+    package = pathlib.Path(cli.__file__).parent
+    graph = {path.stem: package_imports(path) for path in package.glob("*.py")}
+    assert {name: graph[name] for name in ("errors", "scene", "emi", "irs", "relay", "cli")} == {
+        "errors": set(), "scene": set(), "emi": {"errors", "scene"}, "irs": {"emi", "errors"},
+        "relay": {"errors"}, "cli": {"bench"}}
 
 
 def test_csv_round_trip_and_header():

@@ -81,7 +81,7 @@ def test_corr_directional_narrow_gaussian_is_rank_one():
     r = corr_directional(lay, density=AngularDensity.gaussian(az, el, sig, sig), nodes=64)
     vals, vecs = np.linalg.eigh(r)
     assert vals[-1] >= 0.99 * lay.n_elements
-    steering = los_channel(1.0, az, el, lay).coefficients
+    steering = los_channel(1.0, az, el, lay)
     overlap = abs(vecs[:, -1].conj() @ steering) / np.linalg.norm(steering)
     assert overlap > 0.999
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from emilink import (ArrayLayout, CombinerKind, EffectiveGains, InfeasibleError,
+from emilink import (ArrayLayout, CombinerKind, EffectiveGains, InfeasibleError, IrsLink,
                      df_inner_max_rate, df_min_power, df_rate, effective_gain_first_phase,
-                     effective_gain_second_phase, effective_gains_single,
-                     los_channel, make_layout, repetition_required_power)
+                     effective_gain_second_phase, effective_gains_single, irs_required_power,
+                     irs_sinr, los_channel, make_layout, phases_noise_only,
+                     repetition_required_power)
 from emilink.relay import POWER_UPPER_W
 from conftest import random_complex, random_unit_diag_psd
 
@@ -272,8 +273,8 @@ def test_first_phase_orthogonal_rank_one_interference():
     # differ by 2/M are exactly orthogonal
     lam = 0.1
     lay = ArrayLayout(1, 8, lam / 2, lam)
-    h = los_channel(1.0, 0.0, 0.0, lay).coefficients
-    a = los_channel(1.0, math.asin(2.0 / 8.0), 0.0, lay).coefficients
+    h = los_channel(1.0, 0.0, 0.0, lay)
+    a = los_channel(1.0, math.asin(2.0 / 8.0), 0.0, lay)
     assert abs(h.conj() @ a) < 1e-10
     clean = effective_gain_first_phase(h, NOISE * np.eye(8), CombinerKind.MMSE)
     for variance in (1e2 * NOISE, 1e6 * NOISE):
@@ -281,7 +282,7 @@ def test_first_phase_orthogonal_rank_one_interference():
         mmse = effective_gain_first_phase(h, cov, CombinerKind.MMSE)
         assert mmse == pytest.approx(clean, rel=1e-9)
     # a nearly aligned interferer degrades MR but barely touches MMSE
-    near = los_channel(1.0, math.asin(2.0 / 8.0) + 0.02, 0.0, lay).coefficients
+    near = los_channel(1.0, math.asin(2.0 / 8.0) + 0.02, 0.0, lay)
     cov = 1e6 * NOISE * np.outer(near, near.conj()) + NOISE * np.eye(8)
     mr = effective_gain_first_phase(h, cov, CombinerKind.MR)
     mmse = effective_gain_first_phase(h, cov, CombinerKind.MMSE)
@@ -314,10 +315,10 @@ def test_first_phase_single_antenna_matches_scalar():
 def test_second_phase_gain():
     assert effective_gain_second_phase(np.array([2.0 + 0j]), NOISE) == pytest.approx(4.0 / NOISE)
     lay = make_layout(16, 0.1)
-    h = los_channel(1e-7, 0.4, 0.1, lay).coefficients
+    h = los_channel(1e-7, 0.4, 0.1, lay)
     assert effective_gain_second_phase(h, NOISE) == pytest.approx(16e-7 / NOISE, rel=1e-12)
     lay2 = make_layout(32, 0.1)
-    h2 = los_channel(1e-7, 0.4, 0.1, lay2).coefficients
+    h2 = los_channel(1e-7, 0.4, 0.1, lay2)
     ratio = (effective_gain_second_phase(h2, NOISE)
              / effective_gain_second_phase(h, NOISE))
     assert ratio == pytest.approx(2.0, rel=1e-12)
@@ -326,3 +327,38 @@ def test_second_phase_gain():
 def test_second_phase_rejects_zero_channel():
     with pytest.raises(InfeasibleError):
         effective_gain_second_phase(np.zeros(4, dtype=complex), NOISE)
+
+
+def _unit_link(n=4, noise=NOISE):
+    return IrsLink(np.ones(n, complex), np.ones(n, complex), 0.0, np.eye(n), noise)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: EffectiveGains(math.nan, 1.0), id="gains-alpha1"),
+    pytest.param(lambda: EffectiveGains(1.0, math.nan), id="gains-alpha2"),
+    pytest.param(lambda: effective_gains_single(BETA_SR, BETA_RD, 0.0, math.nan),
+                 id="gains-single-noise"),
+    pytest.param(lambda: effective_gain_second_phase(np.ones(2), math.nan),
+                 id="second-phase-noise"),
+    pytest.param(lambda: repetition_required_power(6.0, BETA_SR, BETA_RD, math.nan, NOISE),
+                 id="repetition-variance"),
+    pytest.param(lambda: repetition_required_power(6.0, BETA_SR, BETA_RD, 0.0, math.nan),
+                 id="repetition-noise"),
+    pytest.param(lambda: repetition_required_power(6.0, math.nan, BETA_RD, 0.0, NOISE),
+                 id="repetition-gain"),
+    pytest.param(lambda: df_rate(0.5, math.nan, 1.0, EffectiveGains(1.0, 1.0)), id="df-rate-p1"),
+    pytest.param(lambda: df_rate(0.5, 1.0, math.nan, EffectiveGains(1.0, 1.0)), id="df-rate-p2"),
+    pytest.param(lambda: _unit_link(noise=math.nan), id="irs-link-noise"),
+    pytest.param(lambda: los_channel(math.nan, 0.0, 0.0, make_layout(4, 0.1)), id="los-gain"),
+    pytest.param(lambda: irs_sinr(math.nan, _unit_link(), np.zeros(4)), id="irs-sinr-power"),
+    pytest.param(lambda: irs_required_power(math.nan, _unit_link(), np.zeros(4)),
+                 id="irs-required-power-rate"),
+    pytest.param(lambda: phases_noise_only(np.ones(1, complex), np.ones(4, complex)),
+                 id="phases-lengths"),
+    pytest.param(lambda: phases_noise_only(np.ones((4, 1), complex), np.ones((4, 1), complex)),
+                 id="phases-2d"),
+])
+def test_inputs_reject_nan_and_mismatched_shapes(call):
+    """Checks written as ``not x > 0`` catch NaN, which ``x <= 0`` lets through."""
+    with pytest.raises(ValueError):
+        call()
