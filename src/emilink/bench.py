@@ -22,7 +22,7 @@ from . import emi as emi_mod
 from . import irs as irs_mod
 from . import relay as relay_mod
 from .errors import InfeasibleError, capped_power
-from .scene import (LinkBudget, Vec3, angles_between, dbm_to_watt, los_channel, make_layout,
+from .scene import (LinkBudget, angles_between, dbm_to_watt, los_channel, make_layout,
                     pathloss_umi, watt_to_dbm)
 
 CSV_HEADER = "sweep_var,technology,mode,power_dbm,rate_bps_hz,solver_iters"
@@ -34,9 +34,9 @@ class Scenario:
     """Declarative description of one experiment family.  The field defaults
     are the reference setup; a config file keeps them for the keys it omits."""
 
-    source_pos: Vec3 = Vec3(0.0, 0.0, 0.0)
-    node_pos: Vec3 = Vec3(60.0, 10.0, 0.0)
-    dest_pos: Vec3 = Vec3(60.0, 0.0, 0.0)
+    source_pos: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    node_pos: tuple[float, float, float] = (60.0, 10.0, 0.0)
+    dest_pos: tuple[float, float, float] = (60.0, 0.0, 0.0)
     budget: LinkBudget = field(default_factory=LinkBudget)
     target_rate: float = 6.0
     rho_db: float = 25.0
@@ -72,11 +72,16 @@ class Scenario:
             object.__setattr__(self, name, tuple(int(n) for n in getattr(self, name)))
         for name in ("irs_reference_elements", "quadrature_nodes"):
             object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("source_pos", "node_pos", "dest_pos"):  # lists and arrays become tuples
+            pos = tuple(float(c) for c in getattr(self, name))
+            if len(pos) != 3 or not all(map(math.isfinite, pos)):
+                raise ValueError(f"{name} must be three finite numbers, got {pos!r}")
+            object.__setattr__(self, name, pos)
         if len({self.source_pos, self.node_pos, self.dest_pos}) < 3:
             raise ValueError("source, node and destination positions must be distinct")
         _facing_orientation(self)  # raises when the array broadside is undefined
-        ends = [self.source_pos.as_array(), self.dest_pos.as_array(), *self.sweep_destinations()]
-        if np.linalg.norm(np.array(ends) - self.node_pos.as_array(), axis=1).min() < 1.0:
+        ends = [self.source_pos, self.dest_pos, *self.sweep_destinations()]
+        if np.linalg.norm(np.array(ends) - self.node_pos, axis=1).min() < 1.0:
             raise ValueError("every hop to or from the node, swept destinations included, "
                              "must be at least 1 m long (path loss model validity)")
 
@@ -94,8 +99,8 @@ class Scenario:
 
     def sweep_destinations(self) -> np.ndarray:
         """Destinations d metres from the source toward dest_pos, one row per d of distances."""
-        source = self.source_pos.as_array()
-        axis = self.dest_pos.as_array() - source
+        source = np.array(self.source_pos)
+        axis = np.array(self.dest_pos) - source
         return source + self.distances()[:, None] * axis / np.linalg.norm(axis)
 
 
@@ -141,8 +146,8 @@ def _antenna_counts(value) -> tuple:
 # budget.bandwidth_hz, relay.combiner and optimization.emi_aware.
 _CONFIG_KEYS = {
     "version": None,
-    "geometry": {"source_m": ("source_pos", Vec3.of), "node_m": ("node_pos", Vec3.of),
-                 "destination_m": ("dest_pos", Vec3.of)},
+    "geometry": {"source_m": ("source_pos", tuple), "node_m": ("node_pos", tuple),
+                 "destination_m": ("dest_pos", tuple)},
     "budget": {"carrier_frequency_ghz": ("budget.carrier_frequency_ghz", float),
                "bandwidth_hz": None,
                "noise_dbm": ("budget.noise_power_w", dbm_to_watt),
@@ -212,8 +217,7 @@ def _facing_orientation(scenario: Scenario) -> np.ndarray:
     Raises ValueError when no such direction exists (the node lies on the
     axis, or vertically above or below it).
     """
-    source, node, dest = (p.as_array() for p in
-                          (scenario.source_pos, scenario.node_pos, scenario.dest_pos))
+    source, node, dest = np.array([scenario.source_pos, scenario.node_pos, scenario.dest_pos])
     axis = (dest - source) / np.linalg.norm(dest - source)
     toward = source + np.dot(node - source, axis) * axis - node
     reach = math.hypot(toward[0], toward[1])
@@ -224,8 +228,8 @@ def _facing_orientation(scenario: Scenario) -> np.ndarray:
     return np.array([[bx, -by, 0.0], [by, bx, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _hop_gain(scenario: Scenario, a: Vec3, b: Vec3) -> float:
-    return pathloss_umi(float(np.linalg.norm(b.as_array() - a.as_array())), scenario.budget)
+def _hop_gain(scenario: Scenario, a: tuple, b: tuple) -> float:
+    return pathloss_umi(float(np.linalg.norm(np.subtract(b, a))), scenario.budget)
 
 
 class _NodeLink:
@@ -241,9 +245,9 @@ class _NodeLink:
         self.h_sr = los_channel(_hop_gain(scenario, scenario.source_pos, scenario.node_pos),
                                 *self.source_angles, self.layout)
         self.iso = emi_mod.corr_isotropic(self.layout)
-        self._h_rd: dict[Vec3, tuple[tuple[float, float], np.ndarray]] = {}
+        self._h_rd: dict[tuple, tuple[tuple[float, float], np.ndarray]] = {}
 
-    def toward(self, dest: Vec3) -> tuple[tuple[float, float], np.ndarray]:
+    def toward(self, dest: tuple) -> tuple[tuple[float, float], np.ndarray]:
         """Angles of ``dest`` and the channel toward it, built once per destination."""
         if dest not in self._h_rd:
             angles = angles_between(self.scenario.node_pos, dest, self.orientation)
@@ -327,7 +331,7 @@ def _sweep(scenario: Scenario, variable: str, sizes, irs_modes, df_modes) -> Swe
         points = [(float(rho), scenario.dest_pos, 10.0 ** (rho / 10.0) * noise)
                   for rho in scenario.rhos_db()]
     else:
-        points = [(float(d), Vec3.of(dest), scenario.emi_variance)
+        points = [(float(d), tuple(dest.tolist()), scenario.emi_variance)
                   for d, dest in zip(scenario.distances(), scenario.sweep_destinations())]
     beta_sr = _hop_gain(scenario, scenario.source_pos, scenario.node_pos)
     rows = []

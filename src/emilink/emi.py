@@ -72,7 +72,7 @@ class AngularDensity:
     def __post_init__(self):
         if self.kind not in ("isotropic", "gaussian"):
             raise ValueError(f"unknown density kind: {self.kind!r}")
-        if self.kind == "gaussian" and (self.std_azimuth <= 0 or self.std_elevation <= 0):
+        if self.kind == "gaussian" and not (self.std_azimuth > 0 and self.std_elevation > 0):
             raise ValueError("gaussian density needs positive angular spreads")
 
     @staticmethod

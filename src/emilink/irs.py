@@ -56,16 +56,6 @@ class IrsLink:
 
 
 @dataclass(frozen=True)
-class OptimizedPhases:
-    """Phases from ``phases_emi_aware``, its iteration count and whether it
-    met its tolerance."""
-
-    phases: np.ndarray
-    iterations: int
-    converged: bool
-
-
-@dataclass(frozen=True)
 class IrsSolution:
     """Required power and phases from the EMI-aware optimizer."""
 
@@ -138,7 +128,7 @@ def irs_sinr_gradient(power_w: float, link: IrsLink, phases: np.ndarray) -> np.n
 
 
 def phases_emi_aware(link: IrsLink, *, tol: float = 1e-8,
-                     max_iters: int = 1000) -> OptimizedPhases:
+                     max_iters: int = 1000) -> tuple[np.ndarray, int, bool]:
     """Phases that maximize the power-free gain g = SINR / p, by MM.
 
     With z = exp(-j phi), a = h_rd * h_sr and B = variance D R D^H + (noise/N) I
@@ -151,7 +141,8 @@ def phases_emi_aware(link: IrsLink, *, tol: float = 1e-8,
     fails to raise g, so no eigendecomposition is needed and g never falls.
     Starts from the noise-only phases and stops when g changes by at most
     ``tol`` (relative) in a step; warns instead of failing when ``max_iters``
-    steps run out.
+    steps run out.  Returns ``(phases, iterations, converged)``: the phases
+    wrapped into [0, 2 pi), the steps taken and whether ``tol`` was met.
     """
     d = link.h_rd
     a = link.h_sr * d
@@ -181,7 +172,7 @@ def phases_emi_aware(link: IrsLink, *, tol: float = 1e-8,
     if not converged:
         warnings.warn("phase optimization hit the iteration limit; returning best iterate",
                       RuntimeWarning, stacklevel=2)
-    return OptimizedPhases(np.mod(phases, TWO_PI), iterations, converged)
+    return np.mod(phases, TWO_PI), iterations, converged
 
 
 def irs_min_power_emi_aware(target_rate: float, link: IrsLink, *,
@@ -194,6 +185,6 @@ def irs_min_power_emi_aware(target_rate: float, link: IrsLink, *,
     noise-only-phases power.  Raises InfeasibleError when it exceeds
     POWER_UPPER_W.
     """
-    opt = phases_emi_aware(link, tol=tol, max_iters=max_iters)
-    power = capped_power(irs_required_power(target_rate, link, opt.phases), target_rate)
-    return IrsSolution(power, opt.phases, opt.iterations, opt.converged)
+    phases, iterations, converged = phases_emi_aware(link, tol=tol, max_iters=max_iters)
+    power = capped_power(irs_required_power(target_rate, link, phases), target_rate)
+    return IrsSolution(power, phases, iterations, converged)

@@ -11,6 +11,8 @@ Conventions used throughout the package:
   its spacing, with the centroid at the local origin.  The 3x3 rotation
   taking local coordinates to global ones (the orientation) belongs to the
   caller, who passes it to ``angles_between``; the layout does not hold it.
+* a position is three finite coordinates in metres, a tuple of floats in
+  ``Scenario``; the helpers here take any array-like of three.
 * a channel is a plain 1-d complex array, one coefficient per element.
 """
 
@@ -23,29 +25,6 @@ from functools import cached_property
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-
-
-@dataclass(frozen=True)
-class Vec3:
-    """A 3-d position or direction in metres (rad/m when a wave vector)."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(c) for c in (self.x, self.y, self.z)):
-            raise ValueError("Vec3 components must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    @staticmethod
-    def of(value) -> "Vec3":
-        if isinstance(value, Vec3):
-            return value
-        x, y, z = value
-        return Vec3(float(x), float(y), float(z))
 
 
 @dataclass(frozen=True)
@@ -120,13 +99,14 @@ def watt_to_dbm(x_w: float) -> float:
     return 10.0 * math.log10(x_w) + 30.0
 
 
-def wave_vector(azimuth: float, elevation: float, wavelength: float) -> Vec3:
+def wave_vector(azimuth: float, elevation: float, wavelength: float) -> np.ndarray:
     """Wave vector k(phi, theta) with norm 2*pi/wavelength, in rad/m."""
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
     k = 2.0 * math.pi / wavelength
     ct = math.cos(elevation)
-    return Vec3(k * ct * math.cos(azimuth), k * ct * math.sin(azimuth), k * math.sin(elevation))
+    return np.array([k * ct * math.cos(azimuth), k * ct * math.sin(azimuth),
+                     k * math.sin(elevation)])
 
 
 def make_layout(n_elements: int, wavelength: float) -> ArrayLayout:
@@ -151,9 +131,9 @@ def angles_between(origin, target, orientation: np.ndarray) -> tuple[float, floa
     ``orientation`` (local to global) before the angles are read off; phi
     falls in (-pi, pi], theta in [-pi/2, pi/2], with phi = 0 at the poles.
     """
-    o = Vec3.of(origin).as_array()
-    t = Vec3.of(target).as_array()
-    d = t - o
+    d = np.asarray(target, dtype=float) - np.asarray(origin, dtype=float)
+    if not np.isfinite(d).all():
+        raise ValueError("origin and target positions must be finite")
     norm = np.linalg.norm(d)
     if norm == 0.0:
         raise ValueError("origin and target coincide")
@@ -169,7 +149,7 @@ def los_channel(gain: float, azimuth: float, elevation: float, layout: ArrayLayo
     """LoS channel sqrt(gain) * exp(j k^T u_n) over the layout, a complex array."""
     if not gain >= 0:
         raise ValueError("channel gain must be nonnegative")
-    k = wave_vector(azimuth, elevation, layout.wavelength).as_array()
+    k = wave_vector(azimuth, elevation, layout.wavelength)
     return math.sqrt(gain) * np.exp(1j * (layout.positions @ k))
 
 

@@ -15,12 +15,12 @@ import pytest
 
 import emilink
 from emilink import (AngularDensity, CombinerKind, EffectiveGains,
-                     IrsLink, Scenario, Vec3, corr_directional,
+                     IrsLink, Scenario, corr_directional,
                      corr_isotropic, df_inner_max_rate, df_min_power, df_rate,
                      effective_gain_first_phase, effective_gains_single, irs_rate,
                      irs_required_power, irs_sinr, irs_sinr_gradient, make_layout,
                      repetition_required_power, run_fig3, run_fig4, run_fig5,
-                     run_fig8)
+                     run_fig6, run_fig7, run_fig8)
 from conftest import random_complex, random_unit_diag_psd
 
 NOISE = 10.0 ** ((-94.0 - 30.0) / 10.0)
@@ -171,7 +171,7 @@ def fig8a_oracle(scenario, antennas):
     noise = budget.noise_power_w
     variance = 10.0 ** (scenario.rho_db / 10.0) * noise
     snr_target = 2.0 ** scenario.target_rate - 1.0
-    node, source, dest = (p.as_array() for p in
+    node, source, dest = (np.array(p) for p in
                           (scenario.node_pos, scenario.source_pos, scenario.dest_pos))
 
     def dbm(watts):
@@ -214,7 +214,7 @@ def oracle_closed_form_rows(scenario, variable):
     budget = scenario.budget
     wavelength = SPEED_OF_LIGHT / (budget.carrier_frequency_ghz * 1e9)
     noise = budget.noise_power_w
-    node, source, dest = (p.as_array() for p in
+    node, source, dest = (np.array(p) for p in
                           (scenario.node_pos, scenario.source_pos, scenario.dest_pos))
     if variable == "distance_m":
         axis = (dest - source) / np.linalg.norm(dest - source)
@@ -246,6 +246,35 @@ def oracle_closed_form_rows(scenario, variable):
                      * ((variance[emi] + noise) / beta_sr + noise / beta_rd) / 2.0)
             rows[(x, "df", f"repetition_{emi}")] = 10.0 * math.log10(power) + 30.0
     return rows
+
+
+def oracle_df_rows(scenario, variable):
+    """Oracle powers (dBm) of the single-antenna optimized DF rows of fig5
+    (``rho_db``) or fig6 (``distance_m``), keyed like oracle_closed_form_rows.
+
+    The relay decodes under the EMI and the destination hears noise only, so
+    alpha1 = beta_sr / (variance + noise) and alpha2 = beta_rd / noise.
+    """
+    budget = scenario.budget
+    noise = budget.noise_power_w
+    node, source, dest = (np.array(p) for p in
+                          (scenario.node_pos, scenario.source_pos, scenario.dest_pos))
+    if variable == "distance_m":
+        lo, hi, steps = scenario.distance_sweep
+        xs = np.linspace(lo, hi, steps)
+        axis = (dest - source) / np.linalg.norm(dest - source)
+        targets = [source + x * axis for x in xs]
+        rhos = np.full(len(xs), scenario.rho_db)
+    else:
+        lo, hi, steps = scenario.rho_sweep
+        xs = rhos = np.linspace(lo, hi, steps)
+        targets = [dest] * len(xs)
+    beta_sr = oracle_gain(float(np.linalg.norm(node - source)), budget)
+    alpha1 = beta_sr / (10.0 ** (rhos / 10.0) * noise + noise)
+    alpha2 = [oracle_gain(float(np.linalg.norm(t - node)), budget) / noise for t in targets]
+    power = oracle_df_power(scenario.target_rate, alpha1, alpha2)
+    return {(float(x), "df", "optimized_iso"): 10.0 * math.log10(p) + 30.0
+            for x, p in zip(xs, power)}
 
 
 def test_criterion_1_quadrature_cross_check():
@@ -458,8 +487,8 @@ def test_fig8a_rotated_scene_matches_oracle():
     the oracle's MMSE relay powers hold row by row; an array left facing
     global -y reads 1.6 to 2.4 dB below them at M = 4, 6, 8 and 9.
     """
-    scenario = Scenario(source_pos=Vec3(0.0, 0.0, 0.0), node_pos=Vec3(10.0, 60.0, 0.0),
-                        dest_pos=Vec3(0.0, 60.0, 0.0), relay_antennas=tuple(range(1, 10)))
+    scenario = Scenario(source_pos=(0.0, 0.0, 0.0), node_pos=(10.0, 60.0, 0.0),
+                        dest_pos=(0.0, 60.0, 0.0), relay_antennas=tuple(range(1, 10)))
     m, mmse = curve(run_fig8(scenario), "df_mmse", "optimized_iso")
     oracle_mmse = fig8a_oracle(scenario, [int(x) for x in m])[0]
     deviation = float(np.abs(mmse - oracle_mmse).max())
@@ -468,8 +497,8 @@ def test_fig8a_rotated_scene_matches_oracle():
 
 @pytest.mark.parametrize("scenario", [
     pytest.param(Scenario(), id="paper"),
-    pytest.param(Scenario(source_pos=Vec3(0.0, 0.0, 0.0), node_pos=Vec3(10.0, 60.0, 0.0),
-                          dest_pos=Vec3(0.0, 60.0, 0.0)), id="rotated"),
+    pytest.param(Scenario(source_pos=(0.0, 0.0, 0.0), node_pos=(10.0, 60.0, 0.0),
+                          dest_pos=(0.0, 60.0, 0.0)), id="rotated"),
 ])
 def test_fig3_fig4_rows_match_closed_form_oracle(scenario):
     """Every fig3/fig4 row is a closed form of the oracle's own channels.
@@ -483,6 +512,46 @@ def test_fig3_fig4_rows_match_closed_form_oracle(scenario):
         assert rows.keys() == expected.keys()
         deviation = max(abs(rows[key] - expected[key]) for key in expected)
         assert deviation <= 1e-13, f"{run.__name__}: worst row deviation {deviation:.2e} dB"
+
+
+@pytest.mark.parametrize("scenario", [
+    pytest.param(Scenario(), id="paper"),
+    pytest.param(Scenario(source_pos=(0.0, 0.0, 0.0), node_pos=(10.0, 60.0, 0.0),
+                          dest_pos=(0.0, 60.0, 0.0)), id="rotated"),
+])
+def test_single_antenna_df_rows_match_oracle(scenario):
+    """Every optimized single-antenna DF row of fig5/fig6 is the oracle's
+    minimum over the time split, with the gains built from its own path loss.
+
+    The worst deviation seen was 7.1e-15 dB on both scenes; the tolerance is
+    the fig3/fig4 oracle's 1e-13 dB.
+    """
+    for run, variable in ((run_fig5, "rho_db"), (run_fig6, "distance_m")):
+        rows = {(r.sweep_var, r.technology, r.mode): r.power_dbm
+                for r in run(scenario).select("df", "optimized_iso")}
+        expected = oracle_df_rows(scenario, variable)
+        assert rows.keys() == expected.keys()
+        deviation = max(abs(rows[key] - expected[key]) for key in expected)
+        assert deviation <= 1e-13, f"{run.__name__}: worst row deviation {deviation:.2e} dB"
+
+
+def test_repeated_rows_equal_fig3_rows():
+    """Rows that fig6 and fig7 share with fig3 are the same rows, bit for bit,
+    so the fig3 closed-form oracle checks them too.
+
+    fig6 repeats fig3's heuristic_iso surface rows at every size and its
+    repetition_iso relay rows; fig7 repeats fig3's n = 75 heuristic_none and
+    heuristic_iso rows.  repr compares every field exactly.
+    """
+    fig3, fig6, fig7 = (run(Scenario()) for run in (run_fig3, run_fig6, run_fig7))
+    shared = [(fig6, f"irs_n{n}", "heuristic_iso") for n in (50, 75, 100)]
+    shared += [(fig6, "df", "repetition_iso"), (fig7, "irs_n75", "heuristic_none"),
+               (fig7, "irs_n75", "heuristic_iso")]
+    for result, technology, mode in shared:
+        expected = fig3.select(technology, mode)
+        assert len(expected) == 26
+        assert [repr(r) for r in result.select(technology, mode)] == \
+            [repr(r) for r in expected], f"{technology} {mode}"
 
 
 def test_criterion_6d_fig8b_crossovers(fig8_result):

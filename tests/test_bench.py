@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from emilink import (LinkBudget, Scenario, SweepResult, SweepRow, Vec3, format_csv,
+from emilink import (LinkBudget, Scenario, SweepResult, SweepRow, format_csv,
                      format_svg, pathloss_umi, run_fig3, run_fig4,
                      run_fig5, run_fig6, run_fig7, run_fig8,
                      repetition_required_power, scenario_from_config, watt_to_dbm)
@@ -32,9 +32,9 @@ def powers_by(result, technology, mode):
 
 def test_scenario_defaults_match_reference_setup():
     sc = Scenario()
-    assert sc.source_pos.as_array().tolist() == [0.0, 0.0, 0.0]
-    assert sc.node_pos.as_array().tolist() == [60.0, 10.0, 0.0]
-    assert sc.dest_pos.as_array().tolist() == [60.0, 0.0, 0.0]
+    assert np.array(sc.source_pos).tolist() == [0.0, 0.0, 0.0]
+    assert np.array(sc.node_pos).tolist() == [60.0, 10.0, 0.0]
+    assert np.array(sc.dest_pos).tolist() == [60.0, 0.0, 0.0]
     assert sc.budget.carrier_frequency_ghz == 3.0
     assert watt_to_dbm(sc.budget.noise_power_w) == pytest.approx(-94.0)
     assert sc.budget.gain_node_dbi == 5.0
@@ -128,6 +128,10 @@ def test_scenario_from_config_rejects_unknown_keys():
     ({"sweeps": {"distance_m": [20.0, 120.0, 26, 1]}}, "sweeps.distance_m"),
     ({"target_rate_bps_hz": [6.0]}, "target_rate_bps_hz"),
     ({"budget": {"node_gain_dbi": [5.0]}}, "budget.node_gain_dbi"),
+    # non-finite positions (a JSON file may carry NaN or Infinity)
+    ({"geometry": {"node_m": [60.0, math.nan, 0.0]}}, "node_pos"),
+    ({"geometry": {"destination_m": [math.inf, 0.0, 0.0]}}, "dest_pos"),
+    ({"geometry": {"source_m": [0.0, 0.0, -math.inf]}}, "source_pos"),
 ])
 def test_scenario_from_config_rejects_bad_values(raw, message):
     # rejected while the Scenario is built, before any sweep work
@@ -145,6 +149,25 @@ def test_scenario_rejects_fractional_counts(kwargs, message):
     # built directly, without the config loader in front
     with pytest.raises(ValueError, match=message):
         Scenario(**kwargs)
+
+
+def test_positions_are_stored_as_float_tuples():
+    # a list or an array builds the same Scenario, equal and hash-equal
+    default = Scenario()
+    for make in (list, np.array):
+        sc = Scenario(source_pos=make([0, 0, 0]), node_pos=make([60, 10, 0]),
+                      dest_pos=make([60.0, 0.0, 0.0]))
+        assert sc == default and hash(sc) == hash(default)
+        for pos in (sc.source_pos, sc.node_pos, sc.dest_pos):
+            assert type(pos) is tuple and all(type(c) is float for c in pos)
+
+
+@pytest.mark.parametrize("name", ["source_pos", "node_pos", "dest_pos"])
+@pytest.mark.parametrize("bad", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0), (math.nan, 0.0, 0.0),
+                                 (0.0, math.inf, 0.0)])
+def test_scenario_rejects_bad_positions(name, bad):
+    with pytest.raises(ValueError, match=name):
+        Scenario(**{name: bad})
 
 
 def test_whole_float_counts_load_as_ints():
@@ -313,15 +336,15 @@ def test_fig3_no_emi_rows_match_closed_forms():
     result = run_fig3(SMALL)
     sc = SMALL
     noise = sc.budget.noise_power_w
-    b_sr = pathloss_umi(float(np.linalg.norm(sc.node_pos.as_array())), sc.budget)
+    b_sr = pathloss_umi(float(np.linalg.norm(np.array(sc.node_pos))), sc.budget)
     for d, power in powers_by(result, "df", "repetition_none").items():
         b_rd = pathloss_umi(
-            float(np.linalg.norm(np.array([d, 0.0, 0.0]) - sc.node_pos.as_array())), sc.budget)
+            float(np.linalg.norm(np.array([d, 0.0, 0.0]) - np.array(sc.node_pos))), sc.budget)
         expected = repetition_required_power(6.0, b_sr, b_rd, 0.0, noise)
         assert power == pytest.approx(watt_to_dbm(expected), abs=1e-9)
     for d, power in powers_by(result, "irs_n16", "heuristic_none").items():
         b_rd = pathloss_umi(
-            float(np.linalg.norm(np.array([d, 0.0, 0.0]) - sc.node_pos.as_array())), sc.budget)
+            float(np.linalg.norm(np.array([d, 0.0, 0.0]) - np.array(sc.node_pos))), sc.budget)
         expected = watt_to_dbm(63.0 * noise / (16 ** 2 * b_sr * b_rd))
         assert power == pytest.approx(expected, abs=1e-9)
 
@@ -341,13 +364,40 @@ def test_fig3_emi_penalties():
 def test_fig3_distance_sweep_follows_the_source_destination_axis():
     # the paper scene mirrored onto the y axis keeps every distance and the
     # isotropic EMI, so each row keeps its power
-    mirrored = Scenario(source_pos=Vec3(0.0, 0.0, 0.0), node_pos=Vec3(10.0, 60.0, 0.0),
-                        dest_pos=Vec3(0.0, 60.0, 0.0))
+    mirrored = Scenario(source_pos=(0.0, 0.0, 0.0), node_pos=(10.0, 60.0, 0.0),
+                        dest_pos=(0.0, 60.0, 0.0))
     paper, other = run_fig3(Scenario()), run_fig3(mirrored)
     assert [(r.sweep_var, r.technology, r.mode) for r in paper.rows] == \
         [(r.sweep_var, r.technology, r.mode) for r in other.rows]
     shift = max(abs(a.power_dbm - b.power_dbm) for a, b in zip(paper.rows, other.rows))
     assert shift <= 1e-9, f"worst row shift {shift:.2e} dB"
+
+
+@pytest.mark.parametrize("fig", ["fig3", "fig4", "fig5", "fig6", "fig7", "fig8"])
+def test_metamorphic_translation_and_noise_scaling(fig):
+    """Relations that hold for every row of every figure.
+
+    Translating all three points moves no row: the array faces the
+    source-destination axis wherever it lies.  Scaling the noise by 10
+    scales the EMI variance with it, so every required power rises by
+    10 dB, with the same feasibility and the same iteration counts (the
+    solvers are scale-free).  Worst seen: 0.0 for the translation and
+    2.3e-13 dB for the noise (fig8).
+    """
+    sc, run = Scenario(), RUNNERS[fig]
+    shift = (5.0, -3.0, 2.0)
+    moved = replace(sc, **{name: tuple(a + b for a, b in zip(getattr(sc, name), shift))
+                           for name in ("source_pos", "node_pos", "dest_pos")})
+    louder = replace(sc, budget=replace(sc.budget, noise_power_w=10.0 * sc.budget.noise_power_w))
+    base = run(sc).rows
+    assert [repr(r) for r in run(moved).rows] == [repr(r) for r in base]
+    scaled = run(louder).rows
+    assert [(r.sweep_var, r.technology, r.mode, r.feasible, r.solver_iters) for r in scaled] == \
+        [(r.sweep_var, r.technology, r.mode, r.feasible, r.solver_iters) for r in base]
+    shift_db = [b.power_dbm - a.power_dbm for a, b in zip(base, scaled) if a.feasible]
+    assert shift_db, "no feasible row"
+    worst = max(abs(d - 10.0) for d in shift_db)
+    assert worst <= 1e-12, f"worst deviation from +10 dB: {worst:.2e} dB"
 
 
 def test_fig4_monotone_in_rho():
@@ -406,13 +456,13 @@ def test_fig7_case_ordering():
     case2 = powers_by(result, "irs_n16", "heuristic_case2")
     sc = SMALL
     noise = sc.budget.noise_power_w
-    b_sr = pathloss_umi(float(np.linalg.norm(sc.node_pos.as_array())), sc.budget)
+    b_sr = pathloss_umi(float(np.linalg.norm(np.array(sc.node_pos))), sc.budget)
     for d in clean:
         assert case1[d] >= case2[d] - 1e-9
         assert case2[d] - clean[d] < 3.0
         assert iso[d] >= clean[d] - 1e-12
         b_rd = pathloss_umi(
-            float(np.linalg.norm(np.array([d, 0.0, 0.0]) - sc.node_pos.as_array())), sc.budget)
+            float(np.linalg.norm(np.array([d, 0.0, 0.0]) - np.array(sc.node_pos))), sc.budget)
         assert clean[d] == pytest.approx(
             watt_to_dbm(63.0 * noise / (16 ** 2 * b_sr * b_rd)), abs=1e-9)
 

@@ -231,3 +231,5 @@ def test_density_validation():
         AngularDensity("weird")
     with pytest.raises(ValueError):
         AngularDensity.gaussian(0.0, 0.0, 0.0, 0.1)
+    with pytest.raises(ValueError):
+        AngularDensity.gaussian(0.0, 0.0, math.nan, math.nan)

@@ -30,8 +30,8 @@ def reference_link(n=75, d=60.0, rho_db=25.0):
     az_sr, el_sr = angles_between(sc.node_pos, sc.source_pos, _facing_orientation(sc))
     dest = np.array([d, 0.0, 0.0])
     az_rd, el_rd = angles_between(sc.node_pos, (d, 0.0, 0.0), _facing_orientation(sc))
-    b_sr = pathloss_umi(float(np.linalg.norm(sc.node_pos.as_array())), sc.budget)
-    b_rd = pathloss_umi(float(np.linalg.norm(dest - sc.node_pos.as_array())), sc.budget)
+    b_sr = pathloss_umi(float(np.linalg.norm(np.array(sc.node_pos))), sc.budget)
+    b_rd = pathloss_umi(float(np.linalg.norm(dest - np.array(sc.node_pos))), sc.budget)
     h_sr = los_channel(b_sr, az_sr, el_sr, lay)
     h_rd = los_channel(b_rd, az_rd, el_rd, lay)
     variance = 10 ** (rho_db / 10.0) * NOISE
@@ -209,7 +209,7 @@ def test_emi_aware_reduces_to_heuristic_without_emi():
     link = reference_link(n=25)
     quiet = IrsLink(link.h_sr, link.h_rd, 0.0, link.correlation, NOISE)
     heur = phases_noise_only(link.h_sr, link.h_rd)
-    tuned = phases_emi_aware(quiet).phases
+    tuned = phases_emi_aware(quiet)[0]
     assert irs_rate(0.01, quiet, tuned) == pytest.approx(irs_rate(0.01, quiet, heur), rel=1e-9)
 
 
@@ -222,7 +222,7 @@ def test_emi_aware_beats_heuristic_on_rank_one_emi():
     spiked = IrsLink(link.h_sr, link.h_rd, link.emi_variance, rank_one, NOISE)
     heur = phases_noise_only(link.h_sr, link.h_rd)
     power = irs_required_power(6.0, spiked, heur)
-    tuned = phases_emi_aware(spiked).phases
+    tuned = phases_emi_aware(spiked)[0]
     assert irs_rate(power, spiked, tuned) > irs_rate(power, spiked, heur) + 1e-6
 
 
@@ -232,7 +232,7 @@ def test_emi_aware_matches_grid_oracle_n2():
     phases = np.linspace(0.0, 2 * np.pi, steps, endpoint=False)
     for _ in range(5):
         link = random_link(rng, 2, rho_db=10.0)
-        tuned = phases_emi_aware(link).phases
+        tuned = phases_emi_aware(link)[0]
         achieved = irs_sinr(1e-3, link, tuned)
         a = link.h_sr * link.h_rd
         e1 = np.exp(1j * phases)[:, None]
@@ -252,7 +252,7 @@ def test_emi_aware_never_worse_than_init():
     for _ in range(10):
         link = random_link(rng, 8, rho_db=25.0)
         heur = phases_noise_only(link.h_sr, link.h_rd)
-        tuned = phases_emi_aware(link).phases
+        tuned = phases_emi_aware(link)[0]
         assert (irs_sinr(1e-3, link, tuned)
                 >= irs_sinr(1e-3, link, heur) * (1 - 1e-12))
 
@@ -330,7 +330,7 @@ def test_emi_aware_sinr_non_decreasing_in_iterations():
         warnings.simplefilter("ignore", RuntimeWarning)
         for k in range(1, 21):
             sinrs.append(irs_sinr(1e-3, link,
-                                  phases_emi_aware(link, max_iters=k, tol=0.0).phases))
+                                  phases_emi_aware(link, max_iters=k, tol=0.0)[0]))
     assert all(later >= earlier * (1 - 1e-12) for earlier, later in zip(sinrs, sinrs[1:]))
     assert sinrs[-1] > sinrs[0]
 
@@ -343,7 +343,7 @@ def test_emi_aware_phases_are_stationary():
     links += [random_link(rng, 24, rho_db=30.0) for _ in range(3)]
     for link in links:
         start = phases_noise_only(link.h_sr, link.h_rd)
-        tuned = phases_emi_aware(link).phases
+        tuned = phases_emi_aware(link)[0]
         assert (np.linalg.norm(irs_sinr_gradient(1.0, link, tuned))
                 <= 5e-3 * np.linalg.norm(irs_sinr_gradient(1.0, link, start)))
 
@@ -363,7 +363,7 @@ def test_phases_are_wrapped():
     rng = np.random.default_rng(15)
     for _ in range(5):
         link = random_link(rng, 12, rho_db=25.0)
-        for phases in (phases_noise_only(link.h_sr, link.h_rd), phases_emi_aware(link).phases,
+        for phases in (phases_noise_only(link.h_sr, link.h_rd), phases_emi_aware(link)[0],
                        irs_min_power_emi_aware(6.0, link).phases):
             assert phases.shape == (12,) and phases.dtype == float
             assert np.all((phases >= 0) & (phases < 2 * np.pi))

@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from emilink import (ArrayLayout, LinkBudget, Vec3, angles_between, dbm_to_watt,
+from emilink import (ArrayLayout, LinkBudget, angles_between, dbm_to_watt,
                      los_channel, make_layout, pathloss_umi, watt_to_dbm, wave_vector)
 from emilink.bench import Scenario, _facing_orientation
 
 
 def test_wave_vector_broadside():
     k = wave_vector(0.0, 0.0, 0.1)
-    assert_allclose([k.x, k.y, k.z], [2 * math.pi / 0.1, 0.0, 0.0], atol=1e-12)
+    assert_allclose(k, [2 * math.pi / 0.1, 0.0, 0.0], atol=1e-12)
 
 
 def test_wave_vector_axis_aligned():
     k = wave_vector(math.pi / 2, 0.0, 0.1)
-    assert_allclose([k.x, k.y, k.z], [0.0, 2 * math.pi / 0.1, 0.0], atol=1e-12)
+    assert_allclose(k, [0.0, 2 * math.pi / 0.1, 0.0], atol=1e-12)
 
 
 def test_wave_vector_components():
@@ -25,7 +25,7 @@ def test_wave_vector_components():
     expected = [scale * math.cos(math.pi / 6) * math.cos(math.pi / 4),
                 scale * math.cos(math.pi / 6) * math.sin(math.pi / 4),
                 scale * math.sin(math.pi / 6)]
-    assert_allclose([k.x, k.y, k.z], expected, rtol=1e-14)
+    assert_allclose(k, expected, rtol=1e-14)
 
 
 def test_wave_vector_norm_invariant():
@@ -35,7 +35,7 @@ def test_wave_vector_norm_invariant():
         el = rng.uniform(-math.pi / 2, math.pi / 2)
         lam = rng.uniform(0.01, 1.0)
         k = wave_vector(az, el, lam)
-        assert_allclose(np.linalg.norm(k.as_array()), 2 * math.pi / lam, rtol=1e-12)
+        assert_allclose(np.linalg.norm(k), 2 * math.pi / lam, rtol=1e-12)
 
 
 def test_wave_vector_rejects_bad_wavelength():
@@ -80,26 +80,26 @@ def test_make_layout_rejects_bad_args():
 
 
 def test_angles_between_identity_axis():
-    az, el = angles_between(Vec3(0, 0, 0), Vec3(1, 0, 0), np.eye(3))
+    az, el = angles_between((0, 0, 0), (1, 0, 0), np.eye(3))
     assert az == pytest.approx(0.0)
     assert el == pytest.approx(0.0)
 
 
 def test_angles_between_pole_tiebreak():
-    az, el = angles_between(Vec3(0, 0, 0), Vec3(0, 0, 1), np.eye(3))
+    az, el = angles_between((0, 0, 0), (0, 0, 1), np.eye(3))
     assert el == pytest.approx(math.pi / 2)
     assert az == 0.0
 
 
 def test_angles_between_roundtrip_default_orientation():
-    origin = Vec3(60.0, 10.0, 0.0)
-    target = Vec3(0.0, 0.0, 0.0)
+    origin = (60.0, 10.0, 0.0)
+    target = (0.0, 0.0, 0.0)
     az, el = angles_between(origin, target, _facing_orientation(Scenario()))
     local = np.array([math.cos(el) * math.cos(az),
                       math.cos(el) * math.sin(az),
                       math.sin(el)])
     rebuilt = _facing_orientation(Scenario()) @ local
-    expected = (target.as_array() - origin.as_array())
+    expected = (np.array(target) - np.array(origin))
     expected /= np.linalg.norm(expected)
     assert_allclose(rebuilt, expected, atol=1e-12)
 
@@ -111,7 +111,7 @@ def test_angles_between_roundtrip_random():
         d /= np.linalg.norm(d)
         if abs(d[2]) > 0.999:
             continue
-        az, el = angles_between(Vec3(0, 0, 0), Vec3(*d), _facing_orientation(Scenario()))
+        az, el = angles_between((0, 0, 0), d, _facing_orientation(Scenario()))
         local = np.array([math.cos(el) * math.cos(az),
                           math.cos(el) * math.sin(az),
                           math.sin(el)])
@@ -120,7 +120,7 @@ def test_angles_between_roundtrip_random():
 
 def test_angles_between_rejects_coincident():
     with pytest.raises(ValueError):
-        angles_between(Vec3(1, 2, 3), Vec3(1, 2, 3), np.eye(3))
+        angles_between((1, 2, 3), (1, 2, 3), np.eye(3))
 
 
 def test_los_channel_single_element():
@@ -192,6 +192,10 @@ def test_link_budget_wavelength():
     assert LinkBudget().wavelength == pytest.approx(299792458.0 / 3e9, rel=1e-15)
 
 
-def test_vec3_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        Vec3(math.nan, 0.0, 0.0)
+def test_angles_between_rejects_nonfinite():
+    # unchecked, a NaN would clamp silently to an elevation of -pi/2
+    for origin, target in (((math.nan, 0.0, 0.0), (1.0, 0.0, 0.0)),
+                           ((0.0, 0.0, 0.0), np.array([1.0, math.nan, 0.0])),
+                           ((0.0, 0.0, 0.0), (math.inf, 0.0, 0.0))):
+        with pytest.raises(ValueError, match="must be finite"):
+            angles_between(origin, target, np.eye(3))
