@@ -61,6 +61,13 @@ class Scenario:
                 raise ValueError(f"{name} end points must be finite, got {lo!r} and {hi!r}")
             if not (float(steps).is_integer() and steps >= 1):
                 raise ValueError(f"{name} needs a whole number of steps >= 1, got {steps!r}")
+        for name, rho in (("rho_db", self.rho_db), ("rho_sweep", max(self.rho_sweep[:2]))):
+            try:  # the variance as emi_variance and the rho sweep compute it
+                variance = 10.0 ** (float(rho) / 10.0) * self.budget.noise_power_w
+            except OverflowError:
+                variance = math.inf
+            if not math.isfinite(variance):
+                raise ValueError(f"{name} of {rho!r} dB makes the EMI variance overflow a float")
         counts = (*self.irs_elements, self.irs_reference_elements, *self.relay_antennas)
         if not (self.irs_elements and self.relay_antennas
                 and all(float(n).is_integer() and n >= 1 for n in counts)):
@@ -123,10 +130,8 @@ class SweepResult:
     sweep_variable: str
     rows: tuple[SweepRow, ...]
 
-    def select(self, technology: str | None = None, mode: str | None = None):
-        return [r for r in self.rows
-                if (technology is None or r.technology == technology)
-                and (mode is None or r.mode == mode)]
+    def select(self, technology: str, mode: str):
+        return [r for r in self.rows if r.technology == technology and r.mode == mode]
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +190,8 @@ def _config_fields(raw: dict, keys: dict, path: str) -> dict:
                 fields[name] = convert(value)
             except TypeError:  # a list where one number belongs
                 raise ValueError(f"config key {path}{key} must be a number") from None
+            except OverflowError:  # a dB value whose power overflows a float
+                raise ValueError(f"config key {path}{key} is out of range: {value!r}") from None
     return fields
 
 
@@ -245,15 +252,12 @@ class _NodeLink:
         self.h_sr = los_channel(_hop_gain(scenario, scenario.source_pos, scenario.node_pos),
                                 *self.source_angles, self.layout)
         self.iso = emi_mod.corr_isotropic(self.layout)
-        self._h_rd: dict[tuple, tuple[tuple[float, float], np.ndarray]] = {}
 
     def toward(self, dest: tuple) -> tuple[tuple[float, float], np.ndarray]:
-        """Angles of ``dest`` and the channel toward it, built once per destination."""
-        if dest not in self._h_rd:
-            angles = angles_between(self.scenario.node_pos, dest, self.orientation)
-            self._h_rd[dest] = angles, los_channel(
-                _hop_gain(self.scenario, self.scenario.node_pos, dest), *angles, self.layout)
-        return self._h_rd[dest]
+        """Angles of ``dest`` and the channel toward it."""
+        angles = angles_between(self.scenario.node_pos, dest, self.orientation)
+        return angles, los_channel(_hop_gain(self.scenario, self.scenario.node_pos, dest),
+                                   *angles, self.layout)
 
     def _gaussian(self, azimuth: float, elevation: float) -> np.ndarray:
         spread = math.radians(self.scenario.emi_spread_deg)
@@ -281,8 +285,8 @@ def _irs_heuristic(target_rate, link):
 
 
 def _irs_optimized(target_rate, link):
-    sol = irs_mod.irs_min_power_emi_aware(target_rate, link)
-    return sol.power_w, irs_mod.irs_rate(sol.power_w, link, sol.phases), sol.iterations
+    power, phases, iterations, _ = irs_mod.irs_min_power_emi_aware(target_rate, link)
+    return power, irs_mod.irs_rate(power, link, phases), iterations
 
 
 def _df_repetition(target_rate, beta_sr, beta_rd, variance, noise):

@@ -18,7 +18,8 @@ maximizes g by minorization-maximization on the unit-modulus torus (Sun,
 Babu and Palomar, IEEE Trans. Signal Process. 65(3), 2017): each step is a
 phase alignment costing one product with R, and a step size 1/lam that
 halves whenever a step fails to raise g keeps g from ever falling without
-an eigendecomposition of R.
+an eigendecomposition of R.  It stops when g changes by at most MM_TOL
+(relative) in a step, or after MM_MAX_ITERS steps.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .emi import emi_quadratic_form
 from .errors import InfeasibleError, capped_power, pow2m1
 
 TWO_PI = 2.0 * np.pi
+MM_TOL = 1e-8  # relative change of g at which the phase optimizer stops
+MM_MAX_ITERS = 1000  # steps after which it warns and returns its best iterate
 
 
 @dataclass(frozen=True)
@@ -53,16 +56,6 @@ class IrsLink:
             raise ValueError("EMI variance must be nonnegative")
         if not self.noise_power_w > 0:
             raise ValueError("noise power must be positive")
-
-
-@dataclass(frozen=True)
-class IrsSolution:
-    """Required power and phases from the EMI-aware optimizer."""
-
-    power_w: float
-    phases: np.ndarray
-    iterations: int
-    converged: bool
 
 
 def _check_channels(h_sr: np.ndarray, h_rd: np.ndarray) -> int:
@@ -127,8 +120,7 @@ def irs_sinr_gradient(power_w: float, link: IrsLink, phases: np.ndarray) -> np.n
     return power_w * (d_num * denom - abs(cascade) ** 2 * link.emi_variance * d_quad) / denom ** 2
 
 
-def phases_emi_aware(link: IrsLink, *, tol: float = 1e-8,
-                     max_iters: int = 1000) -> tuple[np.ndarray, int, bool]:
+def phases_emi_aware(link: IrsLink) -> tuple[np.ndarray, int, bool]:
     """Phases that maximize the power-free gain g = SINR / p, by MM.
 
     With z = exp(-j phi), a = h_rd * h_sr and B = variance D R D^H + (noise/N) I
@@ -140,9 +132,9 @@ def phases_emi_aware(link: IrsLink, *, tol: float = 1e-8,
     lam starts at the Rayleigh quotient z^H B z / N and doubles whenever a step
     fails to raise g, so no eigendecomposition is needed and g never falls.
     Starts from the noise-only phases and stops when g changes by at most
-    ``tol`` (relative) in a step; warns instead of failing when ``max_iters``
+    MM_TOL (relative) in a step; warns instead of failing when MM_MAX_ITERS
     steps run out.  Returns ``(phases, iterations, converged)``: the phases
-    wrapped into [0, 2 pi), the steps taken and whether ``tol`` was met.
+    wrapped into [0, 2 pi), the steps taken and whether MM_TOL was met.
     """
     d = link.h_rd
     a = link.h_sr * d
@@ -159,12 +151,12 @@ def phases_emi_aware(link: IrsLink, *, tol: float = 1e-8,
     lam = np.vdot(z, bz).real / d.size
     converged = False
     iterations = 0
-    while iterations < max_iters and not converged:
+    while iterations < MM_MAX_ITERS and not converged:
         iterations += 1
         angle = np.angle(a * np.vdot(a, z) + g * (lam * z - bz))
         candidate = np.exp(1j * angle)
         g_new, b_candidate = gain(candidate)
-        converged = abs(g_new - g) <= tol * g
+        converged = abs(g_new - g) <= MM_TOL * g
         if g_new > g:
             z, bz, g, phases = candidate, b_candidate, g_new, -angle
         else:
@@ -175,16 +167,17 @@ def phases_emi_aware(link: IrsLink, *, tol: float = 1e-8,
     return np.mod(phases, TWO_PI), iterations, converged
 
 
-def irs_min_power_emi_aware(target_rate: float, link: IrsLink, *,
-                            tol: float = 1e-8, max_iters: int = 1000) -> IrsSolution:
+def irs_min_power_emi_aware(target_rate: float,
+                            link: IrsLink) -> tuple[float, np.ndarray, int, bool]:
     """Minimum power to reach ``target_rate`` with interference-aware phases.
 
     SINR = p g(phi), so the best phases do not depend on the power: they are
-    found once by ``phases_emi_aware`` (``tol`` and ``max_iters`` are its
-    own) and the power follows in closed form.  The result never exceeds the
-    noise-only-phases power.  Raises InfeasibleError when it exceeds
-    POWER_UPPER_W.
+    found once by ``phases_emi_aware`` (stopping at MM_TOL or MM_MAX_ITERS)
+    and the power follows in closed form.  Returns ``(power_w, phases,
+    iterations, converged)``, the power followed by the optimizer's triple.
+    The power never exceeds the noise-only-phases power.  Raises
+    InfeasibleError when it exceeds POWER_UPPER_W.
     """
-    phases, iterations, converged = phases_emi_aware(link, tol=tol, max_iters=max_iters)
+    phases, iterations, converged = phases_emi_aware(link)
     power = capped_power(irs_required_power(target_rate, link, phases), target_rate)
-    return IrsSolution(power, phases, iterations, converged)
+    return power, phases, iterations, converged

@@ -157,14 +157,39 @@ def oracle_df_power(rate, alpha1, alpha2, iters=100):
             + (1.0 - tau) * (np.exp2(rate / (1.0 - tau)) - 1.0) / alpha2)
 
 
+def oracle_surface_gains(scenario, n, target, variance):
+    """Power-free gains g = SINR / p of an n-element surface serving ``target``
+    under isotropic EMI of ``variance`` (W).
+
+    Returns the unit-modulus relaxation bound g <= a^H B^-1 a (a = h_rd * h_sr,
+    B = variance D R D^H + noise/N I, D = diag(h_rd)) and the gain of the
+    noise-only phases -arg(h_sr h_rd).
+    """
+    budget = scenario.budget
+    wavelength = SPEED_OF_LIGHT / (budget.carrier_frequency_ghz * 1e9)
+    noise = budget.noise_power_w
+    node, source, dest = (np.array(p) for p in
+                          (scenario.node_pos, scenario.source_pos, scenario.dest_pos))
+    offsets = oracle_grid(n, wavelength, node, source, dest)
+    h_sr = oracle_los(offsets, node, source, budget, wavelength)
+    h_rd = oracle_los(offsets, node, target, budget, wavelength)
+    corr = oracle_corr_iso(offsets, wavelength)
+    a = h_rd * h_sr
+    b = variance * h_rd[:, None] * corr * h_rd.conj()[None, :] + (noise / n) * np.eye(n)
+    bound_gain = float(np.vdot(a, np.linalg.solve(b, a)).real)
+    v = h_rd * np.exp(-1j * np.angle(a))
+    noise_only_gain = (np.abs(np.sum(v * h_sr)) ** 2
+                       / (variance * float((v @ corr @ v.conj()).real) + noise))
+    return bound_gain, noise_only_gain
+
+
 def fig8a_oracle(scenario, antennas):
     """Oracle powers (dBm) for fig8a under isotropic EMI.
 
     Returns the MMSE-combining DF power at each antenna count, and two
-    surface references for the reference-size surface: the unit-modulus
-    relaxation lower bound (g <= a^H B^-1 a, a = h_rd * h_sr,
-    B = variance D R D^H + noise/N I, D = diag(h_rd)) and the power with
-    the noise-only phases -arg(h_sr h_rd).
+    surface references for the reference-size surface toward the
+    destination, from ``oracle_surface_gains``: the unit-modulus relaxation
+    lower bound and the power with the noise-only phases.
     """
     budget = scenario.budget
     wavelength = SPEED_OF_LIGHT / (budget.carrier_frequency_ghz * 1e9)
@@ -187,18 +212,8 @@ def fig8a_oracle(scenario, antennas):
         alpha1.append(float(np.sum(np.abs(eigvecs.conj().T @ h_sr) ** 2 / eigvals)))
         alpha2.append(float(np.vdot(h_rd, h_rd).real) / noise)
     mmse_dbm = dbm(oracle_df_power(scenario.target_rate, alpha1, alpha2))
-
-    n = scenario.irs_reference_elements
-    offsets = oracle_grid(n, wavelength, node, source, dest)
-    h_sr = oracle_los(offsets, node, source, budget, wavelength)
-    h_rd = oracle_los(offsets, node, dest, budget, wavelength)
-    corr = oracle_corr_iso(offsets, wavelength)
-    a = h_rd * h_sr
-    b = variance * h_rd[:, None] * corr * h_rd.conj()[None, :] + (noise / n) * np.eye(n)
-    bound_gain = float(np.vdot(a, np.linalg.solve(b, a)).real)
-    v = h_rd * np.exp(-1j * np.angle(a))
-    noise_only_gain = (np.abs(np.sum(v * h_sr)) ** 2
-                       / (variance * float((v @ corr @ v.conj()).real) + noise))
+    bound_gain, noise_only_gain = oracle_surface_gains(
+        scenario, scenario.irs_reference_elements, dest, variance)
     return mmse_dbm, dbm(snr_target / bound_gain), dbm(snr_target / noise_only_gain)
 
 
@@ -533,6 +548,40 @@ def test_single_antenna_df_rows_match_oracle(scenario):
         assert rows.keys() == expected.keys()
         deviation = max(abs(rows[key] - expected[key]) for key in expected)
         assert deviation <= 1e-13, f"{run.__name__}: worst row deviation {deviation:.2e} dB"
+
+
+def test_optimized_surface_rows_within_oracle_bounds(fig5_result):
+    """Every optimized surface row of fig5 and fig6 lies between two oracle
+    powers: the unit-modulus relaxation bound, which no phases can beat, and
+    the power with the noise-only phases, where the optimizer starts and
+    from which its gain never falls.
+
+    Seen: each row lies at least 8.0e-10 dB above the bound and 1.2e-10 dB
+    below the noise-only power; the largest gap to the bound is 0.372 dB on
+    fig5 and 0.006 dB on fig6.  The slack is 1e-12 dB on both sides.
+    """
+    scenario = Scenario()
+    snr_target = 2.0 ** scenario.target_rate - 1.0
+    source, dest = np.array(scenario.source_pos), np.array(scenario.dest_pos)
+    axis = (dest - source) / np.linalg.norm(dest - source)
+    gaps = {}
+    for name, result in (("fig5", fig5_result), ("fig6", run_fig6(scenario))):
+        rows = [r for r in result.rows
+                if r.technology.startswith("irs_n") and r.mode == "optimized_iso"]
+        assert len(rows) == (26 if name == "fig5" else 78)
+        for r in rows:
+            if name == "fig5":
+                target, rho = dest, r.sweep_var
+            else:
+                target, rho = source + r.sweep_var * axis, scenario.rho_db
+            variance = 10.0 ** (rho / 10.0) * scenario.budget.noise_power_w
+            gains = oracle_surface_gains(scenario, int(r.technology.removeprefix("irs_n")),
+                                         target, variance)
+            bound, noise_only = (10.0 * math.log10(snr_target / g) + 30.0 for g in gains)
+            assert bound - 1e-12 <= r.power_dbm <= noise_only + 1e-12, (r, bound, noise_only)
+            gaps[name] = max(gaps.get(name, 0.0), r.power_dbm - bound)
+    print(f"optimized surface rows within oracle bounds: largest gap to the relaxation "
+          f"bound {gaps['fig5']:.3f} dB (fig5), {gaps['fig6']:.3f} dB (fig6)")
 
 
 def test_repeated_rows_equal_fig3_rows():

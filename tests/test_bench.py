@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -132,11 +133,20 @@ def test_scenario_from_config_rejects_unknown_keys():
     ({"geometry": {"node_m": [60.0, math.nan, 0.0]}}, "node_pos"),
     ({"geometry": {"destination_m": [math.inf, 0.0, 0.0]}}, "dest_pos"),
     ({"geometry": {"source_m": [0.0, 0.0, -math.inf]}}, "source_pos"),
+    # an EMI variance 10^(rho/10) N0, or a noise power, that overflows a float
+    ({"emi": {"rho_db": 4000.0}}, "rho_db"),
+    ({"sweeps": {"rho_db": [-10.0, 4000.0, 26]}}, "rho_sweep"),
+    ({"budget": {"noise_dbm": 4000.0}}, "budget.noise_dbm"),
 ])
 def test_scenario_from_config_rejects_bad_values(raw, message):
     # rejected while the Scenario is built, before any sweep work
     with pytest.raises(ValueError, match=message):
         scenario_from_config(raw)
+
+
+def test_scenario_accepts_emi_below_the_float_limit():
+    # at the default noise the EMI variance overflows a float near 3083 dB
+    assert math.isfinite(Scenario(rho_db=3080.0, rho_sweep=(-10.0, 3080.0, 26)).emi_variance)
 
 
 @pytest.mark.parametrize("kwargs,message", [
@@ -241,6 +251,23 @@ def package_imports(path):
             found.update(a.name.removeprefix("emilink.") for a in node.names
                          if a.name.startswith("emilink."))
     return {name.split(".")[0] for name in found}
+
+
+def test_only_the_cli_takes_a_default():
+    # every parameter default is an option that tests and benchmarks must cover,
+    # so adding one is a deliberate edit of this set
+    package = pathlib.Path(cli.__file__).parent
+    defaults = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                named = positional[len(positional) - len(args.defaults):]
+                named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                defaults.update((path.stem, getattr(node, "name", "<lambda>"), a.arg)
+                                for a in named)
+    assert defaults == {("cli", "main", "argv")}
 
 
 def test_layer_graph():
@@ -378,26 +405,60 @@ def test_metamorphic_translation_and_noise_scaling(fig):
     """Relations that hold for every row of every figure.
 
     Translating all three points moves no row: the array faces the
-    source-destination axis wherever it lies.  Scaling the noise by 10
-    scales the EMI variance with it, so every required power rises by
-    10 dB, with the same feasibility and the same iteration counts (the
-    solvers are scale-free).  Worst seen: 0.0 for the translation and
-    2.3e-13 dB for the noise (fig8).
+    source-destination axis wherever it lies.  Rotating them about the
+    vertical axis keeps every distance and every angle seen from the array,
+    so the powers agree to round-off.  Scaling the noise by k scales the
+    EMI variance with it, so every required power shifts by 10 log10(k) dB.
+    Both keep the feasibility and the iteration counts (the solvers are
+    scale-free).  Worst seen: 0.0 for the translation, 3.6e-15 dB for the
+    90 degree and 7.3e-13 dB for the 37 degree rotation (fig8), and 5.0e-13
+    dB for the noise (fig8, k = 1e-4); at k = 1000 fig4 rows cross the
+    power cap, so feasibility changes, as it should.
+
+    Raising the target rate R never makes a row feasible and raises every
+    feasible power.  The surface phases do not depend on R, so a surface
+    row keeps its iteration count and shifts by exactly
+    10 log10((2^R' - 1) / (2^R - 1)) dB.  Worst seen: 5.3e-15 dB.
     """
     sc, run = Scenario(), RUNNERS[fig]
     shift = (5.0, -3.0, 2.0)
     moved = replace(sc, **{name: tuple(a + b for a, b in zip(getattr(sc, name), shift))
                            for name in ("source_pos", "node_pos", "dest_pos")})
-    louder = replace(sc, budget=replace(sc.budget, noise_power_w=10.0 * sc.budget.noise_power_w))
     base = run(sc).rows
     assert [repr(r) for r in run(moved).rows] == [repr(r) for r in base]
-    scaled = run(louder).rows
-    assert [(r.sweep_var, r.technology, r.mode, r.feasible, r.solver_iters) for r in scaled] == \
-        [(r.sweep_var, r.technology, r.mode, r.feasible, r.solver_iters) for r in base]
-    shift_db = [b.power_dbm - a.power_dbm for a, b in zip(base, scaled) if a.feasible]
-    assert shift_db, "no feasible row"
-    worst = max(abs(d - 10.0) for d in shift_db)
-    assert worst <= 1e-12, f"worst deviation from +10 dB: {worst:.2e} dB"
+
+    def keys(rows):
+        return [(r.sweep_var, r.technology, r.mode, r.feasible, r.solver_iters) for r in rows]
+
+    def turned(degrees):
+        c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+        return replace(sc, **{name: (c * x - s * y, s * x + c * y, z)
+                              for name in ("source_pos", "node_pos", "dest_pos")
+                              for x, y, z in [getattr(sc, name)]})
+
+    variants = [(turned(90.0), 0.0), (turned(37.0), 0.0)]
+    noise = sc.budget.noise_power_w
+    variants += [(replace(sc, budget=replace(sc.budget, noise_power_w=k * noise)),
+                  10.0 * math.log10(k)) for k in (10.0, 0.1, 1e-4)]
+    for scenario, expected_db in variants:
+        rows = run(scenario).rows
+        assert keys(rows) == keys(base)
+        shift_db = [b.power_dbm - a.power_dbm for a, b in zip(base, rows) if a.feasible]
+        assert shift_db, "no feasible row"
+        worst = max(abs(d - expected_db) for d in shift_db)
+        assert worst <= 1e-12, f"worst deviation from {expected_db:+} dB: {worst:.2e} dB"
+
+    rates = (3.0, sc.target_rate, 9.0)
+    runs = [run(replace(sc, target_rate=3.0)).rows, base, run(replace(sc, target_rate=9.0)).rows]
+    for (rate, rows), (higher_rate, higher) in pairwise(zip(rates, runs)):
+        assert [k[:3] for k in keys(higher)] == [k[:3] for k in keys(rows)]
+        snr_db = 10.0 * math.log10((2.0 ** higher_rate - 1.0) / (2.0 ** rate - 1.0))
+        for a, b in zip(rows, higher):
+            assert a.feasible or not b.feasible, (a, b)
+            assert not b.feasible or b.power_dbm > a.power_dbm, (a, b)
+            if a.technology.startswith("irs_"):
+                assert b.solver_iters == a.solver_iters, (a, b)
+                assert abs(b.power_dbm - a.power_dbm - snr_db) <= 1e-13, (a, b)
 
 
 def test_fig4_monotone_in_rho():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import emilink.irs
 from emilink import (InfeasibleError, IrsLink, corr_isotropic,
                      irs_min_power_emi_aware, irs_rate,
                      irs_required_power, irs_sinr, irs_sinr_gradient, los_channel,
@@ -257,12 +258,14 @@ def test_emi_aware_never_worse_than_init():
                 >= irs_sinr(1e-3, link, heur) * (1 - 1e-12))
 
 
-def test_emi_aware_iteration_limit_warns():
+def test_emi_aware_iteration_limit_warns(monkeypatch):
     rng = np.random.default_rng(12)
     link = random_link(rng, 8, rho_db=25.0)
+    monkeypatch.setattr(emilink.irs, "MM_MAX_ITERS", 1)
+    monkeypatch.setattr(emilink.irs, "MM_TOL", 0.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        phases_emi_aware(link, max_iters=1, tol=0.0)
+        phases_emi_aware(link)
     assert any(issubclass(w.category, RuntimeWarning) for w in caught)
 
 
@@ -271,18 +274,18 @@ def test_min_power_no_emi_equals_heuristic_power():
     quiet = IrsLink(link.h_sr, link.h_rd, 0.0, link.correlation, NOISE)
     heur = phases_noise_only(link.h_sr, link.h_rd)
     direct = irs_required_power(6.0, quiet, heur)
-    sol = irs_min_power_emi_aware(6.0, quiet)
-    assert sol.power_w == pytest.approx(direct, rel=1e-9)
-    assert sol.converged
+    power, _, _, converged = irs_min_power_emi_aware(6.0, quiet)
+    assert power == pytest.approx(direct, rel=1e-9)
+    assert converged
 
 
 def test_min_power_never_exceeds_heuristic():
     link = reference_link(n=75, rho_db=25.0)
     heur = phases_noise_only(link.h_sr, link.h_rd)
     p_heur = irs_required_power(6.0, link, heur)
-    sol = irs_min_power_emi_aware(6.0, link)
-    assert sol.power_w <= p_heur
-    assert irs_rate(sol.power_w, link, sol.phases) == pytest.approx(6.0, rel=1e-9)
+    power, phases, _, _ = irs_min_power_emi_aware(6.0, link)
+    assert power <= p_heur
+    assert irs_rate(power, link, phases) == pytest.approx(6.0, rel=1e-9)
 
 
 def test_min_power_strict_improvement_on_rank_one():
@@ -294,14 +297,14 @@ def test_min_power_strict_improvement_on_rank_one():
                      np.outer(steering, steering.conj()), NOISE)
     heur_power = irs_required_power(6.0, spiked,
                                     phases_noise_only(link.h_sr, link.h_rd))
-    sol = irs_min_power_emi_aware(6.0, spiked)
-    assert sol.power_w < heur_power * 0.99
+    power = irs_min_power_emi_aware(6.0, spiked)[0]
+    assert power < heur_power * 0.99
     link25 = reference_link(n=16, rho_db=25.0)
     spiked25 = IrsLink(link25.h_sr, link25.h_rd, link25.emi_variance,
                        np.outer(steering, steering.conj()), NOISE)
     heur25 = irs_required_power(6.0, spiked25,
                                 phases_noise_only(link25.h_sr, link25.h_rd))
-    assert irs_min_power_emi_aware(6.0, spiked25).power_w < heur25 * (1 - 1e-7)
+    assert irs_min_power_emi_aware(6.0, spiked25)[0] < heur25 * (1 - 1e-7)
 
 
 def relaxation_bound_power(target, link):
@@ -318,19 +321,20 @@ def relaxation_bound_power(target, link):
 def test_min_power_between_relaxation_bound_and_heuristic(n, rho_db):
     link = reference_link(n=n, rho_db=rho_db)
     p_heur = irs_required_power(6.0, link, phases_noise_only(link.h_sr, link.h_rd))
-    sol = irs_min_power_emi_aware(6.0, link)
-    assert relaxation_bound_power(6.0, link) * (1 - 1e-9) <= sol.power_w <= p_heur
+    power = irs_min_power_emi_aware(6.0, link)[0]
+    assert relaxation_bound_power(6.0, link) * (1 - 1e-9) <= power <= p_heur
 
 
-def test_emi_aware_sinr_non_decreasing_in_iterations():
+def test_emi_aware_sinr_non_decreasing_in_iterations(monkeypatch):
     rng = np.random.default_rng(13)
     link = random_link(rng, 24, rho_db=30.0)
+    monkeypatch.setattr(emilink.irs, "MM_TOL", 0.0)
     sinrs = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for k in range(1, 21):
-            sinrs.append(irs_sinr(1e-3, link,
-                                  phases_emi_aware(link, max_iters=k, tol=0.0)[0]))
+            monkeypatch.setattr(emilink.irs, "MM_MAX_ITERS", k)
+            sinrs.append(irs_sinr(1e-3, link, phases_emi_aware(link)[0]))
     assert all(later >= earlier * (1 - 1e-12) for earlier, later in zip(sinrs, sinrs[1:]))
     assert sinrs[-1] > sinrs[0]
 
@@ -348,13 +352,15 @@ def test_emi_aware_phases_are_stationary():
                 <= 5e-3 * np.linalg.norm(irs_sinr_gradient(1.0, link, start)))
 
 
-def test_min_power_iteration_limit_reported():
+def test_min_power_iteration_limit_reported(monkeypatch):
     rng = np.random.default_rng(12)
     link = random_link(rng, 8, rho_db=25.0)
+    monkeypatch.setattr(emilink.irs, "MM_MAX_ITERS", 1)
+    monkeypatch.setattr(emilink.irs, "MM_TOL", 0.0)
     with pytest.warns(RuntimeWarning, match="iteration limit"):
-        sol = irs_min_power_emi_aware(6.0, link, max_iters=1, tol=0.0)
-    assert sol.converged is False
-    assert sol.iterations == 1
+        _, _, iterations, converged = irs_min_power_emi_aware(6.0, link)
+    assert converged is False
+    assert iterations == 1
 
 
 def test_phases_are_wrapped():
@@ -364,7 +370,7 @@ def test_phases_are_wrapped():
     for _ in range(5):
         link = random_link(rng, 12, rho_db=25.0)
         for phases in (phases_noise_only(link.h_sr, link.h_rd), phases_emi_aware(link)[0],
-                       irs_min_power_emi_aware(6.0, link).phases):
+                       irs_min_power_emi_aware(6.0, link)[1]):
             assert phases.shape == (12,) and phases.dtype == float
             assert np.all((phases >= 0) & (phases < 2 * np.pi))
 
