@@ -29,6 +29,10 @@ CSV_HEADER = "sweep_var,technology,mode,power_dbm,rate_bps_hz,solver_iters"
 CONFIG_VERSION = 1
 
 
+def _emi_variance(rho_db, noise: float):
+    return 10.0 ** (rho_db / 10.0) * noise
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Declarative description of one experiment family.  The field defaults
@@ -51,8 +55,6 @@ class Scenario:
     def __post_init__(self):
         if not self.target_rate > 0:
             raise ValueError(f"target rate must be positive, got {self.target_rate!r}")
-        if not math.isfinite(self.rho_db):
-            raise ValueError(f"rho_db must be finite, got {self.rho_db!r}")
         if not 0.0 < self.emi_spread_deg < math.inf:
             raise ValueError(f"emi_spread_deg must be finite and > 0, got {self.emi_spread_deg!r}")
         for name in ("distance_sweep", "rho_sweep"):
@@ -62,12 +64,12 @@ class Scenario:
             if not (float(steps).is_integer() and steps >= 1):
                 raise ValueError(f"{name} needs a whole number of steps >= 1, got {steps!r}")
         for name, rho in (("rho_db", self.rho_db), ("rho_sweep", max(self.rho_sweep[:2]))):
-            try:  # the variance as emi_variance and the rho sweep compute it
-                variance = 10.0 ** (float(rho) / 10.0) * self.budget.noise_power_w
+            try:
+                variance = _emi_variance(float(rho), self.budget.noise_power_w)
             except OverflowError:
                 variance = math.inf
-            if not math.isfinite(variance):
-                raise ValueError(f"{name} of {rho!r} dB makes the EMI variance overflow a float")
+            if not (math.isfinite(rho) and math.isfinite(variance)):
+                raise ValueError(f"{name} must be finite with a finite EMI variance, got {rho!r}")
         counts = (*self.irs_elements, self.irs_reference_elements, *self.relay_antennas)
         if not (self.irs_elements and self.relay_antennas
                 and all(float(n).is_integer() and n >= 1 for n in counts)):
@@ -94,7 +96,7 @@ class Scenario:
 
     @property
     def emi_variance(self) -> float:
-        return 10.0 ** (self.rho_db / 10.0) * self.budget.noise_power_w
+        return _emi_variance(self.rho_db, self.budget.noise_power_w)
 
     def distances(self) -> np.ndarray:
         lo, hi, steps = self.distance_sweep
@@ -332,17 +334,17 @@ def _sweep(scenario: Scenario, variable: str, sizes, irs_modes, df_modes) -> Swe
     noise, target = scenario.budget.noise_power_w, scenario.target_rate
     nodes = [_NodeLink(scenario, n) for n in dict.fromkeys(sizes)]
     if variable == "rho_db":
-        points = [(float(rho), scenario.dest_pos, 10.0 ** (rho / 10.0) * noise)
+        points = [(float(rho), scenario.dest_pos, _emi_variance(rho, noise))
                   for rho in scenario.rhos_db()]
     else:
         points = [(float(d), tuple(dest.tolist()), scenario.emi_variance)
                   for d, dest in zip(scenario.distances(), scenario.sweep_destinations())]
     beta_sr = _hop_gain(scenario, scenario.source_pos, scenario.node_pos)
+    toward = {d: [node.toward(d) for node in nodes] for d in dict.fromkeys(p[1] for p in points)}
     rows = []
     for x, dest, variance in points:
         variances = {m: 0.0 if m.endswith("_none") else variance for m in irs_modes + df_modes}
-        for node in nodes:
-            angles, h_rd = node.toward(dest)
+        for node, (angles, h_rd) in zip(nodes, toward[dest]):
             for mode in irs_modes:
                 solver, emi = mode.split("_")
                 link = irs_mod.IrsLink(node.h_sr, h_rd, variances[mode],
