@@ -34,6 +34,13 @@ Every consumer tolerates round-off of that size: ``emi_quadratic_form``
 clips at 0, and the MMSE covariance and the surface optimizer's MM matrix
 both add a positive noise term.  ``psd_project`` stays available as a
 standalone utility; no sweep calls it.
+
+The sinc correlation is real (float64) and the quadrature one complex.
+``corr_matvec`` multiplies a real R by a complex vector in real arithmetic,
+one real product for each of the vector's real and imaginary parts,
+because numpy would otherwise copy all of R to complex for every product;
+the quadratic form and the surface optimizer take their products with R
+through it.
 """
 
 from __future__ import annotations
@@ -205,15 +212,31 @@ def psd_project(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (clipped + clipped.conj().T)
 
 
+def corr_matvec(corr: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """R x for a complex vector x.
+
+    A complex R takes ``corr @ x``.  A real R (the isotropic sinc) is applied
+    in real arithmetic, to the real and the imaginary part of x in turn:
+    ``corr @ x`` would first copy all of R to complex.
+    """
+    if np.iscomplexobj(corr):
+        return corr @ x
+    return corr @ x.real + 1j * (corr @ x.imag)
+
+
 def emi_quadratic_form(v: np.ndarray, corr: np.ndarray) -> float:
     """||v^T R^(1/2)||^2 for a row vector v, computed as v^T R conj(v).
 
     Equals the interference power picked up by the combined row channel v;
-    nonnegative for PSD R (tiny negative round-off is clipped to zero).
+    nonnegative for PSD R (tiny negative round-off is clipped to zero).  A
+    real R is applied by ``corr_matvec`` in real arithmetic.
     """
     v = np.asarray(v)
     corr = np.asarray(corr)
     if v.ndim != 1 or corr.shape != (v.size, v.size):
         raise ValueError("dimension mismatch between vector and matrix")
-    value = float(np.real(v @ corr @ v.conj()))
+    if np.iscomplexobj(corr):
+        value = float(np.real(v @ corr @ v.conj()))
+    else:
+        value = float(np.real(v @ corr_matvec(corr, v.conj())))
     return max(value, 0.0)

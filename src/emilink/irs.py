@@ -16,9 +16,10 @@ form.  Closing the phases on the channel product
 without interference.  The interference-aware optimizer starts there and
 maximizes g by minorization-maximization on the unit-modulus torus (Sun,
 Babu and Palomar, IEEE Trans. Signal Process. 65(3), 2017): each step is a
-phase alignment costing one product with R, and a step size 1/lam that
-halves whenever a step fails to raise g keeps g from ever falling without
-an eigendecomposition of R.  It stops when g changes by at most MM_TOL
+phase alignment costing one product with R (``emi.corr_matvec``, in real
+arithmetic when R is real), and a step size 1/lam that halves whenever a
+step fails to raise g keeps g from ever falling without an
+eigendecomposition of R.  It stops when g changes by at most MM_TOL
 (relative) in a step, or after MM_MAX_ITERS steps.
 """
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emi import emi_quadratic_form
+from .emi import corr_matvec, emi_quadratic_form
 from .errors import InfeasibleError, capped_power, pow2m1
 
 TWO_PI = 2.0 * np.pi
@@ -112,7 +113,7 @@ def irs_required_power(target_rate: float, link: IrsLink, phases: np.ndarray) ->
 def irs_sinr_gradient(power_w: float, link: IrsLink, phases: np.ndarray) -> np.ndarray:
     """Analytic gradient of the SINR with respect to the phase vector."""
     v, cascade = _combined(link, phases)
-    corr_v = link.correlation @ v.conj()
+    corr_v = corr_matvec(link.correlation, v.conj())
     quad = max(float(np.real(v @ corr_v)), 0.0)
     denom = link.emi_variance * quad + link.noise_power_w
     d_num = -2.0 * np.imag(np.conj(cascade) * link.h_sr * v)
@@ -142,7 +143,7 @@ def phases_emi_aware(link: IrsLink) -> tuple[np.ndarray, int, bool]:
     floor = link.noise_power_w / d.size
 
     def gain(z):
-        bz = variance * d * (corr @ (d.conj() * z)) + floor * z
+        bz = variance * d * corr_matvec(corr, d.conj() * z) + floor * z
         return float(abs(np.vdot(a, z)) ** 2 / np.vdot(z, bz).real), bz
 
     phases = phases_noise_only(link.h_sr, link.h_rd)

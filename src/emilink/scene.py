@@ -85,6 +85,18 @@ class LinkBudget:
             raise ValueError("carrier frequency must be positive")
         if self.noise_power_w <= 0:
             raise ValueError("noise power must be positive")
+        if not (0.0 < self.wavelength < math.inf and 0.0 < self.wavelength / 2.0 < math.inf):
+            raise ValueError(f"carrier_frequency_ghz {self.carrier_frequency_ghz!r} gives a "
+                             f"wavelength or half-wavelength spacing that is not finite and "
+                             f"positive ({self.wavelength!r} m)")
+        gain_db = self.gain_node_dbi + self.gain_endpoint_dbi
+        try:
+            gain = 10.0 ** (gain_db / 10.0)
+        except OverflowError:
+            gain = math.inf
+        if not 0.0 < gain < math.inf:
+            raise ValueError(f"gain_node_dbi + gain_endpoint_dbi = {gain_db!r} dBi gives a "
+                             f"linear antenna gain that is not finite and nonzero")
 
     @property
     def wavelength(self) -> float:

@@ -137,6 +137,11 @@ def test_scenario_from_config_rejects_unknown_keys():
     ({"emi": {"rho_db": 4000.0}}, "rho_db"),
     ({"sweeps": {"rho_db": [-10.0, 4000.0, 26]}}, "rho_sweep"),
     ({"budget": {"noise_dbm": 4000.0}}, "budget.noise_dbm"),
+    # a wavelength, or a linear antenna gain, outside the float range
+    ({"budget": {"carrier_frequency_ghz": 1e-310}}, "carrier_frequency_ghz"),
+    ({"budget": {"carrier_frequency_ghz": 1e300}}, "carrier_frequency_ghz"),
+    ({"budget": {"node_gain_dbi": 4000.0}}, "gain_node_dbi"),
+    ({"budget": {"endpoint_gain_dbi": -4000.0}}, "gain_endpoint_dbi"),
 ])
 def test_scenario_from_config_rejects_bad_values(raw, message):
     # rejected while the Scenario is built, before any sweep work

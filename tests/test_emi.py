@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 from emilink import (AngularDensity, NumericalError,
                      corr_directional, corr_isotropic,
                      emi_quadratic_form, los_channel, make_layout, psd_project)
+from emilink.emi import corr_matvec
 from conftest import random_unit_diag_psd
 
 LAM = 0.1
@@ -17,6 +19,8 @@ def test_corr_isotropic_unit_diagonal():
     r = corr_isotropic(lay)
     assert_allclose(np.diag(r), 1.0, atol=1e-15)
     assert_allclose(r, r.T, atol=1e-15)
+    # real, so the sweeps take corr_matvec's real-arithmetic products
+    assert r.dtype == np.float64
 
 
 def test_corr_isotropic_adjacent_zero():
@@ -204,6 +208,51 @@ def test_quadratic_form_matches_sqrt_factorization():
 def test_quadratic_form_rejects_mismatch():
     with pytest.raises(ValueError):
         emi_quadratic_form(np.ones(3), np.eye(4))
+
+
+def test_corr_matvec_real_matches_complex_product():
+    rng = np.random.default_rng(5)
+    r = corr_isotropic(make_layout(80, LAM))
+    x = rng.standard_normal(80) + 1j * rng.standard_normal(80)
+    for vec in (x, x.real):
+        assert_allclose(corr_matvec(r, vec), r.astype(complex) @ vec, rtol=0.0,
+                        atol=1e-13 * np.abs(vec).sum())
+    directional = corr_directional(make_layout(80, LAM), AngularDensity.gaussian(
+        0.6, -0.3, math.radians(10), math.radians(10)), nodes=64)
+    assert np.array_equal(corr_matvec(directional, x), directional @ x)
+
+
+@pytest.mark.parametrize("n", [1, 7, 75, 400])
+def test_quadratic_form_real_correlation_matches_complex_cast(n):
+    rng = np.random.default_rng(n)
+    r = corr_isotropic(make_layout(n, LAM))
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    expected = float(np.real(v @ r.astype(complex) @ v.conj()))
+    assert emi_quadratic_form(v, r) == pytest.approx(expected, rel=1e-13)
+
+
+def test_quadratic_form_complex_correlation_is_unchanged():
+    # a directional (complex) R keeps the product v @ R @ conj(v) bit for bit
+    rng = np.random.default_rng(6)
+    density = AngularDensity.gaussian(0.6, -0.3, math.radians(10), math.radians(10))
+    for n in (7, 75):
+        r = corr_directional(make_layout(n, LAM), density, nodes=64)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert emi_quadratic_form(v, r) == max(float(np.real(v @ r @ v.conj())), 0.0)
+
+
+def test_quadratic_form_does_not_copy_a_real_correlation():
+    # R @ complex would first copy R to complex: one N x N complex matrix, 2.56 MB
+    n = 400
+    r = corr_isotropic(make_layout(n, LAM))
+    v = np.exp(1j * np.arange(n, dtype=float))
+    tracemalloc.start()
+    try:
+        emi_quadratic_form(v, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * np.dtype(complex).itemsize
 
 
 @pytest.mark.parametrize("n", [7, 23, 80, 400])

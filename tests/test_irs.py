@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -350,6 +352,35 @@ def test_emi_aware_phases_are_stationary():
         tuned = phases_emi_aware(link)[0]
         assert (np.linalg.norm(irs_sinr_gradient(1.0, link, tuned))
                 <= 5e-3 * np.linalg.norm(irs_sinr_gradient(1.0, link, start)))
+
+
+@pytest.mark.parametrize("n", [75, 400])
+def test_emi_aware_real_and_complex_correlation_agree(n):
+    # the real sinc R is applied in real arithmetic; its complex copy takes the
+    # complex product, and both must take the same steps to the same gain
+    link = reference_link(n=n, rho_db=40.0)
+    cast = replace(link, correlation=link.correlation.astype(complex))
+    phases, iterations, converged = phases_emi_aware(link)
+    phases_c, iterations_c, converged_c = phases_emi_aware(cast)
+    assert (iterations, converged) == (iterations_c, converged_c)
+    assert converged
+    assert irs_sinr(1.0, link, phases) == pytest.approx(irs_sinr(1.0, cast, phases_c), rel=1e-12)
+
+
+def test_emi_aware_step_does_not_copy_a_real_correlation(monkeypatch):
+    # R @ complex would copy R to complex on every step: one N x N complex matrix, 2.56 MB
+    n = 400
+    link = reference_link(n=n, rho_db=25.0)
+    monkeypatch.setattr(emilink.irs, "MM_MAX_ITERS", 5)
+    tracemalloc.start()
+    try:
+        with pytest.warns(RuntimeWarning, match="iteration limit"):
+            _, iterations, _ = phases_emi_aware(link)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert iterations == 5
+    assert peak < n * n * np.dtype(complex).itemsize
 
 
 def test_min_power_iteration_limit_reported(monkeypatch):
