@@ -10,7 +10,7 @@ from .emi import (AngularDensity, corr_directional, corr_isotropic, emi_quadrati
 from .irs import (IrsLink, irs_min_power_emi_aware, irs_rate,
                   irs_required_power, irs_sinr, irs_sinr_gradient, phases_emi_aware,
                   phases_noise_only)
-from .relay import (CombinerKind, EffectiveGains, RelaySolution, df_inner_max_rate,
+from .relay import (CombinerKind, EffectiveGains, df_inner_max_rate,
                     df_min_power, df_rate, effective_gain_first_phase,
                     effective_gain_second_phase, effective_gains_single,
                     repetition_required_power)

@@ -90,9 +90,23 @@ class Scenario:
             raise ValueError("source, node and destination positions must be distinct")
         _facing_orientation(self)  # raises when the array broadside is undefined
         ends = [self.source_pos, self.dest_pos, *self.sweep_destinations()]
-        if np.linalg.norm(np.array(ends) - self.node_pos, axis=1).min() < 1.0:
+        hops = np.linalg.norm(np.array(ends) - self.node_pos, axis=1)
+        if hops.min() < 1.0:
             raise ValueError("every hop to or from the node, swept destinations included, "
                              "must be at least 1 m long (path loss model validity)")
+        # each hop's SNR per watt, and the largest surface's cascaded one N^2 b_sr b_rd / N0
+        noise, n_max = self.budget.noise_power_w, max(*self.irs_elements,
+                                                       self.irs_reference_elements)
+        try:
+            beta_sr, *betas_rd = (pathloss_umi(d, self.budget) for d in hops)
+            snrs = [beta_sr / noise, *(b / noise for b in betas_rd),
+                    *(n_max ** 2 * beta_sr * b / noise for b in betas_rd)]
+        except OverflowError:
+            snrs = [math.inf]
+        if not all(0.0 < snr < math.inf for snr in snrs):
+            raise ValueError("the link budget (carrier_frequency_ghz, gain_node_dbi, "
+                             "gain_endpoint_dbi, noise_power_w) gives a hop or cascaded surface "
+                             "SNR per watt that is not finite and nonzero")
 
     @property
     def emi_variance(self) -> float:
@@ -263,7 +277,7 @@ class _NodeLink:
 
     def _gaussian(self, azimuth: float, elevation: float) -> np.ndarray:
         spread = math.radians(self.scenario.emi_spread_deg)
-        density = emi_mod.AngularDensity.gaussian(azimuth, elevation, spread, spread)
+        density = emi_mod.AngularDensity(azimuth, elevation, spread, spread)
         return emi_mod.corr_directional(self.layout, density, self.scenario.quadrature_nodes)
 
     @cached_property
@@ -300,8 +314,8 @@ def _df_repetition(target_rate, beta_sr, beta_rd, variance, noise):
 
 
 def _df_optimized(target_rate, gains):
-    sol = relay_mod.df_min_power(target_rate, gains)
-    return sol.average_power, sol.achieved_rate, sol.iterations
+    power, tau1, p1, p2, iterations = relay_mod.df_min_power(target_rate, gains)
+    return power, relay_mod.df_rate(tau1, p1, p2, gains), iterations
 
 
 _IRS_SOLVERS = {"heuristic": _irs_heuristic, "optimized": _irs_optimized}

@@ -8,10 +8,7 @@ an isotropic angular power density the correlation has the closed form
 ``R[n, m] = sinc(2 |u_n - u_m| / lambda)``; for a general density it is
 the double integral of ``exp(j k(phi, theta)^T (u_n - u_m)) f(phi, theta)``
 over the front half-space of the array, evaluated here by tensor
-Gauss-Legendre quadrature.  The isotropic density over that half-space is
-``cos(theta) / (2 pi)``, which reproduces the sinc kernel for in-plane
-element separations (the quadrature/closed-form agreement is checked by
-the test suite).
+Gauss-Legendre quadrature.
 
 The quadrature works on the element-offset lattice.  An ``ArrayLayout`` is
 a rows x cols grid at pitch ``s`` in the local y-z plane, indexed row by
@@ -65,31 +62,24 @@ GAUSS_WINDOW_SIGMAS = 8.0
 class AngularDensity:
     """Power angular density of the interference.
 
-    ``kind`` is "isotropic" or "gaussian"; the gaussian form concentrates
-    around (mean_azimuth, mean_elevation) with the given angular standard
-    deviations and is normalized numerically over the front half-space.
+    A gaussian around (mean_azimuth, mean_elevation) with the given angular
+    standard deviations, normalized numerically over the front half-space.
+    Infinite spreads give the isotropic density (``isotropic()``): the
+    window is then the whole half-space and the exponent exactly 0.
     """
 
-    kind: str
-    mean_azimuth: float = 0.0
-    mean_elevation: float = 0.0
-    std_azimuth: float = 0.0
-    std_elevation: float = 0.0
+    mean_azimuth: float
+    mean_elevation: float
+    std_azimuth: float
+    std_elevation: float
 
     def __post_init__(self):
-        if self.kind not in ("isotropic", "gaussian"):
-            raise ValueError(f"unknown density kind: {self.kind!r}")
-        if self.kind == "gaussian" and not (self.std_azimuth > 0 and self.std_elevation > 0):
-            raise ValueError("gaussian density needs positive angular spreads")
+        if not (self.std_azimuth > 0 and self.std_elevation > 0):
+            raise ValueError("angular density needs positive angular spreads")
 
     @staticmethod
     def isotropic() -> "AngularDensity":
-        return AngularDensity("isotropic")
-
-    @staticmethod
-    def gaussian(mean_azimuth, mean_elevation, std_azimuth, std_elevation) -> "AngularDensity":
-        return AngularDensity("gaussian", mean_azimuth, mean_elevation,
-                              std_azimuth, std_elevation)
+        return AngularDensity(0.0, 0.0, np.inf, np.inf)
 
 
 def corr_isotropic(layout: ArrayLayout) -> np.ndarray:
@@ -100,8 +90,6 @@ def corr_isotropic(layout: ArrayLayout) -> np.ndarray:
 
 
 def _density_window(density: AngularDensity) -> tuple[float, float, float, float]:
-    if density.kind == "isotropic":
-        return -HALF_PI, HALF_PI, -HALF_PI, HALF_PI
     w_phi = GAUSS_WINDOW_SIGMAS * density.std_azimuth
     w_th = GAUSS_WINDOW_SIGMAS * density.std_elevation
     return (max(-HALF_PI, density.mean_azimuth - w_phi),
@@ -125,10 +113,8 @@ def _quad_nodes(nodes: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarra
 
 
 def _density_values(density: AngularDensity, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    # Unnormalized: the cos(theta) factor is the solid-angle Jacobian, so the
-    # isotropic case is the uniform distribution over the front hemisphere.
-    if density.kind == "isotropic":
-        return np.cos(theta) / (2.0 * np.pi)
+    # Unnormalized: the cos(theta) factor is the solid-angle Jacobian, so
+    # infinite spreads give the uniform distribution over the front hemisphere.
     return (np.exp(-0.5 * ((phi - density.mean_azimuth) / density.std_azimuth) ** 2)
             * np.exp(-0.5 * ((theta - density.mean_elevation) / density.std_elevation) ** 2)
             * np.cos(theta))

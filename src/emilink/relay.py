@@ -50,18 +50,6 @@ class EffectiveGains:
             raise ValueError("effective gains must be positive")
 
 
-@dataclass(frozen=True)
-class RelaySolution:
-    """Time split, per-phase powers and the resulting average power."""
-
-    tau1: float
-    p1: float
-    p2: float
-    average_power: float
-    achieved_rate: float
-    iterations: int
-
-
 def df_rate(tau1: float, p1: float, p2: float, gains: EffectiveGains) -> float:
     """Achievable decode-and-forward rate for the given split and powers."""
     if not 0.0 < tau1 < 1.0:
@@ -165,9 +153,10 @@ def df_inner_max_rate(budget: float, gains: EffectiveGains) -> tuple[float, floa
     return rate, tau1, p1, p2
 
 
-def df_min_power(target_rate: float, gains: EffectiveGains) -> RelaySolution:
+def df_min_power(target_rate: float,
+                 gains: EffectiveGains) -> tuple[float, float, float, float, int]:
     """Minimum average power reaching ``target_rate``, with both phase rates
-    pinned at it.
+    pinned at it: (power_w, tau1, p1, p2, bisection steps).
 
     Raises InfeasibleError when that power exceeds POWER_UPPER_W.
     """
@@ -179,7 +168,7 @@ def df_min_power(target_rate: float, gains: EffectiveGains) -> RelaySolution:
         raise InfeasibleError(f"rate {target_rate} unreachable within {POWER_UPPER_W:.0e} W")
     tau1, p1, p2, power, steps = _min_power_at(target_rate, gains)
     capped_power(power, target_rate)
-    return RelaySolution(tau1, p1, p2, power, df_rate(tau1, p1, p2, gains), steps)
+    return power, tau1, p1, p2, steps
 
 
 def effective_gain_first_phase(h_sr: np.ndarray, covariance: np.ndarray,

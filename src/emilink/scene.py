@@ -7,10 +7,11 @@ Conventions used throughout the package:
   (cos(theta)cos(phi), cos(theta)sin(phi), sin(theta)) and local broadside
   is phi = theta = 0 (the local +x axis).
 * an array layout is a rows x cols grid in the local y-z plane (columns
-  along y, rows along z); its element positions follow from the grid and
-  its spacing, with the centroid at the local origin.  The 3x3 rotation
-  taking local coordinates to global ones (the orientation) belongs to the
-  caller, who passes it to ``angles_between``; the layout does not hold it.
+  along y, rows along z) at half-wavelength pitch; its element positions
+  follow from the grid, with the centroid at the local origin.  The 3x3
+  rotation taking local coordinates to global ones (the orientation)
+  belongs to the caller, who passes it to ``angles_between``; the layout
+  does not hold it.
 * a position is three finite coordinates in metres, a tuple of floats in
   ``Scenario``; the helpers here take any array-like of three.
 * a channel is a plain 1-d complex array, one coefficient per element.
@@ -29,7 +30,8 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 @dataclass(frozen=True)
 class ArrayLayout:
-    """Rectangular rows x cols grid of array elements in the local y-z plane.
+    """Rectangular rows x cols grid of array elements in the local y-z plane,
+    at half-wavelength pitch.
 
     ``positions`` is the (N, 3) array of local element centres, derived
     from the grid and indexed row by row: element ``n = r * cols + c`` sits
@@ -39,16 +41,18 @@ class ArrayLayout:
 
     rows: int
     cols: int
-    spacing: float
     wavelength: float
 
     def __post_init__(self):
         if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (self.rows, self.cols)):
             raise ValueError("rows and cols must be whole numbers >= 1")
-        if not self.wavelength > 0:
-            raise ValueError("wavelength must be positive")
         if not 0.0 < self.spacing < math.inf:
-            raise ValueError("spacing must be finite and positive")
+            raise ValueError(f"wavelength {self.wavelength!r} gives a half-wavelength spacing "
+                             f"that is not finite and positive")
+
+    @property
+    def spacing(self) -> float:
+        return self.wavelength / 2.0
 
     @cached_property
     def positions(self) -> np.ndarray:
@@ -133,7 +137,7 @@ def make_layout(n_elements: int, wavelength: float) -> ArrayLayout:
     rows = int(math.isqrt(n_elements))
     while n_elements % rows:
         rows -= 1
-    return ArrayLayout(rows, n_elements // rows, wavelength / 2.0, wavelength)
+    return ArrayLayout(rows, n_elements // rows, wavelength)
 
 
 def angles_between(origin, target, orientation: np.ndarray) -> tuple[float, float]:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,3 +26,30 @@ def random_unit_diag_psd(rng, n):
 
 def random_complex(rng, n, scale=1.0):
     return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+
+
+def gram_oracle(positions, wavelength, density, nodes=64):
+    """The quadrature as a Gram product S diag(w f / mass) S^H over every node.
+
+    ``positions`` are the (N, 3) element positions in the frame the
+    density's angles are measured in.  Builds its own density window,
+    density values, tensor Gauss-Legendre rule and steering matrix.
+    """
+    half = math.pi / 2
+    spread_a, spread_e = 8 * density.std_azimuth, 8 * density.std_elevation
+    phi_lo, phi_hi = (max(-half, density.mean_azimuth - spread_a),
+                      min(half, density.mean_azimuth + spread_a))
+    th_lo, th_hi = (max(-half, density.mean_elevation - spread_e),
+                    min(half, density.mean_elevation + spread_e))
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    phi = 0.5 * (phi_hi + phi_lo) + 0.5 * (phi_hi - phi_lo) * x
+    th = 0.5 * (th_hi + th_lo) + 0.5 * (th_hi - th_lo) * x
+    pp, tt = (a.ravel() for a in np.meshgrid(phi, th, indexing="ij"))
+    weights = np.outer(0.5 * (phi_hi - phi_lo) * w, 0.5 * (th_hi - th_lo) * w).ravel()
+    f = np.cos(tt) * np.exp(-0.5 * ((pp - density.mean_azimuth) / density.std_azimuth) ** 2
+                            - 0.5 * ((tt - density.mean_elevation) / density.std_elevation) ** 2)
+    wf = weights * f / np.sum(weights * f)
+    k = (2 * np.pi / wavelength) * np.stack(
+        [np.cos(tt) * np.cos(pp), np.cos(tt) * np.sin(pp), np.sin(tt)])
+    steering = np.exp(1j * (positions @ k))
+    return (steering * wf) @ steering.conj().T

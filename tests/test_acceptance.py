@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from emilink import (AngularDensity, CombinerKind, EffectiveGains,
                      irs_required_power, irs_sinr, irs_sinr_gradient, make_layout,
                      repetition_required_power, run_fig3, run_fig4, run_fig5,
                      run_fig6, run_fig7, run_fig8)
-from conftest import random_complex, random_unit_diag_psd
+from conftest import gram_oracle, random_complex, random_unit_diag_psd
 
 NOISE = 10.0 ** ((-94.0 - 30.0) / 10.0)
 
@@ -97,21 +98,26 @@ def oracle_gain(distance, budget):
     return 10.0 ** (-loss_db / 10.0)
 
 
-def oracle_grid(n, wavelength, node, source, dest):
-    """Global element offsets of an n-element half-wavelength grid.
-
-    rows x cols is the exact factor pair closest to a square (rows <= cols);
-    the grid is vertical, with rows stacked along z and its broadside
-    pointing from the node to the nearest point of the source-destination
-    line, so the columns run horizontally in that plane.
-    """
-    rows = max(r for r in range(1, math.isqrt(n) + 1) if n % r == 0)
-    cols = n // rows
+def oracle_frame(node, source, dest):
+    """Rows: the array's broadside, pointing from the node to the nearest
+    point of the source-destination line, the horizontal axis its columns
+    run along, and the vertical its rows are stacked along."""
     axis = (dest - source) / np.linalg.norm(dest - source)
     foot = source + np.dot(node - source, axis) * axis
     broadside = (foot - node) / np.linalg.norm(foot - node)
     vertical = np.array([0.0, 0.0, 1.0])
-    horizontal = np.cross(vertical, broadside)
+    return np.array([broadside, np.cross(vertical, broadside), vertical])
+
+
+def oracle_grid(n, wavelength, node, source, dest):
+    """Global element offsets of an n-element half-wavelength grid.
+
+    rows x cols is the exact factor pair closest to a square (rows <= cols);
+    the grid is vertical and faces along ``oracle_frame``'s broadside.
+    """
+    rows = max(r for r in range(1, math.isqrt(n) + 1) if n % r == 0)
+    cols = n // rows
+    _, horizontal, vertical = oracle_frame(node, source, dest)
     r, c = np.meshgrid(np.arange(rows) - (rows - 1) / 2.0,
                        np.arange(cols) - (cols - 1) / 2.0, indexing="ij")
     return 0.5 * wavelength * (r.reshape(-1, 1) * vertical + c.reshape(-1, 1) * horizontal)
@@ -157,11 +163,33 @@ def oracle_df_power(rate, alpha1, alpha2, iters=100):
             + (1.0 - tau) * (np.exp2(rate / (1.0 - tau)) - 1.0) / alpha2)
 
 
-def oracle_surface_gains(scenario, n, target, variance):
-    """Power-free gains g = SINR / p of an n-element surface serving ``target``
-    under isotropic EMI of ``variance`` (W).
+def oracle_corr(scenario, n, centre=None):
+    """EMI correlation of the n-element grid: the isotropic sinc, or, given a
+    point ``centre``, the Gram product of a gaussian density of the scenario's
+    spread centred on the direction of ``centre`` from the node, over the
+    scenario's quadrature nodes.  Its angles are read in ``oracle_frame``,
+    azimuth from the broadside toward the horizontal axis."""
+    wavelength = SPEED_OF_LIGHT / (scenario.budget.carrier_frequency_ghz * 1e9)
+    node, source, dest = (np.array(p) for p in
+                          (scenario.node_pos, scenario.source_pos, scenario.dest_pos))
+    offsets = oracle_grid(n, wavelength, node, source, dest)
+    if centre is None:
+        return oracle_corr_iso(offsets, wavelength)
+    frame = oracle_frame(node, source, dest)
+    toward = frame @ (centre - node) / np.linalg.norm(centre - node)
+    spread = math.radians(scenario.emi_spread_deg)
+    density = AngularDensity(math.atan2(toward[1], toward[0]), math.asin(toward[2]),
+                             spread, spread)
+    return gram_oracle(offsets @ frame.T, wavelength, density, scenario.quadrature_nodes)
 
-    Returns the unit-modulus relaxation bound g <= a^H B^-1 a (a = h_rd * h_sr,
+
+def oracle_surface_gains(scenario, target, variance, corr):
+    """Power-free gains g = SINR / p of a surface serving ``target`` under EMI
+    of ``variance`` (W) and correlation ``corr``, whose size N it takes.
+
+    The interference the surface passes on is variance E|v^T e|^2 =
+    variance v^T R conj(v) for v = h_rd * exp(j phases).  Returns the
+    unit-modulus relaxation bound g <= a^H B^-1 a (a = h_rd * h_sr,
     B = variance D R D^H + noise/N I, D = diag(h_rd)) and the gain of the
     noise-only phases -arg(h_sr h_rd).
     """
@@ -170,10 +198,10 @@ def oracle_surface_gains(scenario, n, target, variance):
     noise = budget.noise_power_w
     node, source, dest = (np.array(p) for p in
                           (scenario.node_pos, scenario.source_pos, scenario.dest_pos))
+    n = len(corr)
     offsets = oracle_grid(n, wavelength, node, source, dest)
     h_sr = oracle_los(offsets, node, source, budget, wavelength)
     h_rd = oracle_los(offsets, node, target, budget, wavelength)
-    corr = oracle_corr_iso(offsets, wavelength)
     a = h_rd * h_sr
     b = variance * h_rd[:, None] * corr * h_rd.conj()[None, :] + (noise / n) * np.eye(n)
     bound_gain = float(np.vdot(a, np.linalg.solve(b, a)).real)
@@ -213,7 +241,7 @@ def fig8a_oracle(scenario, antennas):
         alpha2.append(float(np.vdot(h_rd, h_rd).real) / noise)
     mmse_dbm = dbm(oracle_df_power(scenario.target_rate, alpha1, alpha2))
     bound_gain, noise_only_gain = oracle_surface_gains(
-        scenario, scenario.irs_reference_elements, dest, variance)
+        scenario, dest, variance, oracle_corr(scenario, scenario.irs_reference_elements))
     return mmse_dbm, dbm(snr_target / bound_gain), dbm(snr_target / noise_only_gain)
 
 
@@ -395,8 +423,7 @@ def test_criterion_4_relay_optimizer_sandwich():
         target = rng.uniform(0.5, 8.0)
         gains = effective_gains_single(b_sr, b_rd, variance, NOISE)
         p_rep = repetition_required_power(target, b_sr, b_rd, variance, NOISE)
-        sol = df_min_power(target, gains)
-        excess = sol.average_power / p_rep - 1.0
+        excess = df_min_power(target, gains)[0] / p_rep - 1.0
         worst_excess = max(worst_excess, excess)
         if excess > 1e-5:
             dominance_ok = False
@@ -575,13 +602,62 @@ def test_optimized_surface_rows_within_oracle_bounds(fig5_result):
             else:
                 target, rho = source + r.sweep_var * axis, scenario.rho_db
             variance = 10.0 ** (rho / 10.0) * scenario.budget.noise_power_w
-            gains = oracle_surface_gains(scenario, int(r.technology.removeprefix("irs_n")),
-                                         target, variance)
+            corr = oracle_corr(scenario, int(r.technology.removeprefix("irs_n")))
+            gains = oracle_surface_gains(scenario, target, variance, corr)
             bound, noise_only = (10.0 * math.log10(snr_target / g) + 30.0 for g in gains)
             assert bound - 1e-12 <= r.power_dbm <= noise_only + 1e-12, (r, bound, noise_only)
             gaps[name] = max(gaps.get(name, 0.0), r.power_dbm - bound)
     print(f"optimized surface rows within oracle bounds: largest gap to the relaxation "
           f"bound {gaps['fig5']:.3f} dB (fig5), {gaps['fig6']:.3f} dB (fig6)")
+
+
+def test_fig7_directional_rows_match_oracle():
+    """Every fig7 surface row under gaussian EMI, centred on the source
+    (case 1) or on the swept destination (case 2), is the noise-only-phase
+    power of the oracle's grid, channels and Gram-product correlation.
+
+    The worst deviation seen was 3.6e-15 dB on both modes; the tolerance is
+    the fig3/fig4 oracle's 1e-13 dB.
+    """
+    scenario = Scenario()
+    snr_target = 2.0 ** scenario.target_rate - 1.0
+    n = scenario.irs_reference_elements
+    source, dest = np.array(scenario.source_pos), np.array(scenario.dest_pos)
+    axis = (dest - source) / np.linalg.norm(dest - source)
+    case1 = oracle_corr(scenario, n, source)
+    result = run_fig7(scenario)
+    for mode in ("heuristic_case1", "heuristic_case2"):
+        rows = result.select(f"irs_n{n}", mode)
+        assert len(rows) == 26
+        deviation = 0.0
+        for r in rows:
+            target = source + r.sweep_var * axis
+            corr = case1 if mode == "heuristic_case1" else oracle_corr(scenario, n, target)
+            gain = oracle_surface_gains(scenario, target, scenario.emi_variance, corr)[1]
+            deviation = max(deviation,
+                            abs(r.power_dbm - (10.0 * math.log10(snr_target / gain) + 30.0)))
+        assert deviation <= 1e-13, f"{mode}: worst row deviation {deviation:.2e} dB"
+
+
+def test_fig8_case2_surface_row_within_oracle_bounds(fig8_result):
+    """fig8's optimized surface reference under case-2 EMI lies between the
+    oracle's relaxation bound and its noise-only-phase power, with the
+    oracle's Gram-product correlation centred on the destination.
+
+    Seen: 0.0114 dB above the bound and 3.5e-5 dB below the noise-only
+    power.  The slack is the fig5/fig6 bracket's 1e-12 dB on both sides.
+    """
+    scenario = Scenario()
+    snr_target = 2.0 ** scenario.target_rate - 1.0
+    n = scenario.irs_reference_elements
+    dest = np.array(scenario.dest_pos)
+    corr = oracle_corr(scenario, n, dest)
+    bound, noise_only = (10.0 * math.log10(snr_target / g) + 30.0 for g in
+                         oracle_surface_gains(scenario, dest, scenario.emi_variance, corr))
+    rows = fig8_result.select(f"irs_n{n}", "optimized_case2")
+    assert len(rows) == len(scenario.relay_antennas)
+    assert len({r.power_dbm for r in rows}) == 1
+    assert bound - 1e-12 <= rows[0].power_dbm <= noise_only + 1e-12, (rows[0], bound, noise_only)
 
 
 def test_repeated_rows_equal_fig3_rows():
@@ -612,6 +688,22 @@ def test_criterion_6d_fig8b_crossovers(fig8_result):
     ok = m_mmse is not None and m_mr is not None and m_mmse <= m_mr <= 30.0
     report("6d", "fig8b MMSE crossover <= MR crossover <= 30", ok,
            f"MMSE at M={m_mmse}, MR at M={m_mr}")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: the fixed 64-node directional quadrature under-resolves grids with many "
+    "columns (1 x M, 2 x M/2, 3 x 23), so fig8's df case-2 rows move by up to 2.26 dB "
+    "(df_mr, M = 61) against a 256-node rule"))
+def test_fig8_case2_relay_rows_are_resolved_by_the_quadrature(fig8_result):
+    # 256 nodes agree with 1024 nodes within 1.2e-11 dB on every row
+    fine = run_fig8(replace(Scenario(), quadrature_nodes=256))
+    expected = {(r.sweep_var, r.technology): r.power_dbm for r in fine.rows
+                if r.technology.startswith("df_") and r.mode == "optimized_case2"}
+    rows = {(r.sweep_var, r.technology): r.power_dbm for r in fig8_result.rows
+            if r.technology.startswith("df_") and r.mode == "optimized_case2"}
+    assert rows.keys() == expected.keys()
+    deviation = max(abs(rows[key] - expected[key]) for key in expected)
+    assert deviation <= 1e-3, f"worst row deviation {deviation:.2e} dB"
 
 
 def test_criterion_7_fig3_penalties():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -142,6 +143,10 @@ def test_scenario_from_config_rejects_unknown_keys():
     ({"budget": {"carrier_frequency_ghz": 1e300}}, "carrier_frequency_ghz"),
     ({"budget": {"node_gain_dbi": 4000.0}}, "gain_node_dbi"),
     ({"budget": {"endpoint_gain_dbi": -4000.0}}, "gain_endpoint_dbi"),
+    # a hop gain, or the largest surface's cascaded SNR per watt, outside the float range
+    ({"budget": {"endpoint_gain_dbi": -3200.0}}, "gain_endpoint_dbi"),
+    ({"budget": {"node_gain_dbi": 3070.0}}, "gain_node_dbi"),
+    ({"budget": {"carrier_frequency_ghz": 1e-300}}, "carrier_frequency_ghz"),
 ])
 def test_scenario_from_config_rejects_bad_values(raw, message):
     # rejected while the Scenario is built, before any sweep work
@@ -273,6 +278,25 @@ def test_only_the_cli_takes_a_default():
                 defaults.update((path.stem, getattr(node, "name", "<lambda>"), a.arg)
                                 for a in named)
     assert defaults == {("cli", "main", "argv")}
+
+
+def test_only_the_config_classes_have_field_defaults():
+    # a dataclass field default is an option too: only Scenario, whose defaults
+    # are the reference setup, and its LinkBudget have them
+    package = pathlib.Path(cli.__file__).parent
+    defaults = set()
+    for path in package.glob("*.py"):
+        module = importlib.import_module(f"emilink.{path.stem}")
+        for cls in vars(module).values():
+            if (inspect.isclass(cls) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__):
+                defaults.update((cls.__name__, f.name) for f in dataclasses.fields(cls)
+                                if f.default is not dataclasses.MISSING
+                                or f.default_factory is not dataclasses.MISSING)
+    expected = {("Scenario", f.name) for f in dataclasses.fields(Scenario)}
+    expected |= {("LinkBudget", f.name) for f in dataclasses.fields(LinkBudget)}
+    assert len(expected) == 13 + 4
+    assert defaults == expected
 
 
 def test_layer_graph():

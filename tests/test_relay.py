@@ -133,11 +133,11 @@ def test_inner_max_rate_matches_brute_force():
 
 def test_min_power_symmetric_closed_form():
     gains = EffectiveGains(1e5, 1e5)
-    sol = df_min_power(6.0, gains)
-    assert sol.tau1 == pytest.approx(0.5, abs=1e-5)
-    assert sol.p1 == pytest.approx(sol.p2, rel=1e-5)
-    assert sol.average_power == pytest.approx((2.0 ** 12 - 1) / 1e5, rel=1e-5)
-    assert sol.achieved_rate == pytest.approx(6.0, rel=1e-6)
+    power, tau1, p1, p2, _ = df_min_power(6.0, gains)
+    assert tau1 == pytest.approx(0.5, abs=1e-5)
+    assert p1 == pytest.approx(p2, rel=1e-5)
+    assert power == pytest.approx((2.0 ** 12 - 1) / 1e5, rel=1e-5)
+    assert df_rate(tau1, p1, p2, gains) == pytest.approx(6.0, rel=1e-6)
 
 
 def test_min_power_dominates_repetition():
@@ -149,35 +149,34 @@ def test_min_power_dominates_repetition():
         target = rng.uniform(1.0, 8.0)
         gains = effective_gains_single(b_sr, b_rd, variance, NOISE)
         p_rep = repetition_required_power(target, b_sr, b_rd, variance, NOISE)
-        sol = df_min_power(target, gains)
-        assert sol.average_power <= p_rep * (1 + 1e-5)
-        assert sol.achieved_rate == pytest.approx(target, rel=1e-6)
-        assert sol.average_power == pytest.approx(
-            sol.tau1 * sol.p1 + (1 - sol.tau1) * sol.p2, rel=1e-12)
+        power, tau1, p1, p2, _ = df_min_power(target, gains)
+        assert power <= p_rep * (1 + 1e-5)
+        assert df_rate(tau1, p1, p2, gains) == pytest.approx(target, rel=1e-6)
+        assert power == pytest.approx(tau1 * p1 + (1 - tau1) * p2, rel=1e-12)
 
 
 def test_min_power_sandwich_at_reference_point():
     rho = 10 ** 2.5
     gains_emi = effective_gains_single(BETA_SR, BETA_RD, rho * NOISE, NOISE)
     gains_clean = effective_gains_single(BETA_SR, BETA_RD, 0.0, NOISE)
-    p_clean = df_min_power(6.0, gains_clean).average_power
-    p_emi = df_min_power(6.0, gains_emi).average_power
+    p_clean = df_min_power(6.0, gains_clean)[0]
+    p_emi = df_min_power(6.0, gains_emi)[0]
     p_rep_emi = repetition_required_power(6.0, BETA_SR, BETA_RD, rho * NOISE, NOISE)
     assert p_clean < p_emi < p_rep_emi
 
 
 def test_min_power_monotone_in_gains_and_rate():
     base = EffectiveGains(1e5, 1e6)
-    p_base = df_min_power(6.0, base).average_power
-    assert df_min_power(6.0, EffectiveGains(2e5, 1e6)).average_power < p_base
-    assert df_min_power(6.0, EffectiveGains(1e5, 2e6)).average_power < p_base
-    assert df_min_power(7.0, base).average_power > p_base
+    p_base = df_min_power(6.0, base)[0]
+    assert df_min_power(6.0, EffectiveGains(2e5, 1e6))[0] < p_base
+    assert df_min_power(6.0, EffectiveGains(1e5, 2e6))[0] < p_base
+    assert df_min_power(7.0, base)[0] > p_base
 
 
 def test_min_power_inverse_consistency():
     gains = EffectiveGains(3e4, 8e6)
-    sol = df_min_power(6.0, gains)
-    rate, *_ = df_inner_max_rate(sol.average_power, gains)
+    power = df_min_power(6.0, gains)[0]
+    rate, *_ = df_inner_max_rate(power, gains)
     assert rate == pytest.approx(6.0, rel=1e-6)
 
 
@@ -203,15 +202,14 @@ def test_min_power_matches_dense_tau_grid():
         variance = 10 ** rng.uniform(-2, 3) * NOISE
         target = rng.uniform(0.5, 8.0)
         gains = effective_gains_single(b_sr, b_rd, variance, NOISE)
-        sol = df_min_power(target, gains)
-        assert sol.average_power <= closed_form_power(taus, target, gains).min() * (1 + 1e-9)
-        assert sol.average_power == pytest.approx(
-            closed_form_power(sol.tau1, target, gains), rel=1e-12)
-        r1 = sol.tau1 * math.log2(1.0 + sol.p1 * gains.alpha1)
-        r2 = (1.0 - sol.tau1) * math.log2(1.0 + sol.p2 * gains.alpha2)
+        power, tau1, p1, p2, _ = df_min_power(target, gains)
+        assert power <= closed_form_power(taus, target, gains).min() * (1 + 1e-9)
+        assert power == pytest.approx(closed_form_power(tau1, target, gains), rel=1e-12)
+        r1 = tau1 * math.log2(1.0 + p1 * gains.alpha1)
+        r2 = (1.0 - tau1) * math.log2(1.0 + p2 * gains.alpha2)
         assert r1 == pytest.approx(target, rel=1e-12)
         assert r2 == pytest.approx(target, rel=1e-12)
-        assert sol.average_power == sol.tau1 * sol.p1 + (1 - sol.tau1) * sol.p2
+        assert power == tau1 * p1 + (1 - tau1) * p2
 
 
 @pytest.mark.filterwarnings("error")
@@ -230,8 +228,7 @@ def test_min_power_far_beyond_the_cap_is_infeasible(rate):
 def test_min_power_cap_is_the_feasibility_boundary():
     for gains in (EffectiveGains(3e4, 8e6), EffectiveGains(1e2, 1e2), EffectiveGains(1e7, 1e3)):
         edge = df_inner_max_rate(POWER_UPPER_W, gains)[0]
-        sol = df_min_power(edge * (1 - 1e-9), gains)
-        assert sol.average_power <= POWER_UPPER_W
+        assert df_min_power(edge * (1 - 1e-9), gains)[0] <= POWER_UPPER_W
         with pytest.raises(InfeasibleError):
             df_min_power(edge * (1 + 1e-9), gains)
 
@@ -248,7 +245,7 @@ def test_inner_max_rate_over_extreme_budgets(gains):
         assert tau1 * p1 + (1 - tau1) * p2 == pytest.approx(budget, rel=1e-9)
         assert df_rate(tau1, p1, p2, gains) == pytest.approx(rate, rel=1e-9)
         if budget <= POWER_UPPER_W:
-            assert df_min_power(rate, gains).average_power == pytest.approx(budget, rel=1e-9)
+            assert df_min_power(rate, gains)[0] == pytest.approx(budget, rel=1e-9)
         previous = rate
 
 
@@ -272,7 +269,7 @@ def test_first_phase_orthogonal_rank_one_interference():
     # half-wavelength line array: steering vectors whose sine-azimuths
     # differ by 2/M are exactly orthogonal
     lam = 0.1
-    lay = ArrayLayout(1, 8, lam / 2, lam)
+    lay = ArrayLayout(1, 8, lam)
     h = los_channel(1.0, 0.0, 0.0, lay)
     a = los_channel(1.0, math.asin(2.0 / 8.0), 0.0, lay)
     assert abs(h.conj() @ a) < 1e-10

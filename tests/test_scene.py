@@ -63,7 +63,7 @@ def test_make_layout_single_element():
 
 
 def test_make_layout_grid_geometry():
-    lay = ArrayLayout(3, 4, 0.1, 0.2)
+    lay = ArrayLayout(3, 4, 0.2)
     assert lay.n_elements == 12
     # centroid at the origin, row-major ordering at half-wavelength pitch
     assert_allclose(lay.positions.mean(axis=0), [0, 0, 0], atol=1e-15)
@@ -74,9 +74,9 @@ def test_make_layout_grid_geometry():
 def test_make_layout_rejects_bad_args():
     with pytest.raises(ValueError):
         make_layout(0, 0.1)
-    for rows, cols, spacing in ((0, 4, 0.05), (3, 0, 0.05), (2.5, 2, 0.05), (3, 4, math.nan)):
+    for rows, cols, wavelength in ((0, 4, 0.1), (3, 0, 0.1), (2.5, 2, 0.1), (3, 4, math.nan)):
         with pytest.raises(ValueError):
-            ArrayLayout(rows, cols, spacing, 0.1)
+            ArrayLayout(rows, cols, wavelength)
 
 
 def test_angles_between_identity_axis():
@@ -140,7 +140,7 @@ def test_los_channel_two_element_phase():
     # two elements lambda/2 apart along y; azimuth pi/2 gives a phase step of
     # k^T (u_1 - u_0) = (2 pi / lambda)(lambda / 2) = pi between them
     lam = 0.1
-    lay = ArrayLayout(1, 2, lam / 2, lam)
+    lay = ArrayLayout(1, 2, lam)
     ch = los_channel(1.0, math.pi / 2, 0.0, lay)
     step = np.angle(ch[1] / ch[0])
     assert abs(step) == pytest.approx(math.pi, abs=1e-12)
