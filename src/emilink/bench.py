@@ -162,15 +162,11 @@ def _antenna_counts(value) -> tuple:
 
 
 # Each config key maps to the field it sets ("budget." for a LinkBudget field)
-# and the conversion of its value.  None marks the version, checked on its own,
-# and three keys that enter no computation but keep version-1 files loading:
-# budget.bandwidth_hz, relay.combiner and optimization.emi_aware.
+# and the conversion of its value.
 _CONFIG_KEYS = {
-    "version": None,
     "geometry": {"source_m": ("source_pos", tuple), "node_m": ("node_pos", tuple),
                  "destination_m": ("dest_pos", tuple)},
     "budget": {"carrier_frequency_ghz": ("budget.carrier_frequency_ghz", float),
-               "bandwidth_hz": None,
                "noise_dbm": ("budget.noise_power_w", dbm_to_watt),
                "node_gain_dbi": ("budget.gain_node_dbi", float),
                "endpoint_gain_dbi": ("budget.gain_endpoint_dbi", float)},
@@ -178,9 +174,8 @@ _CONFIG_KEYS = {
     "emi": {"rho_db": ("rho_db", float), "spread_deg": ("emi_spread_deg", float)},
     "irs": {"elements": ("irs_elements", lambda n: tuple(n) if isinstance(n, list) else (n,)),
             "reference_elements": ("irs_reference_elements", float)},
-    "relay": {"antennas": ("relay_antennas", _antenna_counts), "combiner": None},
+    "relay": {"antennas": ("relay_antennas", _antenna_counts)},
     "sweeps": {"distance_m": ("distance_sweep", tuple), "rho_db": ("rho_sweep", tuple)},
-    "optimization": {"emi_aware": None},
     "quadrature_nodes": ("quadrature_nodes", float),
 }
 
@@ -195,7 +190,7 @@ def _config_fields(raw: dict, keys: dict, path: str) -> dict:
             if not isinstance(value, dict):
                 raise ValueError(f"config key {path}{key} must be an object")
             fields.update(_config_fields(value, keys[key], f"{path}{key}."))
-        elif keys[key] is not None:
+        else:
             name, convert = keys[key]
             numbers = value if isinstance(value, list) else [value]
             if (not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in numbers)
@@ -218,7 +213,7 @@ def scenario_from_config(raw: dict) -> Scenario:
     version = raw.get("version", CONFIG_VERSION)
     if isinstance(version, bool) or version != CONFIG_VERSION:
         raise ValueError(f"unsupported config version: {version!r}")
-    fields = _config_fields(raw, _CONFIG_KEYS, "")
+    fields = _config_fields({k: v for k, v in raw.items() if k != "version"}, _CONFIG_KEYS, "")
     budget = {name.removeprefix("budget."): fields.pop(name)
               for name in list(fields) if name.startswith("budget.")}
     return Scenario(budget=LinkBudget(**budget), **fields)

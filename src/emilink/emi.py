@@ -15,7 +15,9 @@ a rows x cols grid at pitch ``s`` in the local y-z plane, indexed row by
 row, so ``R[n, m]`` depends only on the offset ``(r_n - r_m, c_n - c_m)``.
 The kernel is evaluated once on the (2 rows - 1) x (2 cols - 1) offsets
 and gathered into the N x N matrix; the y (column) phase is summed over
-azimuth first and the z (row) phase over elevation after it.  The closed
+azimuth first and the z (row) phase over elevation after it.  Each call
+builds its weighted angular grid once; the density's mass is that grid's
+sum, checked against the (cached) mass at twice the nodes.  The closed
 form ``corr_isotropic`` keeps its direct distance evaluation, so its
 output bytes do not move.
 
@@ -74,6 +76,9 @@ class AngularDensity:
     std_elevation: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.mean_azimuth) and np.isfinite(self.mean_elevation)):
+            raise ValueError("angular density needs a finite mean azimuth and elevation, got "
+                             f"{self.mean_azimuth!r} and {self.mean_elevation!r}")
         if not (self.std_azimuth > 0 and self.std_elevation > 0):
             raise ValueError("angular density needs positive angular spreads")
 
@@ -89,15 +94,6 @@ def corr_isotropic(layout: ArrayLayout) -> np.ndarray:
     return np.sinc(2.0 * dist / layout.wavelength)
 
 
-def _density_window(density: AngularDensity) -> tuple[float, float, float, float]:
-    w_phi = GAUSS_WINDOW_SIGMAS * density.std_azimuth
-    w_th = GAUSS_WINDOW_SIGMAS * density.std_elevation
-    return (max(-HALF_PI, density.mean_azimuth - w_phi),
-            min(HALF_PI, density.mean_azimuth + w_phi),
-            max(-HALF_PI, density.mean_elevation - w_th),
-            min(HALF_PI, density.mean_elevation + w_th))
-
-
 @cache
 def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per count."""
@@ -106,26 +102,25 @@ def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _quad_nodes(nodes: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+def _axis_rule(mean: float, std: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on mean +- GAUSS_WINDOW_SIGMAS std,
+    clipped to the front half-space [-pi/2, pi/2]."""
+    width = GAUSS_WINDOW_SIGMAS * std
+    lo, hi = max(-HALF_PI, mean - width), min(HALF_PI, mean + width)
     x, w = _leggauss(nodes)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
 
-def _density_values(density: AngularDensity, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    # Unnormalized: the cos(theta) factor is the solid-angle Jacobian, so
-    # infinite spreads give the uniform distribution over the front hemisphere.
-    return (np.exp(-0.5 * ((phi - density.mean_azimuth) / density.std_azimuth) ** 2)
-            * np.exp(-0.5 * ((theta - density.mean_elevation) / density.std_elevation) ** 2)
-            * np.cos(theta))
-
-
 def _weighted_grid(density: AngularDensity, nodes: int):
-    """Tensor rule nodes phi (P,), theta (T,) and unnormalized weights (P, T)."""
-    phi_lo, phi_hi, th_lo, th_hi = _density_window(density)
-    phi, w_phi = _quad_nodes(nodes, phi_lo, phi_hi)
-    th, w_th = _quad_nodes(nodes, th_lo, th_hi)
-    return phi, th, np.outer(w_phi, w_th) * _density_values(density, phi[:, None], th[None, :])
+    """Tensor rule nodes phi (P,), theta (T,) and unnormalized weights (P, T); the
+    cos(theta) solid-angle Jacobian makes infinite spreads uniform on the hemisphere."""
+    phi, w_phi = _axis_rule(density.mean_azimuth, density.std_azimuth, nodes)
+    th, w_th = _axis_rule(density.mean_elevation, density.std_elevation, nodes)
+    z_phi = (phi[:, None] - density.mean_azimuth) / density.std_azimuth
+    z_th = (th[None, :] - density.mean_elevation) / density.std_elevation
+    values = np.exp(-0.5 * z_phi ** 2) * np.exp(-0.5 * z_th ** 2) * np.cos(th[None, :])
+    return phi, th, np.outer(w_phi, w_th) * values
 
 
 @cache
@@ -133,9 +128,28 @@ def _density_mass(density: AngularDensity, nodes: int) -> float:
     return float(np.sum(_weighted_grid(density, nodes)[2]))
 
 
-def _corr_quadrature(layout: ArrayLayout, density: AngularDensity, nodes: int,
-                     mass: float) -> np.ndarray:
+def corr_directional(layout: ArrayLayout, density: AngularDensity, nodes: int) -> np.ndarray:
+    """Correlation matrix for an arbitrary angular density by quadrature.
+
+    The kernel kappa(dr, dc) is built once per element offset of the
+    layout's row-major grid, as
+    sum_t exp(j dr ks sin(theta_t)) sum_p W[p, t] exp(j dc ks cos(theta_t) sin(phi_p))
+    with ks = 2 pi spacing / wavelength and W the normalized tensor weights,
+    for dc >= 0 only; kappa(-d) = conj kappa(d) fills the rest, so the
+    result is exactly Hermitian.  The density is normalized to unit mass on
+    its quadrature window, and the diagonal is exactly 1.  Raises
+    NumericalError when the mass estimate has not converged to 1e-6
+    (relative) under node doubling.
+    """
+    if nodes < 2:
+        raise ValueError("need at least 2 quadrature nodes per axis")
+    mass_fine = _density_mass(density, 2 * nodes)
     phi, th, weight = _weighted_grid(density, nodes)
+    mass = float(np.sum(weight))
+    if mass <= 0 or not np.isfinite(mass) or abs(mass - mass_fine) > 1e-6 * abs(mass_fine):
+        raise NumericalError(
+            f"density normalization did not converge ({mass!r} vs {mass_fine!r}); "
+            "increase the quadrature nodes")
     ks = 2.0 * np.pi * layout.spacing / layout.wavelength
     rows, cols = layout.rows, layout.cols
     # g[dc, t] = sum_p W[p, t] exp(j dc ks cos(theta_t) sin(phi_p)) for dc >= 0,
@@ -157,31 +171,6 @@ def _corr_quadrature(layout: ArrayLayout, density: AngularDensity, nodes: int,
     r_idx, c_idx = np.divmod(np.arange(rows * cols), cols)
     return lattice[r_idx[:, None] - r_idx[None, :] + rows - 1,
                    c_idx[:, None] - c_idx[None, :] + cols - 1]
-
-
-def corr_directional(layout: ArrayLayout, density: AngularDensity, nodes: int) -> np.ndarray:
-    """Correlation matrix for an arbitrary angular density by quadrature.
-
-    The kernel kappa(dr, dc) is built once per element offset of the
-    layout's row-major grid, as
-    sum_t exp(j dr ks sin(theta_t)) sum_p W[p, t] exp(j dc ks cos(theta_t) sin(phi_p))
-    with ks = 2 pi spacing / wavelength and W the normalized tensor weights,
-    for dc >= 0 only; kappa(-d) = conj kappa(d) fills the rest, so the
-    result is exactly Hermitian.  The density is normalized to unit mass on
-    its quadrature window, and the diagonal is exactly 1.  Raises
-    NumericalError when the mass estimate has not converged to 1e-6
-    (relative) under node doubling.
-    """
-    if nodes < 2:
-        raise ValueError("need at least 2 quadrature nodes per axis")
-
-    mass = _density_mass(density, nodes)
-    mass_fine = _density_mass(density, 2 * nodes)
-    if mass <= 0 or not np.isfinite(mass) or abs(mass - mass_fine) > 1e-6 * abs(mass_fine):
-        raise NumericalError(
-            f"density normalization did not converge ({mass!r} vs {mass_fine!r}); "
-            "increase the quadrature nodes")
-    return _corr_quadrature(layout, density, nodes, mass)
 
 
 def psd_project(matrix: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import POWER_UPPER_W, InfeasibleError, NumericalError, capped_power, pow2m1
+from .errors import InfeasibleError, NumericalError, capped_power, pow2m1
 
 LN2 = math.log(2.0)
 REL_TOL = 1e-13  # relative width at which a bisection stops
@@ -86,11 +86,6 @@ def _exp2m1(x: float) -> float:
     return math.expm1(x * LN2) if x < 1024.0 else math.inf
 
 
-def _harmonic(gains: EffectiveGains) -> float:
-    """1 / (1/alpha1 + 1/alpha2)."""
-    return 1.0 / (1.0 / gains.alpha1 + 1.0 / gains.alpha2)
-
-
 def _bisect(rising: Callable[[float], bool], lo: float,
             hi: float) -> tuple[float, float, int]:
     """Bracket the root of a monotone predicate (False below it, True above).
@@ -147,7 +142,7 @@ def df_inner_max_rate(budget: float, gains: EffectiveGains) -> tuple[float, floa
     """
     if not budget > 0:
         raise ValueError("power budget must be positive")
-    hi = math.log1p(budget * _harmonic(gains)) / LN2
+    hi = math.log1p(budget * (1.0 / (1.0 / gains.alpha1 + 1.0 / gains.alpha2))) / LN2
     rate, _, _ = _bisect(lambda r: _min_power_at(r, gains)[3] > budget, 0.0, hi)
     tau1, p1, p2, _, _ = _min_power_at(rate, gains)
     return rate, tau1, p1, p2
@@ -158,17 +153,13 @@ def df_min_power(target_rate: float,
     """Minimum average power reaching ``target_rate``, with both phase rates
     pinned at it: (power_w, tau1, p1, p2, bisection steps).
 
-    Raises InfeasibleError when that power exceeds POWER_UPPER_W.
+    Raises InfeasibleError when that power exceeds POWER_UPPER_W; a rate whose
+    power overflows a float reads as inf and is rejected alike.
     """
     if not target_rate > 0:
         raise ValueError("target rate must be positive")
-    # Even with the whole frame each phase needs (2^R - 1)/alpha_i, so the
-    # sum of the two bounds the optimum from below.
-    if target_rate > math.log1p(POWER_UPPER_W * _harmonic(gains)) / LN2:
-        raise InfeasibleError(f"rate {target_rate} unreachable within {POWER_UPPER_W:.0e} W")
     tau1, p1, p2, power, steps = _min_power_at(target_rate, gains)
-    capped_power(power, target_rate)
-    return power, tau1, p1, p2, steps
+    return capped_power(power, target_rate), tau1, p1, p2, steps
 
 
 def effective_gain_first_phase(h_sr: np.ndarray, covariance: np.ndarray,

@@ -64,18 +64,17 @@ def test_scenario_from_config_overrides():
     assert sc.distances().tolist() == [30.0, 50.0, 70.0, 90.0]
 
 
-def test_scenario_from_config_ignores_legacy_keys():
-    # keys of version-1 files that enter no computation
-    assert scenario_from_config({"budget": {"bandwidth_hz": 20e6},
-                                 "relay": {"combiner": "mr"},
-                                 "optimization": {"emi_aware": True}}) == Scenario()
-
-
 def test_scenario_from_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config key: nonsense"):
         scenario_from_config({"nonsense": 1})
     with pytest.raises(ValueError, match="unknown config key: emi.rho"):
         scenario_from_config({"emi": {"rho": 3}})
+    # keys that set no field: the combiner is an output of fig8, not a setting
+    for raw, key in [({"budget": {"bandwidth_hz": 20e6}}, "budget.bandwidth_hz"),
+                     ({"relay": {"combiner": "mr"}}, "relay.combiner"),
+                     ({"optimization": {"emi_aware": True}}, "optimization")]:
+        with pytest.raises(ValueError, match=f"unknown config key: {key}$"):
+            scenario_from_config(raw)
     with pytest.raises(ValueError, match="version"):
         scenario_from_config({"version": 99})
 
@@ -147,6 +146,8 @@ def test_scenario_from_config_rejects_unknown_keys():
     ({"budget": {"endpoint_gain_dbi": -3200.0}}, "gain_endpoint_dbi"),
     ({"budget": {"node_gain_dbi": 3070.0}}, "gain_node_dbi"),
     ({"budget": {"carrier_frequency_ghz": 1e-300}}, "carrier_frequency_ghz"),
+    # a config table given as a number
+    ({"geometry": 5}, "geometry must be an object"),
 ])
 def test_scenario_from_config_rejects_bad_values(raw, message):
     # rejected while the Scenario is built, before any sweep work
@@ -299,6 +300,21 @@ def test_only_the_config_classes_have_field_defaults():
     assert defaults == expected
 
 
+def test_each_config_key_sets_a_distinct_field():
+    # one leaf key per Scenario field, with budget split into its LinkBudget fields
+    from emilink.bench import _CONFIG_KEYS
+
+    def leaves(keys):
+        for value in keys.values():
+            yield from leaves(value) if isinstance(value, dict) else [value[0]]
+
+    targets = list(leaves(_CONFIG_KEYS))
+    expected = {f.name for f in dataclasses.fields(Scenario) if f.name != "budget"}
+    expected |= {f"budget.{f.name}" for f in dataclasses.fields(LinkBudget)}
+    assert len(targets) == len(set(targets)) == 16
+    assert set(targets) == expected
+
+
 def test_layer_graph():
     # each layer imports only the layers below it, as the README table describes
     package = pathlib.Path(cli.__file__).parent
@@ -339,6 +355,14 @@ def test_emit_unwritable_path(tmp_path):
         emit(result, "csv", tmp_path / "missing" / "out.csv")
 
 
+def test_emit_rejects_unknown_format_before_writing(tmp_path):
+    from emilink import emit
+    path = tmp_path / "out.png"
+    with pytest.raises(ValueError, match="unknown output format"):
+        emit(run_fig4(SMALL), "png", path)
+    assert not path.exists()
+
+
 def test_golden_fixture_csv():
     import pathlib
     sc = Scenario(irs_elements=(9,), irs_reference_elements=9, rho_sweep=(0.0, 30.0, 4))
@@ -377,6 +401,14 @@ def test_svg_output():
     assert svg.rstrip().endswith("</svg>")
     assert "polyline" in svg
     assert format_svg(run_fig4(SMALL)) == svg
+    # every row infeasible: placeholder axes and no series
+    infeasible = run_fig4(replace(SMALL, target_rate=600.0))
+    assert not any(r.feasible for r in infeasible.rows)
+    svg = format_svg(infeasible)
+    assert svg.startswith("<svg ") and "<polyline" not in svg
+    # one sweep point: a degenerate x range is widened rather than divided by
+    single = format_svg(run_fig4(replace(SMALL, rho_sweep=(10.0, 10.0, 1))))
+    assert single.count("<polyline") == 2 and "nan" not in single
 
 
 def test_dump_matrix_csv(tmp_path):

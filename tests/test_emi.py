@@ -248,3 +248,8 @@ def test_density_validation():
         AngularDensity(0.0, 0.0, 0.0, 0.1)
     with pytest.raises(ValueError):
         AngularDensity(0.0, 0.0, math.nan, math.nan)
+    # a non-finite mean is named at construction, not met later as a quadrature failure
+    with pytest.raises(ValueError, match="finite mean"):
+        AngularDensity(math.nan, 0.0, 0.1, 0.1)
+    with pytest.raises(ValueError, match="finite mean"):
+        AngularDensity(math.inf, 0.0, 0.1, 0.1)

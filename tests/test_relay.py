@@ -9,7 +9,7 @@ from emilink import (ArrayLayout, CombinerKind, EffectiveGains, InfeasibleError,
                      effective_gain_second_phase, effective_gains_single, irs_required_power,
                      irs_sinr, los_channel, make_layout, phases_noise_only,
                      repetition_required_power)
-from emilink.relay import POWER_UPPER_W
+from emilink.errors import POWER_UPPER_W
 from conftest import random_complex, random_unit_diag_psd
 
 NOISE = 10.0 ** ((-94.0 - 30.0) / 10.0)
