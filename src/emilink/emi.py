@@ -67,7 +67,8 @@ class AngularDensity:
     A gaussian around (mean_azimuth, mean_elevation) with the given angular
     standard deviations, normalized numerically over the front half-space.
     Infinite spreads give the isotropic density (``isotropic()``): the
-    window is then the whole half-space and the exponent exactly 0.
+    window is then the whole half-space and the exponent exactly 0.  A mean
+    whose +-GAUSS_WINDOW_SIGMAS window misses the half-space is rejected.
     """
 
     mean_azimuth: float
@@ -81,6 +82,12 @@ class AngularDensity:
                              f"{self.mean_azimuth!r} and {self.mean_elevation!r}")
         if not (self.std_azimuth > 0 and self.std_elevation > 0):
             raise ValueError("angular density needs positive angular spreads")
+        for mean, std in ((self.mean_azimuth, self.std_azimuth),
+                          (self.mean_elevation, self.std_elevation)):
+            if abs(mean) - GAUSS_WINDOW_SIGMAS * std >= HALF_PI:
+                raise ValueError(f"angular density mean {mean!r} lies more than "
+                                 f"{GAUSS_WINDOW_SIGMAS:g} spreads outside the front "
+                                 "half-space [-pi/2, pi/2]")
 
     @staticmethod
     def isotropic() -> "AngularDensity":

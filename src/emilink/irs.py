@@ -19,8 +19,13 @@ Babu and Palomar, IEEE Trans. Signal Process. 65(3), 2017): each step is a
 phase alignment costing one product with R (``emi.corr_matvec``, in real
 arithmetic when R is real), and a step size 1/lam that halves whenever a
 step fails to raise g keeps g from ever falling without an
-eigendecomposition of R.  It stops when g changes by at most MM_TOL
-(relative) in a step, or after MM_MAX_ITERS steps.
+eigendecomposition of R.  Every two accepted steps in a row are followed
+by one SQUAREM extrapolation of the phase angles (Varadhan and Roland,
+Scand. J. Stat. 35(2), 2008), kept only if it raises g, which cuts the
+slow linear convergence where interference dominates.  An extrapolation
+also costs one product with R, so the iteration count is the number of
+products with R.  It stops when a plain step changes g by at most MM_TOL
+(relative), or after MM_MAX_ITERS products.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .errors import InfeasibleError, capped_power, pow2m1
 
 TWO_PI = 2.0 * np.pi
 MM_TOL = 1e-8  # relative change of g at which the phase optimizer stops
-MM_MAX_ITERS = 1000  # steps after which it warns and returns its best iterate
+MM_MAX_ITERS = 1000  # products with R after which it warns and returns its best iterate
 
 
 @dataclass(frozen=True)
@@ -132,10 +137,20 @@ def phases_emi_aware(link: IrsLink) -> tuple[np.ndarray, int, bool]:
     surrogate is convex, so the step cannot lower g, once lam >= lambda_max(B);
     lam starts at the Rayleigh quotient z^H B z / N and doubles whenever a step
     fails to raise g, so no eigendecomposition is needed and g never falls.
-    Starts from the noise-only phases and stops when g changes by at most
-    MM_TOL (relative) in a step; warns instead of failing when MM_MAX_ITERS
-    steps run out.  Returns ``(phases, iterations, converged)``: the phases
-    wrapped into [0, 2 pi), the steps taken and whether MM_TOL was met.
+
+    After three iterates z0, z1, z2 of consecutive accepted plain steps, one
+    SQUAREM step extrapolates the angles: r = arg(z1 conj(z0)),
+    v = arg(z2 conj(z1)) - r, alpha = min(-||r|| / ||v||, -1) and
+    theta = arg(z0) - 2 alpha r + alpha^2 v.  exp(j theta) replaces z only if
+    it raises g.  The trail of iterates restarts from the current one after
+    each extrapolation and after each rejected plain step; ||v|| = 0 skips the
+    extrapolation.
+
+    Starts from the noise-only phases and stops when a plain step changes g
+    by at most MM_TOL (relative); warns instead of failing when MM_MAX_ITERS
+    products with R (plain steps and extrapolations alike) run out.  Returns
+    ``(phases, iterations, converged)``: the phases wrapped into [0, 2 pi),
+    the products with R taken and whether MM_TOL was met.
     """
     d = link.h_rd
     a = link.h_sr * d
@@ -152,16 +167,36 @@ def phases_emi_aware(link: IrsLink) -> tuple[np.ndarray, int, bool]:
     lam = np.vdot(z, bz).real / d.size
     converged = False
     iterations = 0
+    trail = [z]  # iterates of consecutive accepted plain steps
     while iterations < MM_MAX_ITERS and not converged:
         iterations += 1
+        if len(trail) == 3:
+            z0, z1, z2 = trail
+            trail = [z]
+            r = np.angle(z1 * z0.conj())
+            v = np.angle(z2 * z1.conj()) - r
+            # squared norms by np.sum: np.linalg.norm here added ~0.09 MiB to the
+            # peak RSS of a paper-size run
+            v_sq = np.sum(v * v)
+            if v_sq > 0:
+                alpha = min(-np.sqrt(np.sum(r * r) / v_sq), -1.0)
+                theta = np.angle(z0) - 2.0 * alpha * r + alpha ** 2 * v
+                candidate = np.exp(1j * theta)
+                g_new, b_candidate = gain(candidate)
+                if g_new > g:
+                    z, bz, g, phases = candidate, b_candidate, g_new, -theta
+                    trail = [z]
+                continue
         angle = np.angle(a * np.vdot(a, z) + g * (lam * z - bz))
         candidate = np.exp(1j * angle)
         g_new, b_candidate = gain(candidate)
         converged = abs(g_new - g) <= MM_TOL * g
         if g_new > g:
             z, bz, g, phases = candidate, b_candidate, g_new, -angle
+            trail.append(z)
         else:
             lam *= 2.0
+            trail = [z]
     if not converged:
         warnings.warn("phase optimization hit the iteration limit; returning best iterate",
                       RuntimeWarning, stacklevel=2)

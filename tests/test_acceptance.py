@@ -211,6 +211,36 @@ def oracle_surface_gains(scenario, target, variance, corr):
     return bound_gain, noise_only_gain
 
 
+def oracle_relay_gains(scenario, antennas):
+    """Effective gains of the M-antenna relay toward the destination, one
+    entry per antenna count, keyed by what they are.
+
+    With C = variance R_iso + noise I the first-phase gain is h^H C^-1 h for
+    MMSE combining (``mmse``) and |h^H h|^2 / h^H C h for MR combining
+    (``mr``), and ||h||^2 / noise without EMI (``none``); ``second`` is the
+    second-phase gain ||h_rd||^2 / noise.
+    """
+    budget = scenario.budget
+    wavelength = SPEED_OF_LIGHT / (budget.carrier_frequency_ghz * 1e9)
+    noise = budget.noise_power_w
+    variance = 10.0 ** (scenario.rho_db / 10.0) * noise
+    node, source, dest = (np.array(p) for p in
+                          (scenario.node_pos, scenario.source_pos, scenario.dest_pos))
+    gains = {"mmse": [], "mr": [], "none": [], "second": []}
+    for m in antennas:
+        offsets = oracle_grid(m, wavelength, node, source, dest)
+        h_sr = oracle_los(offsets, node, source, budget, wavelength)
+        h_rd = oracle_los(offsets, node, dest, budget, wavelength)
+        cov = variance * oracle_corr_iso(offsets, wavelength) + noise * np.eye(m)
+        eigvals, eigvecs = np.linalg.eigh(cov)
+        energy = float(np.vdot(h_sr, h_sr).real)
+        gains["mmse"].append(float(np.sum(np.abs(eigvecs.conj().T @ h_sr) ** 2 / eigvals)))
+        gains["mr"].append(energy ** 2 / float(np.vdot(h_sr, cov @ h_sr).real))
+        gains["none"].append(energy / noise)
+        gains["second"].append(float(np.vdot(h_rd, h_rd).real) / noise)
+    return gains
+
+
 def fig8a_oracle(scenario, antennas):
     """Oracle powers (dBm) for fig8a under isotropic EMI.
 
@@ -219,27 +249,16 @@ def fig8a_oracle(scenario, antennas):
     destination, from ``oracle_surface_gains``: the unit-modulus relaxation
     lower bound and the power with the noise-only phases.
     """
-    budget = scenario.budget
-    wavelength = SPEED_OF_LIGHT / (budget.carrier_frequency_ghz * 1e9)
-    noise = budget.noise_power_w
+    noise = scenario.budget.noise_power_w
     variance = 10.0 ** (scenario.rho_db / 10.0) * noise
     snr_target = 2.0 ** scenario.target_rate - 1.0
-    node, source, dest = (np.array(p) for p in
-                          (scenario.node_pos, scenario.source_pos, scenario.dest_pos))
+    dest = np.array(scenario.dest_pos)
 
     def dbm(watts):
         return 10.0 * np.log10(watts) + 30.0
 
-    alpha1, alpha2 = [], []
-    for m in antennas:
-        offsets = oracle_grid(m, wavelength, node, source, dest)
-        h_sr = oracle_los(offsets, node, source, budget, wavelength)
-        h_rd = oracle_los(offsets, node, dest, budget, wavelength)
-        cov = variance * oracle_corr_iso(offsets, wavelength) + noise * np.eye(m)
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        alpha1.append(float(np.sum(np.abs(eigvecs.conj().T @ h_sr) ** 2 / eigvals)))
-        alpha2.append(float(np.vdot(h_rd, h_rd).real) / noise)
-    mmse_dbm = dbm(oracle_df_power(scenario.target_rate, alpha1, alpha2))
+    gains = oracle_relay_gains(scenario, antennas)
+    mmse_dbm = dbm(oracle_df_power(scenario.target_rate, gains["mmse"], gains["second"]))
     bound_gain, noise_only_gain = oracle_surface_gains(
         scenario, dest, variance, oracle_corr(scenario, scenario.irs_reference_elements))
     return mmse_dbm, dbm(snr_target / bound_gain), dbm(snr_target / noise_only_gain)
@@ -535,6 +554,24 @@ def test_fig8a_rotated_scene_matches_oracle():
     oracle_mmse = fig8a_oracle(scenario, [int(x) for x in m])[0]
     deviation = float(np.abs(mmse - oracle_mmse).max())
     assert deviation <= 1e-3, f"worst row deviation {deviation:.2e} dB"
+
+
+@pytest.mark.parametrize("technology, mode, gain", [
+    ("df_mr", "optimized_iso", "mr"),
+    ("df", "optimized_none", "none"),
+])
+def test_fig8_relay_rows_match_oracle(fig8_result, technology, mode, gain):
+    """fig8's MR rows under isotropic EMI and its no-EMI rows, against the
+    DF power of the oracle's own gains at every antenna count (worst
+    deviation seen: 7.1e-15 dB for both)."""
+    scenario = Scenario()
+    m, power = curve(fig8_result, technology, mode)
+    gains = oracle_relay_gains(scenario, [int(x) for x in m])
+    oracle = 10.0 * np.log10(oracle_df_power(scenario.target_rate, gains[gain],
+                                             gains["second"])) + 30.0
+    assert len(m) == 80
+    deviation = float(np.abs(power - oracle).max())
+    assert deviation <= 1e-12, f"worst row deviation {deviation:.2e} dB"
 
 
 @pytest.mark.parametrize("scenario", [

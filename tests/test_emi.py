@@ -253,3 +253,14 @@ def test_density_validation():
         AngularDensity(math.nan, 0.0, 0.1, 0.1)
     with pytest.raises(ValueError, match="finite mean"):
         AngularDensity(math.inf, 0.0, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("mean", [3.0, 10.0, -3.0])
+def test_density_outside_the_half_space_is_rejected(mean):
+    # its +-8 sigma window would clip to an empty interval and a negative mass
+    with pytest.raises(ValueError, match=f"mean {mean!r}"):
+        AngularDensity(mean, 0.0, 0.1, 0.1)
+    with pytest.raises(ValueError, match=f"mean {mean!r}"):
+        AngularDensity(0.0, mean, 0.1, 0.1)
+    # a spread wide enough to reach the half-space keeps the density
+    assert AngularDensity(mean, 0.0, abs(mean), 0.1).mean_azimuth == mean

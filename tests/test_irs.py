@@ -367,6 +367,44 @@ def test_emi_aware_real_and_complex_correlation_agree(n):
     assert irs_sinr(1.0, link, phases) == pytest.approx(irs_sinr(1.0, cast, phases_c), rel=1e-12)
 
 
+def test_emi_aware_converges_where_interference_dominates():
+    # the 38 dB row of a 400-element fig5: plain MM alone runs into the step limit here
+    link = reference_link(n=400, rho_db=38.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, iterations, converged = phases_emi_aware(link)
+    assert converged
+    assert iterations <= emilink.irs.MM_MAX_ITERS // 2
+
+
+def test_emi_aware_sinr_non_decreasing_in_products_on_a_large_surface(monkeypatch):
+    # every third product is an extrapolation here; the 27th is the first that lowers g
+    # and must be rejected
+    link = reference_link(n=400, rho_db=38.0)
+    monkeypatch.setattr(emilink.irs, "MM_TOL", 0.0)
+    sinrs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for k in range(1, 31):
+            monkeypatch.setattr(emilink.irs, "MM_MAX_ITERS", k)
+            sinrs.append(irs_sinr(1.0, link, phases_emi_aware(link)[0]))
+    assert all(later >= earlier * (1 - 1e-12) for earlier, later in zip(sinrs, sinrs[1:]))
+    assert sinrs[-1] > sinrs[0]
+
+
+def test_emi_aware_random_links_converge_above_their_start():
+    rng = np.random.default_rng(16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(200):
+            n, rho_db = int(rng.integers(2, 25)), float(rng.uniform(0.0, 45.0))
+            link = random_link(rng, n, rho_db=rho_db, correlated=k % 4 != 0)
+            start = irs_sinr(1.0, link, phases_noise_only(link.h_sr, link.h_rd))
+            phases, _, converged = phases_emi_aware(link)
+            assert converged, (k, n, rho_db)
+            assert irs_sinr(1.0, link, phases) >= start * (1 - 1e-12), (k, n, rho_db)
+
+
 def test_emi_aware_step_does_not_copy_a_real_correlation(monkeypatch):
     # R @ complex would copy R to complex on every step: one N x N complex matrix, 2.56 MB
     n = 400
