@@ -394,6 +394,87 @@ def test_cli_output_matches_golden_bytes(fig, tmp_path):
         assert (out / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
 
 
+PERFBENCH_DIR = pathlib.Path(__file__).parents[1] / "perfbench"
+
+
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look a module's string annotations up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    return _perfbench_module("gate"), _perfbench_module("workloads")
+
+
+def _workload_run(workloads, name, seed):
+    """The scenario of one benchmark pass and the CSV text of each of its figures."""
+    workload = workloads.WORKLOADS[name]
+    scenario = scenario_from_config(workloads.make_config(workload, seed))
+    return scenario, {fig: format_csv(RUNNERS[fig](scenario)) for fig in workload.figures}
+
+
+@pytest.fixture(scope="module")
+def seed0_runs(perfbench):
+    _, workloads = perfbench
+    return {name: _workload_run(workloads, name, 0) for name in workloads.WORKLOADS}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_benchmark_gate_passes_in_process(perfbench, seed0_runs, seed):
+    # the benchmark's correctness gate, on every workload's figures run in-process
+    gate, workloads = perfbench
+    for name in workloads.WORKLOADS:
+        _, csvs = seed0_runs[name] if seed == 0 else _workload_run(workloads, name, seed)
+        for fig, text in csvs.items():
+            reference = gate.parse_csv((PERFBENCH_DIR / "reference" / name / f"{fig}.csv")
+                                       .read_text(encoding="utf-8"))
+            assert gate.check_figure(fig, gate.parse_csv(text), reference,
+                                     workloads.TARGET_RATE_BPS_HZ,
+                                     compare_values=seed == 0) == [], (name, fig)
+
+
+N400 = replace(Scenario(), irs_elements=(400,), irs_reference_elements=400)
+# golden file -> (scenario, figure, benchmark workload whose seed-0 pass runs it)
+PAPER_GOLDENS = {
+    "fig3.csv": (Scenario(), "fig3", "paper_rows"),
+    "fig4.csv": (Scenario(), "fig4", "paper_rows"),
+    "fig5.csv": (Scenario(), "fig5", None),
+    "fig6.csv": (Scenario(), "fig6", "paper_rows"),
+    "fig7.csv": (Scenario(), "fig7", None),
+    "fig8.csv": (Scenario(), "fig8", "antenna_sweep"),
+    "fig5_n400.csv": (N400, "fig5", "large_surface"),
+    "fig7_n400.csv": (N400, "fig7", "large_surface"),
+}
+
+
+@pytest.mark.parametrize("name", list(PAPER_GOLDENS))
+def test_paper_size_output_matches_golden_bytes(name, seed0_runs):
+    """Figures at the paper's sizes, byte for byte.
+
+    Regenerate from the repository root with
+    ``PYTHONPATH=src python -m emilink.cli figN --out tests/data/golden/paper``
+    for N = 3..8, and for the ``_n400`` files run fig5 and fig7 with
+    ``--config`` naming a file that holds
+    ``{"irs": {"elements": [400], "reference_elements": 400}}``, then rename
+    the outputs.  A golden that belongs to a benchmark workload reuses its
+    seed-0 pass.
+    """
+    scenario, fig, workload = PAPER_GOLDENS[name]
+    if workload is None:
+        text = format_csv(RUNNERS[fig](scenario))
+    else:
+        run_scenario, csvs = seed0_runs[workload]
+        assert run_scenario == scenario
+        text = csvs[fig]
+    assert text.encode() == (GOLDEN_DIR / "paper" / name).read_bytes()
+
+
 def test_svg_output():
     result = run_fig4(SMALL)
     svg = format_svg(result)
