@@ -10,16 +10,15 @@ the double integral of ``exp(j k(phi, theta)^T (u_n - u_m)) f(phi, theta)``
 over the front half-space of the array, evaluated here by tensor
 Gauss-Legendre quadrature.
 
-The quadrature works on the element-offset lattice.  An ``ArrayLayout`` is
-a rows x cols grid at pitch ``s`` in the local y-z plane, indexed row by
-row, so ``R[n, m]`` depends only on the offset ``(r_n - r_m, c_n - c_m)``.
-The kernel is evaluated once on the (2 rows - 1) x (2 cols - 1) offsets
-and gathered into the N x N matrix; the y (column) phase is summed over
-azimuth first and the z (row) phase over elevation after it.  Each call
-builds its weighted angular grid once; the density's mass is that grid's
-sum, checked against the (cached) mass at twice the nodes.  The closed
-form ``corr_isotropic`` keeps its direct distance evaluation, so its
-output bytes do not move.
+Both correlations are built on the element-offset lattice.  An
+``ArrayLayout`` is a rows x cols grid at half-wavelength pitch, indexed row
+by row, so ``R[n, m]`` depends only on the offset (r_n - r_m, c_n - c_m),
+and the sinc only on its length, sqrt(dr^2 + dc^2) half wavelengths.  Each
+kernel is evaluated once on the (2 rows - 1) x (2 cols - 1) offsets and
+gathered through the layout's cached ``offset_index``.  The quadrature sums
+the y (column) phase over azimuth, then the z (row) phase over elevation;
+it builds its weighted angular grid once per call and checks the grid's
+sum, the density's mass, against the (cached) mass at twice the nodes.
 
 Both correlations are used as built, with no projection onto the PSD cone.
 The quadrature matrix is a positively weighted sum of outer products.  The
@@ -27,8 +26,8 @@ sinc kernel sin(kd)/(kd) is a positive-definite function on R^3 (Bochner's
 theorem: it is the Fourier transform of the uniform measure on the
 sphere), so the sampled matrix is PSD in exact arithmetic.  On the
 half-wavelength grids its smallest eigenvalue stays >= 6e-11 of the
-largest for every N up to 400; round-off first pushes it below zero on
-far larger grids (-1.5e-16 of the largest at N = 1225, -1.3e-16 at 1600).
+largest for every N up to 400; round-off pushes it below zero on far
+larger grids (-1.4e-16 of the largest at N = 1225, -3.1e-16 at 1600).
 Every consumer tolerates round-off of that size: ``emi_quadratic_form``
 clips at 0, and the MMSE covariance and the surface optimizer's MM matrix
 both add a positive noise term.  ``psd_project`` stays available as a
@@ -95,10 +94,9 @@ class AngularDensity:
 
 
 def corr_isotropic(layout: ArrayLayout) -> np.ndarray:
-    """Closed-form isotropic correlation sinc(2 d_nm / lambda)."""
-    pos = layout.positions
-    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-    return np.sinc(2.0 * dist / layout.wavelength)
+    """Closed-form isotropic correlation sinc(2 d_nm / lambda), one sinc per offset."""
+    dr, dc = np.arange(1 - layout.rows, layout.rows), np.arange(1 - layout.cols, layout.cols)
+    return np.sinc(np.hypot(dr[:, None], dc[None, :])).ravel()[layout.offset_index]
 
 
 @cache
@@ -138,8 +136,8 @@ def _density_mass(density: AngularDensity, nodes: int) -> float:
 def corr_directional(layout: ArrayLayout, density: AngularDensity, nodes: int) -> np.ndarray:
     """Correlation matrix for an arbitrary angular density by quadrature.
 
-    The kernel kappa(dr, dc) is built once per element offset of the
-    layout's row-major grid, as
+    The kernel kappa(dr, dc) is built once per offset of the layout's grid,
+    and gathered through ``layout.offset_index``, as
     sum_t exp(j dr ks sin(theta_t)) sum_p W[p, t] exp(j dc ks cos(theta_t) sin(phi_p))
     with ks = 2 pi spacing / wavelength and W the normalized tensor weights,
     for dc >= 0 only; kappa(-d) = conj kappa(d) fills the rest, so the
@@ -175,9 +173,7 @@ def corr_directional(layout: ArrayLayout, density: AngularDensity, nodes: int) -
     kappa[:rows - 1, 0] = kappa[:rows - 1:-1, 0].conj()
     kappa[rows - 1, 0] = 1.0
     lattice = np.concatenate([kappa[::-1, :0:-1].conj(), kappa], axis=1)  # (2r-1, 2c-1)
-    r_idx, c_idx = np.divmod(np.arange(rows * cols), cols)
-    return lattice[r_idx[:, None] - r_idx[None, :] + rows - 1,
-                   c_idx[:, None] - c_idx[None, :] + cols - 1]
+    return lattice.ravel()[layout.offset_index]
 
 
 def psd_project(matrix: np.ndarray) -> np.ndarray:

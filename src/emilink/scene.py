@@ -31,12 +31,12 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 @dataclass(frozen=True)
 class ArrayLayout:
     """Rectangular rows x cols grid of array elements in the local y-z plane,
-    at half-wavelength pitch.
-
-    ``positions`` is the (N, 3) array of local element centres, derived
-    from the grid and indexed row by row: element ``n = r * cols + c`` sits
-    at ``(0, c, r) * spacing`` shifted so that the centroid is the local
-    origin.
+    at half-wavelength pitch, indexed row by row: element n sits in row and
+    column ``(r, c) = divmod(n, cols)``.  The cached ``positions`` are the
+    (N, 3) local element centres, ``(0, c, r) * spacing`` shifted so that the
+    centroid is the local origin; the cached N x N ``offset_index`` is the
+    flat index of each pair's offset ``(r_n - r_m, c_n - c_m)`` into the
+    row-major (2 rows - 1) x (2 cols - 1) lattice centred on offset (0, 0).
     """
 
     rows: int
@@ -56,11 +56,17 @@ class ArrayLayout:
 
     @cached_property
     def positions(self) -> np.ndarray:
-        rows, cols, spacing = self.rows, self.cols, self.spacing
-        r_idx, c_idx = np.meshgrid(np.arange(1, rows + 1), np.arange(1, cols + 1), indexing="ij")
-        y = (c_idx.ravel() - 0.5 - cols / 2.0) * spacing
-        z = (r_idx.ravel() - 0.5 - rows / 2.0) * spacing
+        r, c = np.divmod(np.arange(self.n_elements), self.cols)
+        y = (c + 0.5 - self.cols / 2.0) * self.spacing
+        z = (r + 0.5 - self.rows / 2.0) * self.spacing
         return np.column_stack([np.zeros_like(y), y, z])
+
+    @cached_property
+    def offset_index(self) -> np.ndarray:
+        r, c = np.divmod(np.arange(self.n_elements), self.cols)
+        # flat is linear, and offset (0, 0) sits at flat(rows - 1, cols - 1)
+        flat = r * (2 * self.cols - 1) + c
+        return (flat + flat[-1])[:, None] - flat[None, :]
 
     @property
     def n_elements(self) -> int:

@@ -71,6 +71,18 @@ def test_make_layout_grid_geometry():
     assert_allclose(lay.positions[4] - lay.positions[0], [0.0, 0.0, 0.1], atol=1e-15)
 
 
+@pytest.mark.parametrize("rows, cols", [(1, 5), (2, 3), (3, 23), (5, 15)])
+def test_offset_index_matches_per_pair_index(rows, cols):
+    lay = ArrayLayout(rows, cols, 0.1)
+    # flat index of (r_n - r_m, c_n - c_m) in the row-major (2 rows - 1) x (2 cols - 1)
+    # lattice centred on offset (0, 0)
+    cells = [(n // cols, n % cols) for n in range(rows * cols)]
+    expected = [[(rn - rm + rows - 1) * (2 * cols - 1) + cn - cm + cols - 1
+                 for rm, cm in cells] for rn, cn in cells]
+    assert lay.offset_index.tolist() == expected
+    assert lay.offset_index is lay.offset_index
+
+
 def test_make_layout_rejects_bad_args():
     with pytest.raises(ValueError):
         make_layout(0, 0.1)
