@@ -796,11 +796,7 @@ def test_cli_huge_target_rate_exits_infeasible(tmp_path):
 
 def test_tracer_targets_resolve():
     # the benchmark tracer wraps these names; a refactor must keep them
-    spec = importlib.util.spec_from_file_location(
-        "tracer", pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    for module, attr, _ in tracer.TARGETS:
+    for module, attr, _ in _perfbench_module("tracer").TARGETS:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
 
 

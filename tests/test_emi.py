@@ -212,20 +212,6 @@ def test_quadratic_form_complex_correlation_is_unchanged():
         assert emi_quadratic_form(v, r) == max(float(np.real(v @ r @ v.conj())), 0.0)
 
 
-def test_quadratic_form_does_not_copy_a_real_correlation():
-    # R @ complex would first copy R to complex: one N x N complex matrix, 2.56 MB
-    n = 400
-    r = corr_isotropic(make_layout(n, LAM))
-    v = np.exp(1j * np.arange(n, dtype=float))
-    tracemalloc.start()
-    try:
-        emi_quadratic_form(v, r)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < n * n * np.dtype(complex).itemsize
-
-
 def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
@@ -233,6 +219,14 @@ def _peak_bytes(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_quadratic_form_does_not_copy_a_real_correlation():
+    # R @ complex would first copy R to complex: one N x N complex matrix, 2.56 MB
+    n = 400
+    r = corr_isotropic(make_layout(n, LAM))
+    v = np.exp(1j * np.arange(n, dtype=float))
+    assert _peak_bytes(emi_quadratic_form, v, r) < n * n * np.dtype(complex).itemsize
 
 
 def test_corr_isotropic_builds_no_distance_tensor():
