@@ -13,7 +13,7 @@ Gauss-Legendre quadrature.
 Both correlations are built on the element-offset lattice.  An
 ``ArrayLayout`` is a rows x cols grid at half-wavelength pitch, indexed row
 by row, so ``R[n, m]`` depends only on the offset (r_n - r_m, c_n - c_m),
-and the sinc only on its length, sqrt(dr^2 + dc^2) half wavelengths.  Each
+and the sinc only on the offset's length, counted in half wavelengths.  Each
 kernel is evaluated once on the (2 rows - 1) x (2 cols - 1) offsets and
 gathered through the layout's cached ``offset_index``.  The quadrature sums
 the y (column) phase over azimuth, then the z (row) phase over elevation;
