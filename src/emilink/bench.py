@@ -415,36 +415,29 @@ def run_fig7(scenario: Scenario) -> SweepResult:
 def run_fig8(scenario: Scenario) -> SweepResult:
     """Relay power vs antenna count with MR/MMSE combining.
 
-    Covers isotropic EMI and the destination-centred gaussian (case 2) at
-    the configured rho, plus a no-EMI relay reference and the optimized
-    surface reference at every antenna count.
+    Covers isotropic EMI and the destination-centred gaussian (case 2) at the
+    configured rho, plus a no-EMI relay reference (each covariance v R + N0 I,
+    v = 0 for EMI none, built once per antenna count), and at every antenna
+    count the surface reference: fig5's surface at that rho, iso and case 2.
     """
-    noise = scenario.budget.noise_power_w
-    variance = scenario.emi_variance
-    target = scenario.target_rate
-    surface = _NodeLink(scenario, scenario.irs_reference_elements)
-    angles, h_rd = surface.toward(scenario.dest_pos)
-    refs = []
-    for emi in ("iso", "case2"):
-        link = irs_mod.IrsLink(surface.h_sr, h_rd, variance, surface.correlation(emi, angles),
-                               noise)
-        refs.append(_row(0.0, f"irs_n{surface.layout.n_elements}", f"optimized_{emi}",
-                         _irs_optimized, target, link))
+    noise, variance = scenario.budget.noise_power_w, scenario.emi_variance
+    at_rho = replace(scenario, rho_sweep=(scenario.rho_db, scenario.rho_db, 1))
+    refs = _sweep(at_rho, "rho_db", (scenario.irs_reference_elements,),
+                  ("optimized_iso", "optimized_case2"), ()).rows
+    kinds = {"df_mmse": relay_mod.CombinerKind.MMSE, "df_mr": relay_mod.CombinerKind.MR}
     rows = []
     for m in scenario.relay_antennas:
         relay = _NodeLink(scenario, m)
         angles, h_rd = relay.toward(scenario.dest_pos)
         alpha2 = relay_mod.effective_gain_second_phase(h_rd, noise)
-        for emi in ("iso", "case2"):
-            cov = variance * relay.correlation(emi, angles) + noise * np.eye(m)
-            for kind in (relay_mod.CombinerKind.MMSE, relay_mod.CombinerKind.MR):
+        for emi, combiners in (("iso", kinds), ("case2", kinds),
+                               ("none", {"df": relay_mod.CombinerKind.MR})):
+            cov = ((0.0 if emi == "none" else variance) * relay.correlation(emi, angles)
+                   + noise * np.eye(m))
+            for tech, kind in combiners.items():
                 alpha1 = relay_mod.effective_gain_first_phase(relay.h_sr, cov, kind)
-                rows.append(_row(float(m), f"df_{kind.value}", f"optimized_{emi}", _df_optimized,
-                                 target, relay_mod.EffectiveGains(alpha1, alpha2)))
-        alpha1_clean = relay_mod.effective_gain_first_phase(
-            relay.h_sr, noise * np.eye(m), relay_mod.CombinerKind.MR)
-        rows.append(_row(float(m), "df", "optimized_none", _df_optimized, target,
-                         relay_mod.EffectiveGains(alpha1_clean, alpha2)))
+                rows.append(_row(float(m), tech, f"optimized_{emi}", _df_optimized,
+                                 scenario.target_rate, relay_mod.EffectiveGains(alpha1, alpha2)))
         rows.extend(replace(ref, sweep_var=float(m)) for ref in refs)
     return SweepResult("antennas", tuple(rows))
 

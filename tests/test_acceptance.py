@@ -716,6 +716,35 @@ def test_repeated_rows_equal_fig3_rows():
             [repr(r) for r in expected], f"{technology} {mode}"
 
 
+@pytest.mark.parametrize("scenario", [
+    replace(Scenario(), relay_antennas=(1,)),
+    # the node, rho and spread that the benchmark's seeds 1 and 2 draw
+    replace(Scenario(), relay_antennas=(1,), node_pos=(56.34364244112401, 11.38973494774893, 0),
+            rho_db=26.582647713859686, emi_spread_deg=9.020276102957688),
+    replace(Scenario(), relay_antennas=(1,), node_pos=(64.5603427188925, 11.791309948237398, 0),
+            rho_db=22.33930820636085, emi_spread_deg=8.339487980635687),
+], ids=["paper", "seed1", "seed2"])
+def test_fig8_references_equal_fig6_rows_at_the_destination(scenario):
+    """fig8's rows at the configured destination (60 m) repeat fig6's there.
+
+    The surface reference is fig6's n = 75 optimized_iso row, bit for bit.
+    The M = 1 MR and MMSE rows go through the M-antenna combiner path, whose
+    gains differ from fig6's closed-form single-antenna gains in the last bit
+    (worst seen 3.6e-15 dB), so they are compared within 1e-14 dB.
+    """
+    fig6 = {(r.technology, r.mode): r for r in run_fig6(scenario).rows if r.sweep_var == 60.0}
+    fig8 = {(r.technology, r.mode): r for r in run_fig8(scenario).rows}
+    surface, single = fig6[("irs_n75", "optimized_iso")], fig6[("df", "optimized_iso")]
+    ref = fig8[("irs_n75", "optimized_iso")]
+    assert (ref.power_dbm, ref.rate_bps_hz, ref.solver_iters) == \
+        (surface.power_dbm, surface.rate_bps_hz, surface.solver_iters)
+    for technology in ("df_mr", "df_mmse"):
+        row = fig8[(technology, "optimized_iso")]
+        assert row.power_dbm == pytest.approx(single.power_dbm, rel=0, abs=1e-14), technology
+        assert row.rate_bps_hz == pytest.approx(single.rate_bps_hz, rel=1e-15)
+        assert row.solver_iters == single.solver_iters
+
+
 def test_criterion_6d_fig8b_crossovers(fig8_result):
     m, mmse = curve(fig8_result, "df_mmse", "optimized_case2")
     _, mr = curve(fig8_result, "df_mr", "optimized_case2")
@@ -796,7 +825,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     for name in ("a", "b"):
         outdir = tmp_path / name
         proc = subprocess.run(
-            [sys.executable, "-m", "emilink.cli", "fig4", "--out", str(outdir)],
+            [sys.executable, "-W", "error", "-m", "emilink.cli", "fig4", "--out", str(outdir)],
             capture_output=True, text=True, check=False, env=env)
         assert proc.returncode == 0, proc.stderr
         outputs.append((outdir / "fig4.csv").read_bytes())

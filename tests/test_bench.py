@@ -20,7 +20,7 @@ from emilink import (LinkBudget, Scenario, SweepResult, SweepRow, format_csv,
                      run_fig5, run_fig6, run_fig7, run_fig8,
                      repetition_required_power, scenario_from_config, watt_to_dbm)
 from emilink.bench import CSV_HEADER, RUNNERS, correlations, dump_matrix_csv
-from emilink import cli
+from emilink import bench, cli
 
 SMALL = Scenario(distance_sweep=(20.0, 120.0, 6), rho_sweep=(-10.0, 40.0, 6),
                  irs_elements=(16,), irs_reference_elements=16,
@@ -242,8 +242,8 @@ def test_runs_on_numpy_alone(tmp_path):
     package_root = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _SITE_PACKAGES_PROBE, "fig8", "--dump-corr",
-                           "--config", str(cfg), "--out", str(tmp_path / "out")],
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _SITE_PACKAGES_PROBE, "fig8",
+                           "--dump-corr", "--config", str(cfg), "--out", str(tmp_path / "out")],
                           capture_output=True, text=True, check=False, env=env)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.splitlines()[-1].split())
@@ -682,6 +682,16 @@ def test_fig8_structure_and_dominance():
         for m in mmse:
             assert mmse[m] <= mr[m] + 1e-6
             assert clean[m] <= mmse[m] + 1e-6
+
+
+def test_fig8_builds_one_quadrature_per_array(monkeypatch):
+    # one case-2 correlation per relay antenna count and one for the surface
+    # reference; the relay's MMSE and MR rows share theirs
+    original, calls = bench.emi_mod.corr_directional, []
+    monkeypatch.setattr(bench.emi_mod, "corr_directional",
+                        lambda *args: calls.append(args) or original(*args))
+    run_fig8(SMALL)
+    assert len(calls) == len(SMALL.relay_antennas) + 1
 
 
 def test_all_rows_achieve_target_rate():

@@ -327,6 +327,53 @@ def test_min_power_between_relaxation_bound_and_heuristic(n, rho_db):
     assert relaxation_bound_power(6.0, link) * (1 - 1e-9) <= power <= p_heur
 
 
+def plain_mm_phases(link, phases, tol=1e-12, max_iters=10_000):
+    """The MM step of phases_emi_aware's docstring without extrapolation, from
+    ``phases``: lam doubles on a rejected step, and it stops when a step
+    changes g by at most ``tol`` (relative)."""
+    d = link.h_rd
+    a = link.h_sr * d
+    floor = link.noise_power_w / d.size
+
+    def gain(z):
+        bz = link.emi_variance * d * (link.correlation @ (d.conj() * z)) + floor * z
+        return abs(np.vdot(a, z)) ** 2 / np.vdot(z, bz).real, bz
+
+    z = np.exp(-1j * np.asarray(phases))
+    g, bz = gain(z)
+    lam = np.vdot(z, bz).real / d.size
+    for _ in range(max_iters):
+        candidate = np.exp(1j * np.angle(a * np.vdot(a, z) + g * (lam * z - bz)))
+        g_new, b_candidate = gain(candidate)
+        done = abs(g_new - g) <= tol * g
+        if g_new > g:
+            z, bz, g = candidate, b_candidate, g_new
+        else:
+            lam *= 2.0
+        if done:
+            return -np.angle(z)
+    raise AssertionError("plain MM did not converge")
+
+
+@pytest.mark.parametrize("n, rho_db, worst_gap_db", [
+    (16, 38.0, 1e-9), (16, 40.0, 1e-9), (75, 38.0, 0.002), (75, 40.0, 0.04)])
+def test_emi_aware_gap_to_the_best_of_64_starts(n, rho_db, worst_gap_db):
+    """How far the optimizer's g lies below the best stationary point found by
+    plain MM from 64 random phase vectors.  Seen: under 1e-10 dB on 16
+    elements, 0.0014 dB (38 dB) and 0.0325 dB (40 dB) on 75.  From the
+    noise-only start, plain MM reaches the optimizer's g, so the gap is
+    another stationary point, not early stopping."""
+    link = reference_link(n=n, rho_db=rho_db)
+    rng = np.random.default_rng(0)
+    best = max(irs_sinr(1.0, link, plain_mm_phases(link, rng.uniform(0.0, 2 * np.pi, n)))
+               for _ in range(64))
+    found = irs_sinr(1.0, link, phases_emi_aware(link)[0])
+    assert 10 * np.log10(best / found) <= worst_gap_db
+    from_heuristic = irs_sinr(1.0, link, plain_mm_phases(
+        link, phases_noise_only(link.h_sr, link.h_rd)))
+    assert abs(10 * np.log10(from_heuristic / found)) <= 1e-5
+
+
 def test_emi_aware_sinr_non_decreasing_in_iterations(monkeypatch):
     rng = np.random.default_rng(13)
     link = random_link(rng, 24, rho_db=30.0)
