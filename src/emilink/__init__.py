@@ -11,7 +11,7 @@ from .irs import (IrsLink, irs_min_power_emi_aware, irs_rate,
                   irs_required_power, irs_sinr, irs_sinr_gradient, phases_emi_aware,
                   phases_noise_only)
 from .relay import (CombinerKind, EffectiveGains, df_inner_max_rate,
-                    df_min_power, df_rate, effective_gain_first_phase,
+                    df_min_power, df_min_power_batch, df_rate, effective_gain_first_phase,
                     effective_gain_second_phase, effective_gains_single,
                     repetition_required_power)
 from .bench import (RUNNERS, Scenario, SweepResult, SweepRow, emit, format_csv,

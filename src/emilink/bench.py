@@ -313,6 +313,12 @@ def _df_optimized(target_rate, gains):
     return power, relay_mod.df_rate(tau1, p1, p2, gains), iterations
 
 
+def _df_solved(target_rate, gains, solution):
+    """As _df_optimized, from a ``df_min_power_batch`` entry, which is not yet capped."""
+    power, tau1, p1, p2, iterations = solution
+    return capped_power(power, target_rate), relay_mod.df_rate(tau1, p1, p2, gains), iterations
+
+
 _IRS_SOLVERS = {"heuristic": _irs_heuristic, "optimized": _irs_optimized}
 # on a single-antenna relay, from (target rate, beta_sr, beta_rd, EMI variance, noise)
 _DF_SOLVERS = {"repetition": _df_repetition,
@@ -419,25 +425,35 @@ def run_fig8(scenario: Scenario) -> SweepResult:
     configured rho, plus a no-EMI relay reference (each covariance v R + N0 I,
     v = 0 for EMI none, built once per antenna count), and at every antenna
     count the surface reference: fig5's surface at that rho, iso and case 2.
+    The relay rows' gains are gathered first and solved as one batch.
     """
     noise, variance = scenario.budget.noise_power_w, scenario.emi_variance
     at_rho = replace(scenario, rho_sweep=(scenario.rho_db, scenario.rho_db, 1))
     refs = _sweep(at_rho, "rho_db", (scenario.irs_reference_elements,),
                   ("optimized_iso", "optimized_case2"), ()).rows
     kinds = {"df_mmse": relay_mod.CombinerKind.MMSE, "df_mr": relay_mod.CombinerKind.MR}
-    rows = []
+    plan = []  # per antenna count, its relay rows' (technology, mode, gains)
     for m in scenario.relay_antennas:
         relay = _NodeLink(scenario, m)
         angles, h_rd = relay.toward(scenario.dest_pos)
         alpha2 = relay_mod.effective_gain_second_phase(h_rd, noise)
+        entries = []
         for emi, combiners in (("iso", kinds), ("case2", kinds),
                                ("none", {"df": relay_mod.CombinerKind.MR})):
             cov = ((0.0 if emi == "none" else variance) * relay.correlation(emi, angles)
                    + noise * np.eye(m))
             for tech, kind in combiners.items():
                 alpha1 = relay_mod.effective_gain_first_phase(relay.h_sr, cov, kind)
-                rows.append(_row(float(m), tech, f"optimized_{emi}", _df_optimized,
-                                 scenario.target_rate, relay_mod.EffectiveGains(alpha1, alpha2)))
+                entries.append((tech, f"optimized_{emi}",
+                                relay_mod.EffectiveGains(alpha1, alpha2)))
+        plan.append((m, entries))
+    gains = [g for _, entries in plan for *_, g in entries]
+    solutions = iter(relay_mod.df_min_power_batch(
+        scenario.target_rate, [g.alpha1 for g in gains], [g.alpha2 for g in gains]))
+    rows = []
+    for m, entries in plan:
+        rows.extend(_row(float(m), tech, mode, _df_solved, scenario.target_rate, gains,
+                         next(solutions)) for tech, mode, gains in entries)
         rows.extend(replace(ref, sweep_var=float(m)) for ref in refs)
     return SweepResult("antennas", tuple(rows))
 

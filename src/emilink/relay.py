@@ -15,6 +15,15 @@ Each term is the perspective of the convex function 2^R - 1 (Boyd and
 Vandenberghe, Convex Optimization, sec. 3.2.6), so P'(tau) is increasing and
 one bisection on its sign finds the global minimum.  The maximum rate under
 a power budget is the inverse of that minimum, found by bisection on R.
+
+``df_min_power_batch`` runs the bisections of many gain pairs at one rate
+together on numpy arrays (fig8's 400 relay rows), with the scalar
+predicate, REL_TOL and stopping rule applied to each entry.  Its predicate
+reads numpy's exp/expm1 instead of math's; a last-bit difference that
+flipped the sign of P' at a midpoint would move tau1 by at most REL_TOL.
+p1, p2 and the power come per entry through math.expm1, as in the scalar
+solve.  The scalar ``df_min_power`` stays the path for single solves, where
+numpy's per-call overhead would cost more than the loop saves.
 """
 
 from __future__ import annotations
@@ -127,9 +136,14 @@ def _min_power_at(rate: float, gains: EffectiveGains) -> tuple[float, float, flo
 
     lo, hi, steps = _bisect(rising, 0.0, 1.0)
     tau1 = 0.5 * (lo + hi)
+    return tau1, *_phase_powers(rate, tau1, a1, a2), steps
+
+
+def _phase_powers(rate: float, tau1: float, a1: float, a2: float) -> tuple[float, float, float]:
+    """(p1, p2, P) that pin both phase rates at ``rate`` for the split tau1."""
     p1 = _exp2m1(rate / tau1) / a1
     p2 = _exp2m1(rate / (1.0 - tau1)) / a2
-    return tau1, p1, p2, tau1 * p1 + (1.0 - tau1) * p2, steps
+    return p1, p2, tau1 * p1 + (1.0 - tau1) * p2
 
 
 def df_inner_max_rate(budget: float, gains: EffectiveGains) -> tuple[float, float, float, float]:
@@ -160,6 +174,56 @@ def df_min_power(target_rate: float,
         raise ValueError("target rate must be positive")
     tau1, p1, p2, power, steps = _min_power_at(target_rate, gains)
     return capped_power(power, target_rate), tau1, p1, p2, steps
+
+
+def _scaled_f_batch(u: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """``_scaled_f`` on arrays; expm1 only reads the entries where shift is 0."""
+    scaled = shift != 0.0
+    grown = np.where(scaled, np.exp(u - shift) - np.exp(-shift),
+                     np.expm1(np.where(scaled, 0.0, u)))
+    return grown * (1.0 - u) - u * np.exp(-shift)
+
+
+def df_min_power_batch(target_rate: float, alpha1,
+                       alpha2) -> list[tuple[float, float, float, float, int]]:
+    """``df_min_power`` for each gain pair (alpha1[i], alpha2[i]) at one rate,
+    as one bisection on numpy arrays (see the module docstring).
+
+    Returns one (power_w, tau1, p1, p2, bisection steps) per entry.  The power
+    is not capped: pass each through ``errors.capped_power``, which raises
+    InfeasibleError where ``df_min_power`` would.
+    """
+    if not target_rate > 0:
+        raise ValueError("target rate must be positive")
+    a1, a2 = np.asarray(alpha1, dtype=float), np.asarray(alpha2, dtype=float)
+    if a1.ndim != 1 or a1.shape != a2.shape:
+        raise ValueError("alpha1 and alpha2 must be 1-d and of equal length")
+    if not (np.all(a1 > 0) and np.all(a2 > 0)):
+        raise ValueError("effective gains must be positive")
+    c = target_rate * LN2
+    lo, hi, steps = np.zeros(a1.size), np.ones(a1.size), np.zeros(a1.size, dtype=int)
+    live = np.arange(a1.size)
+    # Python floats overflow to inf (and inf - inf to nan) silently; numpy does
+    # the same here, so far-out gains compare as the scalar predicate does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.size:
+            low, high = lo[live], hi[live]
+            mid = 0.5 * (low + high)
+            going = (high - low > REL_TOL * high) & (low < mid) & (mid < high)
+            live, mid = live[going], mid[going]
+            u1, u2 = c / mid, c / (1.0 - mid)
+            shift = np.maximum(np.maximum(u1, u2), EXP_LIMIT) - EXP_LIMIT
+            rising = (_scaled_f_batch(u1, shift) / a1[live]
+                      >= _scaled_f_batch(u2, shift) / a2[live])
+            hi[live[rising]] = mid[rising]
+            lo[live[~rising]] = mid[~rising]
+            steps[live] += 1
+    solutions = []
+    for tau1, g1, g2, n in zip((0.5 * (lo + hi)).tolist(), a1.tolist(), a2.tolist(),
+                               steps.tolist()):
+        p1, p2, power = _phase_powers(target_rate, tau1, g1, g2)
+        solutions.append((power, tau1, p1, p2, n))
+    return solutions
 
 
 def effective_gain_first_phase(h_sr: np.ndarray, covariance: np.ndarray,

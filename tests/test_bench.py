@@ -692,6 +692,22 @@ def test_fig8_builds_one_quadrature_per_array(monkeypatch):
                         lambda *args: calls.append(args) or original(*args))
     run_fig8(SMALL)
     assert len(calls) == len(SMALL.relay_antennas) + 1
+    monkeypatch.undo()
+
+    # Consecutive case-2 correlations share their column sums, grown as the
+    # grids widen.  Whatever the order of the antenna counts, and whether the
+    # sums are reused or rebuilt, each count's rows keep every bit.
+    def rows_by_count(antennas):
+        rows = run_fig8(replace(SMALL, relay_antennas=antennas)).rows
+        return {m: [repr(r) for r in rows if r.sweep_var == m] for m in antennas}
+
+    counts = tuple(range(1, 25))
+    ascending = rows_by_count(counts)
+    assert rows_by_count(counts[::-1]) == ascending
+    assert rows_by_count(tuple(np.random.default_rng(8).permutation(counts).tolist())) == ascending
+    for m in counts:
+        bench.emi_mod._column_sums.cache_clear()
+        assert rows_by_count((m,)) == {m: ascending[m]}
 
 
 def test_all_rows_achieve_target_rate():

@@ -5,11 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from emilink import (ArrayLayout, CombinerKind, EffectiveGains, InfeasibleError, IrsLink,
-                     df_inner_max_rate, df_min_power, df_rate, effective_gain_first_phase,
-                     effective_gain_second_phase, effective_gains_single, irs_required_power,
-                     irs_sinr, los_channel, make_layout, phases_noise_only,
-                     repetition_required_power)
-from emilink.errors import POWER_UPPER_W
+                     Scenario, df_inner_max_rate, df_min_power, df_min_power_batch, df_rate,
+                     effective_gain_first_phase, effective_gain_second_phase,
+                     effective_gains_single, irs_required_power, irs_sinr, los_channel,
+                     make_layout, phases_noise_only, repetition_required_power, run_fig5,
+                     run_fig6, run_fig8)
+from emilink import relay
+from emilink.errors import POWER_UPPER_W, capped_power
 from conftest import random_complex, random_unit_diag_psd
 
 NOISE = 10.0 ** ((-94.0 - 30.0) / 10.0)
@@ -225,6 +227,54 @@ def test_min_power_far_beyond_the_cap_is_infeasible(rate):
 
 
 @pytest.mark.filterwarnings("error")
+def test_min_power_batch_equals_the_scalar_solver(monkeypatch):
+    """The batch solve gives df_min_power's power, tau1, p1, p2 and step count bit
+    for bit: on every DF solve that fig5, fig6 and fig8 make at three target
+    rates, and on gains far beyond the power cap, where df_min_power raises
+    InfeasibleError and the batch's power fails ``capped_power`` alike."""
+    cases = {}  # target rate -> gain pairs
+    scalar, batch = relay.df_min_power, relay.df_min_power_batch
+
+    def spy_scalar(rate, gains):
+        cases.setdefault(rate, []).append((gains.alpha1, gains.alpha2))
+        return scalar(rate, gains)
+
+    def spy_batch(rate, alpha1, alpha2):
+        cases.setdefault(rate, []).extend(zip(alpha1, alpha2))
+        return batch(rate, alpha1, alpha2)
+
+    monkeypatch.setattr(relay, "df_min_power", spy_scalar)
+    monkeypatch.setattr(relay, "df_min_power_batch", spy_batch)
+    for rate in (0.5, 6.0, 20.0):
+        for run in (run_fig5, run_fig6, run_fig8):
+            run(Scenario(target_rate=rate))
+    monkeypatch.undo()
+    assert {rate: len(pairs) for rate, pairs in cases.items()} == {
+        0.5: 452, 6.0: 452, 20.0: 452}  # 26 + 26 + 5 x 80
+    beyond = [(1e5, 1e6), (1e2, 1e7), (1e12, 1e12), (1e-9, 1e-9)]
+    for rate in (40.0, 2000.0, 1e6, math.inf):
+        cases[rate] = beyond
+    cases[1000.0] = [(1e-9, 1e-9), (1e300, 1e300)]
+
+    def bits(values):
+        return [float(x).hex() for x in values]
+
+    infeasible = 0
+    for rate, pairs in cases.items():
+        solutions = df_min_power_batch(rate, *zip(*pairs))
+        for (a1, a2), solution in zip(pairs, solutions, strict=True):
+            try:
+                expected = df_min_power(rate, EffectiveGains(a1, a2))
+            except InfeasibleError:
+                infeasible += 1
+                with pytest.raises(InfeasibleError):
+                    capped_power(solution[0], rate)
+            else:
+                assert bits(solution) == bits(expected), (rate, a1, a2)
+    assert infeasible >= 4 * len(beyond) + 2
+
+
+@pytest.mark.filterwarnings("error")
 def test_min_power_cap_is_the_feasibility_boundary():
     for gains in (EffectiveGains(3e4, 8e6), EffectiveGains(1e2, 1e2), EffectiveGains(1e7, 1e3)):
         edge = df_inner_max_rate(POWER_UPPER_W, gains)[0]
@@ -343,6 +393,11 @@ def _unit_link(n=4, noise=NOISE):
                  id="repetition-noise"),
     pytest.param(lambda: repetition_required_power(6.0, math.nan, BETA_RD, 0.0, NOISE),
                  id="repetition-gain"),
+    pytest.param(lambda: df_min_power_batch(math.nan, [1.0], [1.0]), id="df-batch-rate"),
+    pytest.param(lambda: df_min_power_batch(6.0, [1.0, math.nan], [1.0, 1.0]),
+                 id="df-batch-gain"),
+    pytest.param(lambda: df_min_power_batch(6.0, [1.0, 2.0], [1.0]), id="df-batch-lengths"),
+    pytest.param(lambda: df_min_power_batch(6.0, [[1.0]], [[1.0]]), id="df-batch-2d"),
     pytest.param(lambda: df_rate(0.5, math.nan, 1.0, EffectiveGains(1.0, 1.0)), id="df-rate-p1"),
     pytest.param(lambda: df_rate(0.5, 1.0, math.nan, EffectiveGains(1.0, 1.0)), id="df-rate-p2"),
     pytest.param(lambda: _unit_link(noise=math.nan), id="irs-link-noise"),
