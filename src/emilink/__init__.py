@@ -7,7 +7,7 @@ from .scene import (ArrayLayout, LinkBudget, angles_between, dbm_to_watt,
                     los_channel, make_layout, pathloss_umi, watt_to_dbm, wave_vector)
 from .emi import (AngularDensity, corr_directional, corr_isotropic, emi_quadratic_form,
                   psd_project)
-from .irs import (IrsLink, irs_min_power_emi_aware, irs_rate,
+from .irs import (IrsLink, irs_min_power_emi_aware, irs_power_and_rate, irs_rate,
                   irs_required_power, irs_sinr, irs_sinr_gradient, phases_emi_aware,
                   phases_noise_only)
 from .relay import (CombinerKind, EffectiveGains, df_inner_max_rate,

@@ -291,8 +291,7 @@ class _NodeLink:
 
 def _irs_heuristic(target_rate, link):
     phases = irs_mod.phases_noise_only(link.h_sr, link.h_rd)
-    power = capped_power(irs_mod.irs_required_power(target_rate, link, phases), target_rate)
-    return power, irs_mod.irs_rate(power, link, phases), 0
+    return *irs_mod.irs_power_and_rate(target_rate, link, phases), 0
 
 
 def _irs_optimized(target_rate, link):

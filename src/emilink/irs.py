@@ -90,12 +90,20 @@ def _combined(link: IrsLink, phases: np.ndarray):
     return v, np.sum(v * link.h_sr)
 
 
+def _gain_and_denominator(link: IrsLink, phases: np.ndarray) -> tuple[float, float]:
+    """|v . h_sr|^2 and variance * v^T R conj(v) + noise for v = h_rd * exp(j phases),
+    by one quadratic form, or none when the EMI variance is 0."""
+    v, cascade = _combined(link, phases)
+    interference = (link.emi_variance * emi_quadratic_form(v, link.correlation)
+                    if link.emi_variance else 0.0)
+    return abs(cascade) ** 2, interference + link.noise_power_w
+
+
 def irs_sinr(power_w: float, link: IrsLink, phases: np.ndarray) -> float:
     if not power_w >= 0:
         raise ValueError("power must be nonnegative")
-    v, cascade = _combined(link, phases)
-    interference = link.emi_variance * emi_quadratic_form(v, link.correlation)
-    return power_w * abs(cascade) ** 2 / (interference + link.noise_power_w)
+    gain, denominator = _gain_and_denominator(link, phases)
+    return power_w * gain / denominator
 
 
 def irs_rate(power_w: float, link: IrsLink, phases: np.ndarray) -> float:
@@ -103,16 +111,27 @@ def irs_rate(power_w: float, link: IrsLink, phases: np.ndarray) -> float:
     return float(np.log2(1.0 + irs_sinr(power_w, link, phases)))
 
 
-def irs_required_power(target_rate: float, link: IrsLink, phases: np.ndarray) -> float:
-    """Transmit power that achieves ``target_rate`` with fixed phases."""
+def _required_power(target_rate: float, link: IrsLink, phases: np.ndarray):
+    """``irs_required_power`` with the gain and denominator it was taken from."""
     if not target_rate > 0:
         raise ValueError("target rate must be positive")
-    v, cascade = _combined(link, phases)
-    gain = abs(cascade) ** 2
+    gain, denominator = _gain_and_denominator(link, phases)
     if gain == 0.0:
         raise InfeasibleError("cascaded channel is zero; no power achieves the rate")
-    interference = link.emi_variance * emi_quadratic_form(v, link.correlation)
-    return pow2m1(target_rate) * (interference + link.noise_power_w) / gain
+    return pow2m1(target_rate) * denominator / gain, gain, denominator
+
+
+def irs_required_power(target_rate: float, link: IrsLink, phases: np.ndarray) -> float:
+    """Transmit power that achieves ``target_rate`` with fixed phases."""
+    return _required_power(target_rate, link, phases)[0]
+
+
+def irs_power_and_rate(target_rate: float, link: IrsLink, phases: np.ndarray):
+    """``capped_power(irs_required_power(...))`` and ``irs_rate`` at that power, bit
+    for bit, from one evaluation of the phases."""
+    power, gain, denominator = _required_power(target_rate, link, phases)
+    power = capped_power(power, target_rate)
+    return power, float(np.log2(1.0 + power * gain / denominator))
 
 
 def irs_sinr_gradient(power_w: float, link: IrsLink, phases: np.ndarray) -> np.ndarray:

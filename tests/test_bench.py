@@ -20,7 +20,8 @@ from emilink import (LinkBudget, Scenario, SweepResult, SweepRow, format_csv,
                      run_fig5, run_fig6, run_fig7, run_fig8,
                      repetition_required_power, scenario_from_config, watt_to_dbm)
 from emilink.bench import CSV_HEADER, RUNNERS, correlations, dump_matrix_csv
-from emilink import bench, cli
+from emilink import bench, cli, irs
+from emilink.errors import capped_power
 
 SMALL = Scenario(distance_sweep=(20.0, 120.0, 6), rho_sweep=(-10.0, 40.0, 6),
                  irs_elements=(16,), irs_reference_elements=16,
@@ -668,6 +669,37 @@ def test_fig7_case_ordering():
             float(np.linalg.norm(np.array([d, 0.0, 0.0]) - np.array(sc.node_pos))), sc.budget)
         assert clean[d] == pytest.approx(
             watt_to_dbm(63.0 * noise / (16 ** 2 * b_sr * b_rd)), abs=1e-9)
+
+
+def test_heuristic_surface_rows_take_one_quadratic_form(monkeypatch):
+    # one interference evaluation gives a heuristic row its power and its rate;
+    # rows without EMI (variance 0) take none
+    original, calls = irs.emi_quadratic_form, []
+    monkeypatch.setattr(irs, "emi_quadratic_form",
+                        lambda *args: calls.append(args) or original(*args))
+    for runner in (run_fig3, run_fig7):
+        calls.clear()
+        rows = [r for r in runner(SMALL).rows if r.technology.startswith("irs")]
+        assert {r.mode.split("_")[0] for r in rows} == {"heuristic"}
+        assert len(calls) == sum(not r.mode.endswith("_none") for r in rows), runner
+    monkeypatch.undo()
+
+    # the pair is the capped required power and the rate at it, bit for bit, on
+    # every heuristic link of the paper's figures; the rate at 6 bit/s/Hz rounds
+    # to 6.0 whatever the last bits of the power, so two other targets check it
+    heuristic, links = bench._IRS_SOLVERS["heuristic"], []
+    monkeypatch.setitem(bench._IRS_SOLVERS, "heuristic",
+                        lambda rate, link: links.append(link) or heuristic(rate, link))
+    for runner in (run_fig3, run_fig4, run_fig7):
+        runner(Scenario())
+    assert len(links) == 26 * (3 * 2 + 1 + 4)
+    for link in links:
+        phases = irs.phases_noise_only(link.h_sr, link.h_rd)
+        for rate in (6.0, 0.3, 13.7):
+            power, achieved = irs.irs_power_and_rate(rate, link, phases)
+            expected = capped_power(irs.irs_required_power(rate, link, phases), rate)
+            assert float.hex(power) == float.hex(expected)
+            assert float.hex(achieved) == float.hex(irs.irs_rate(expected, link, phases))
 
 
 def test_fig8_structure_and_dominance():
