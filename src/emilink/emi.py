@@ -41,10 +41,9 @@ standalone utility; no sweep calls it.
 
 The sinc correlation is real (float64) and the quadrature one complex.
 ``corr_matvec`` multiplies a real R by a complex vector in real arithmetic,
-one real product for each of the vector's real and imaginary parts,
-because numpy would otherwise copy all of R to complex for every product;
-the quadratic form and the surface optimizer take their products with R
-through it.
+as one two-column real product that reads R once, because numpy would
+otherwise copy all of R to complex for every product; the quadratic form
+and the surface optimizer take their products with R through it.
 """
 
 from __future__ import annotations
@@ -231,12 +230,14 @@ def corr_matvec(corr: np.ndarray, x: np.ndarray) -> np.ndarray:
     """R x for a complex vector x.
 
     A complex R takes ``corr @ x``.  A real R (the isotropic sinc) is applied
-    in real arithmetic, to the real and the imaginary part of x in turn:
+    in real arithmetic, by one two-column real product with x viewed as an
+    (N, 2) array of real and imaginary parts, which reads R once:
     ``corr @ x`` would first copy all of R to complex.
     """
     if np.iscomplexobj(corr):
         return corr @ x
-    return corr @ x.real + 1j * (corr @ x.imag)
+    parts = np.ascontiguousarray(x, dtype=complex).view(float).reshape(-1, 2)
+    return (corr @ parts).view(complex).ravel()
 
 
 def emi_quadratic_form(v: np.ndarray, corr: np.ndarray) -> float:

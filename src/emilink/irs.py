@@ -16,13 +16,13 @@ form.  Closing the phases on the channel product
 without interference.  The interference-aware optimizer starts there and
 maximizes g by minorization-maximization on the unit-modulus torus (Sun,
 Babu and Palomar, IEEE Trans. Signal Process. 65(3), 2017): each step is a
-phase alignment costing one product with R (``emi.corr_matvec``, in real
-arithmetic when R is real), and a step size 1/lam that halves whenever a
-step fails to raise g keeps g from ever falling without an
-eigendecomposition of R.  Every two accepted steps in a row are followed
-by one SQUAREM extrapolation of the phase angles (Varadhan and Roland,
-Scand. J. Stat. 35(2), 2008), kept only if it raises g, which cuts the
-slow linear convergence where interference dominates.  An extrapolation
+phase alignment costing one product with R (``emi.corr_matvec``, which
+reads a real R once, as one two-column real product), and a step size 1/lam
+that halves whenever a step fails to raise g keeps g from ever falling
+without an eigendecomposition of R.  Every two accepted steps in a row are
+followed by one SQUAREM extrapolation of the phase angles (Varadhan and
+Roland, Scand. J. Stat. 35(2), 2008), kept only if it raises g, which cuts
+the slow linear convergence where interference dominates.  An extrapolation
 also costs one product with R, so the iteration count is the number of
 products with R.  It stops when a plain step changes g by at most MM_TOL
 (relative), or after MM_MAX_ITERS products.

@@ -464,7 +464,8 @@ def test_paper_size_output_matches_golden_bytes(name, seed0_runs):
     ``--config`` naming a file that holds
     ``{"irs": {"elements": [400], "reference_elements": 400}}``, then rename
     the outputs.  A golden that belongs to a benchmark workload reuses its
-    seed-0 pass.
+    seed-0 pass.  The files do not depend on the BLAS thread count: they come
+    out byte-identical with ``OPENBLAS_NUM_THREADS`` set to 1 and to 2.
     """
     scenario, fig, workload = PAPER_GOLDENS[name]
     if workload is None:

@@ -182,14 +182,18 @@ def test_quadratic_form_rejects_mismatch():
 
 
 def test_corr_matvec_real_matches_complex_product():
+    # a real R takes one two-column product with x seen as (N, 2) floats, so a
+    # strided or real x is first copied into a contiguous complex vector
     rng = np.random.default_rng(5)
-    r = corr_isotropic(make_layout(80, LAM))
-    x = rng.standard_normal(80) + 1j * rng.standard_normal(80)
-    for vec in (x, x.real):
-        assert_allclose(corr_matvec(r, vec), r.astype(complex) @ vec, rtol=0.0,
-                        atol=1e-13 * np.abs(vec).sum())
+    for n in (1, 75, 80, 400):
+        r = corr_isotropic(make_layout(n, LAM))
+        x = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+        for vec in (x[:n], x[::2], x[:n].real):
+            assert_allclose(corr_matvec(r, vec), r.astype(complex) @ vec, rtol=0.0,
+                            atol=1e-13 * np.abs(vec).sum())
     directional = corr_directional(make_layout(80, LAM), AngularDensity(
         0.6, -0.3, math.radians(10), math.radians(10)), nodes=64)
+    x = rng.standard_normal(80) + 1j * rng.standard_normal(80)
     assert np.array_equal(corr_matvec(directional, x), directional @ x)
 
 
@@ -227,6 +231,7 @@ def test_quadratic_form_does_not_copy_a_real_correlation():
     r = corr_isotropic(make_layout(n, LAM))
     v = np.exp(1j * np.arange(n, dtype=float))
     assert _peak_bytes(emi_quadratic_form, v, r) < n * n * np.dtype(complex).itemsize
+    assert _peak_bytes(corr_matvec, r, v) < n * n * np.dtype(complex).itemsize
 
 
 def test_corr_isotropic_builds_no_distance_tensor():
