@@ -247,12 +247,9 @@ def emi_quadratic_form(v: np.ndarray, corr: np.ndarray) -> float:
     nonnegative for PSD R (tiny negative round-off is clipped to zero).  A
     real R is applied by ``corr_matvec`` in real arithmetic.
     """
-    v = np.asarray(v)
-    corr = np.asarray(corr)
+    v, corr = np.asarray(v), np.asarray(corr)
     if v.ndim != 1 or corr.shape != (v.size, v.size):
         raise ValueError("dimension mismatch between vector and matrix")
-    if np.iscomplexobj(corr):
-        value = float(np.real(v @ corr @ v.conj()))
-    else:
-        value = float(np.real(v @ corr_matvec(corr, v.conj())))
-    return max(value, 0.0)
+    # a complex R keeps the left-to-right product (v @ R) @ conj(v)
+    value = v @ corr @ v.conj() if np.iscomplexobj(corr) else v @ corr_matvec(corr, v.conj())
+    return max(float(np.real(value)), 0.0)

@@ -91,12 +91,10 @@ def _combined(link: IrsLink, phases: np.ndarray):
 
 
 def _gain_and_denominator(link: IrsLink, phases: np.ndarray) -> tuple[float, float]:
-    """|v . h_sr|^2 and variance * v^T R conj(v) + noise for v = h_rd * exp(j phases),
-    by one quadratic form, or none when the EMI variance is 0."""
+    """|v . h_sr|^2 and the SINR denominator, with no quadratic form when there is no EMI."""
     v, cascade = _combined(link, phases)
-    interference = (link.emi_variance * emi_quadratic_form(v, link.correlation)
-                    if link.emi_variance else 0.0)
-    return abs(cascade) ** 2, interference + link.noise_power_w
+    quad = emi_quadratic_form(v, link.correlation) if link.emi_variance else 0.0
+    return abs(cascade) ** 2, link.emi_variance * quad + link.noise_power_w
 
 
 def irs_sinr(power_w: float, link: IrsLink, phases: np.ndarray) -> float:
@@ -111,26 +109,23 @@ def irs_rate(power_w: float, link: IrsLink, phases: np.ndarray) -> float:
     return float(np.log2(1.0 + irs_sinr(power_w, link, phases)))
 
 
-def _required_power(target_rate: float, link: IrsLink, phases: np.ndarray):
-    """``irs_required_power`` with the gain and denominator it was taken from."""
+def _power_for(target_rate: float, gain: float, denominator: float) -> float:
     if not target_rate > 0:
         raise ValueError("target rate must be positive")
-    gain, denominator = _gain_and_denominator(link, phases)
     if gain == 0.0:
         raise InfeasibleError("cascaded channel is zero; no power achieves the rate")
-    return pow2m1(target_rate) * denominator / gain, gain, denominator
+    return pow2m1(target_rate) * denominator / gain
 
 
 def irs_required_power(target_rate: float, link: IrsLink, phases: np.ndarray) -> float:
     """Transmit power that achieves ``target_rate`` with fixed phases."""
-    return _required_power(target_rate, link, phases)[0]
+    return _power_for(target_rate, *_gain_and_denominator(link, phases))
 
 
 def irs_power_and_rate(target_rate: float, link: IrsLink, phases: np.ndarray):
-    """``capped_power(irs_required_power(...))`` and ``irs_rate`` at that power, bit
-    for bit, from one evaluation of the phases."""
-    power, gain, denominator = _required_power(target_rate, link, phases)
-    power = capped_power(power, target_rate)
+    """Capped ``irs_required_power`` and ``irs_rate`` at it, bit for bit, in one evaluation."""
+    gain, denominator = _gain_and_denominator(link, phases)
+    power = capped_power(_power_for(target_rate, gain, denominator), target_rate)
     return power, float(np.log2(1.0 + power * gain / denominator))
 
 
@@ -234,5 +229,4 @@ def irs_min_power_emi_aware(target_rate: float,
     InfeasibleError when it exceeds POWER_UPPER_W.
     """
     phases, iterations, converged = phases_emi_aware(link)
-    power = capped_power(irs_required_power(target_rate, link, phases), target_rate)
-    return power, phases, iterations, converged
+    return irs_power_and_rate(target_rate, link, phases)[0], phases, iterations, converged
