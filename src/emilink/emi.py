@@ -250,6 +250,6 @@ def emi_quadratic_form(v: np.ndarray, corr: np.ndarray) -> float:
     v, corr = np.asarray(v), np.asarray(corr)
     if v.ndim != 1 or corr.shape != (v.size, v.size):
         raise ValueError("dimension mismatch between vector and matrix")
-    # a complex R keeps the left-to-right product (v @ R) @ conj(v)
+    # a complex R keeps (v @ R) @ conj(v); R @ conj(v) first would round differently
     value = v @ corr @ v.conj() if np.iscomplexobj(corr) else v @ corr_matvec(corr, v.conj())
     return max(float(np.real(value)), 0.0)
