@@ -246,29 +246,29 @@ def _facing_orientation(scenario: Scenario) -> np.ndarray:
     return np.array([[bx, -by, 0.0], [by, bx, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _hop_gain(scenario: Scenario, a: tuple, b: tuple) -> float:
-    return pathloss_umi(float(np.linalg.norm(np.subtract(b, a))), scenario.budget)
+class _Frame:
+    """The node's facing frame and the endpoints' sights in it, shared by every array size."""
+
+    def __init__(self, scenario: Scenario):
+        self.scenario, self.orientation = scenario, _facing_orientation(scenario)
+        self.source = self.sight(scenario.source_pos)
+
+    def sight(self, pos: tuple) -> tuple[tuple[float, float], float]:
+        """Angles of ``pos`` seen from the node and the gain of the hop between them."""
+        node = self.scenario.node_pos
+        return (angles_between(node, pos, self.orientation),
+                pathloss_umi(float(np.linalg.norm(np.subtract(pos, node))), self.scenario.budget))
 
 
 class _NodeLink:
-    """Channels and EMI correlations at the surface/relay for one layout, all in
-    the local frame of the array facing the source-destination axis."""
+    """Channels and EMI correlations at the surface/relay for one layout of a frame's array."""
 
-    def __init__(self, scenario: Scenario, n_elements: int):
-        self.scenario = scenario
-        self.orientation = _facing_orientation(scenario)
-        self.layout = make_layout(n_elements, scenario.budget.wavelength)
-        self.source_angles = angles_between(scenario.node_pos, scenario.source_pos,
-                                            self.orientation)
-        self.h_sr = los_channel(_hop_gain(scenario, scenario.source_pos, scenario.node_pos),
-                                *self.source_angles, self.layout)
+    def __init__(self, frame: _Frame, n_elements: int):
+        self.frame, self.scenario = frame, frame.scenario
+        self.layout = make_layout(n_elements, self.scenario.budget.wavelength)
+        angles, beta_sr = frame.source
+        self.h_sr = los_channel(beta_sr, *angles, self.layout)
         self.iso = emi_mod.corr_isotropic(self.layout)
-
-    def toward(self, dest: tuple) -> tuple[tuple[float, float], np.ndarray]:
-        """Angles of ``dest`` and the channel toward it."""
-        angles = angles_between(self.scenario.node_pos, dest, self.orientation)
-        return angles, los_channel(_hop_gain(self.scenario, self.scenario.node_pos, dest),
-                                   *angles, self.layout)
 
     def _gaussian(self, azimuth: float, elevation: float) -> np.ndarray:
         spread = math.radians(self.scenario.emi_spread_deg)
@@ -277,7 +277,7 @@ class _NodeLink:
 
     @cached_property
     def case1(self) -> np.ndarray:
-        return self._gaussian(*self.source_angles)
+        return self._gaussian(*self.frame.source[0])
 
     def correlation(self, emi: str, angles: tuple[float, float]) -> np.ndarray:
         """Correlation of the EMI named none or iso (sinc), case1 (gaussian centred
@@ -295,8 +295,8 @@ def _irs_heuristic(target_rate, link):
 
 
 def _irs_optimized(target_rate, link):
-    power, phases, iterations, _ = irs_mod.irs_min_power_emi_aware(target_rate, link)
-    return power, irs_mod.irs_rate(power, link, phases), iterations
+    power, rate, _, iterations, _ = irs_mod.irs_min_power_emi_aware(target_rate, link)
+    return power, rate, iterations
 
 
 def _df_repetition(target_rate, beta_sr, beta_rd, variance, noise):
@@ -307,22 +307,20 @@ def _df_repetition(target_rate, beta_sr, beta_rd, variance, noise):
     return power, relay_mod.df_rate(0.5, snr / gains.alpha1, snr / gains.alpha2, gains), 0
 
 
-def _df_optimized(target_rate, gains):
-    power, tau1, p1, p2, iterations = relay_mod.df_min_power(target_rate, gains)
-    return power, relay_mod.df_rate(tau1, p1, p2, gains), iterations
+def _df_optimized(target_rate, beta_sr, beta_rd, variance, noise):
+    gains = relay_mod.effective_gains_single(beta_sr, beta_rd, variance, noise)
+    return _df_solved(target_rate, gains, relay_mod.df_min_power(target_rate, gains))
 
 
 def _df_solved(target_rate, gains, solution):
-    """As _df_optimized, from a ``df_min_power_batch`` entry, which is not yet capped."""
+    """Row of a ``df_min_power`` or (not yet capped) ``df_min_power_batch`` solution."""
     power, tau1, p1, p2, iterations = solution
     return capped_power(power, target_rate), relay_mod.df_rate(tau1, p1, p2, gains), iterations
 
 
 _IRS_SOLVERS = {"heuristic": _irs_heuristic, "optimized": _irs_optimized}
 # on a single-antenna relay, from (target rate, beta_sr, beta_rd, EMI variance, noise)
-_DF_SOLVERS = {"repetition": _df_repetition,
-               "optimized": lambda rate, *link: _df_optimized(
-                   rate, relay_mod.effective_gains_single(*link))}
+_DF_SOLVERS = {"repetition": _df_repetition, "optimized": _df_optimized}
 
 
 def _row(sweep_var, tech, mode, solve, *args) -> SweepRow:
@@ -335,7 +333,7 @@ def _row(sweep_var, tech, mode, solve, *args) -> SweepRow:
     return SweepRow(sweep_var, tech, mode, watt_to_dbm(power), rate, iterations)
 
 
-def _sweep(scenario: Scenario, variable: str, sizes, irs_modes, df_modes) -> SweepResult:
+def _sweep(frame: _Frame, variable: str, sizes, irs_modes, df_modes) -> SweepResult:
     """Rows over the distance (``distance_m``) or EMI-to-noise (``rho_db``) sweep.
 
     At each point: every surface mode on a surface of each size in ``sizes``
@@ -345,30 +343,32 @@ def _sweep(scenario: Scenario, variable: str, sizes, irs_modes, df_modes) -> Swe
     relay, the EMI one of ``_NodeLink.correlation``'s; EMI none means no
     interference (variance 0); surface links hold the plain channel arrays.
     """
+    scenario = frame.scenario
     noise, target = scenario.budget.noise_power_w, scenario.target_rate
-    nodes = [_NodeLink(scenario, n) for n in dict.fromkeys(sizes)]
+    nodes = [_NodeLink(frame, n) for n in dict.fromkeys(sizes)]
     if variable == "rho_db":
         points = [(float(rho), scenario.dest_pos, _emi_variance(rho, noise))
                   for rho in scenario.rhos_db()]
     else:
         points = [(float(d), tuple(dest.tolist()), scenario.emi_variance)
                   for d, dest in zip(scenario.distances(), scenario.sweep_destinations())]
-    beta_sr = _hop_gain(scenario, scenario.source_pos, scenario.node_pos)
-    toward = {d: [node.toward(d) for node in nodes] for d in dict.fromkeys(p[1] for p in points)}
+    sights = {d: frame.sight(d) for d in dict.fromkeys(p[1] for p in points)}
+    toward = {d: [los_channel(beta_rd, *angles, node.layout) for node in nodes]
+              for d, (angles, beta_rd) in sights.items()}
     rows = []
     for x, dest, variance in points:
+        angles, beta_rd = sights[dest]
         variances = {m: 0.0 if m.endswith("_none") else variance for m in irs_modes + df_modes}
-        for node, (angles, h_rd) in zip(nodes, toward[dest]):
+        for node, h_rd in zip(nodes, toward[dest]):
             for mode in irs_modes:
                 solver, emi = mode.split("_")
                 link = irs_mod.IrsLink(node.h_sr, h_rd, variances[mode],
                                        node.correlation(emi, angles), noise)
                 rows.append(_row(x, f"irs_n{node.layout.n_elements}", mode,
                                  _IRS_SOLVERS[solver], target, link))
-        beta_rd = _hop_gain(scenario, scenario.node_pos, dest)
         for mode in df_modes:
-            rows.append(_row(x, "df", mode, _DF_SOLVERS[mode.split("_")[0]], target, beta_sr,
-                             beta_rd, variances[mode], noise))
+            rows.append(_row(x, "df", mode, _DF_SOLVERS[mode.split("_")[0]], target,
+                             frame.source[1], beta_rd, variances[mode], noise))
     return SweepResult(variable, tuple(rows))
 
 
@@ -381,19 +381,19 @@ def run_fig3(scenario: Scenario) -> SweepResult:
     Surface rows use the noise-only phase heuristic; relay rows use
     repetition coding.  Each appears with and without isotropic EMI.
     """
-    return _sweep(scenario, "distance_m", scenario.irs_elements,
+    return _sweep(_Frame(scenario), "distance_m", scenario.irs_elements,
                   ("heuristic_none", "heuristic_iso"), ("repetition_none", "repetition_iso"))
 
 
 def run_fig4(scenario: Scenario) -> SweepResult:
     """Required power vs interference-to-noise ratio, no optimization."""
-    return _sweep(scenario, "rho_db", (scenario.irs_reference_elements,),
+    return _sweep(_Frame(scenario), "rho_db", (scenario.irs_reference_elements,),
                   ("heuristic_iso",), ("repetition_iso",))
 
 
 def run_fig5(scenario: Scenario) -> SweepResult:
     """As run_fig4 but with both technologies optimized against EMI."""
-    return _sweep(scenario, "rho_db", (scenario.irs_reference_elements,),
+    return _sweep(_Frame(scenario), "rho_db", (scenario.irs_reference_elements,),
                   ("optimized_iso",), ("optimized_iso",))
 
 
@@ -403,7 +403,7 @@ def run_fig6(scenario: Scenario) -> SweepResult:
     Non-optimized rows are included so that the optimization gain can be
     read off row-wise.
     """
-    return _sweep(scenario, "distance_m", scenario.irs_elements,
+    return _sweep(_Frame(scenario), "distance_m", scenario.irs_elements,
                   ("heuristic_iso", "optimized_iso"), ("repetition_iso", "optimized_iso"))
 
 
@@ -413,7 +413,7 @@ def run_fig7(scenario: Scenario) -> SweepResult:
     Modes: no EMI, isotropic, gaussian centred on the source direction
     (case 1) and on the destination direction (case 2).
     """
-    return _sweep(scenario, "distance_m", (scenario.irs_reference_elements,),
+    return _sweep(_Frame(scenario), "distance_m", (scenario.irs_reference_elements,),
                   ("heuristic_none", "heuristic_iso", "heuristic_case1", "heuristic_case2"), ())
 
 
@@ -421,38 +421,38 @@ def run_fig8(scenario: Scenario) -> SweepResult:
     """Relay power vs antenna count with MR/MMSE combining.
 
     Covers isotropic EMI and the destination-centred gaussian (case 2) at the
-    configured rho, plus a no-EMI relay reference (each covariance v R + N0 I,
-    v = 0 for EMI none, built once per antenna count), and at every antenna
-    count the surface reference: fig5's surface at that rho, iso and case 2.
-    The relay rows' gains are gathered first and solved as one batch.
+    configured rho (covariance v R + N0 I), a no-EMI relay reference (N0 I),
+    and at every antenna count the surface reference: fig5's surface at that
+    rho, iso and case 2.  Per antenna count only the array's channels,
+    correlations and gains are built, both MMSE gains by one stacked solve;
+    the DF solves of all relay rows run as one batch.
     """
     noise, variance = scenario.budget.noise_power_w, scenario.emi_variance
-    at_rho = replace(scenario, rho_sweep=(scenario.rho_db, scenario.rho_db, 1))
-    refs = _sweep(at_rho, "rho_db", (scenario.irs_reference_elements,),
+    frame = _Frame(replace(scenario, rho_sweep=(scenario.rho_db, scenario.rho_db, 1)))
+    refs = _sweep(frame, "rho_db", (scenario.irs_reference_elements,),
                   ("optimized_iso", "optimized_case2"), ()).rows
-    kinds = {"df_mmse": relay_mod.CombinerKind.MMSE, "df_mr": relay_mod.CombinerKind.MR}
-    plan = []  # per antenna count, its relay rows' (technology, mode, gains)
+    angles, beta_rd = frame.sight(scenario.dest_pos)
+    plan = []  # per antenna count, its alpha2 and its relay rows' (technology, mode, alpha1)
     for m in scenario.relay_antennas:
-        relay = _NodeLink(scenario, m)
-        angles, h_rd = relay.toward(scenario.dest_pos)
-        alpha2 = relay_mod.effective_gain_second_phase(h_rd, noise)
-        entries = []
-        for emi, combiners in (("iso", kinds), ("case2", kinds),
-                               ("none", {"df": relay_mod.CombinerKind.MR})):
-            cov = ((0.0 if emi == "none" else variance) * relay.correlation(emi, angles)
-                   + noise * np.eye(m))
-            for tech, kind in combiners.items():
-                alpha1 = relay_mod.effective_gain_first_phase(relay.h_sr, cov, kind)
-                entries.append((tech, f"optimized_{emi}",
-                                relay_mod.EffectiveGains(alpha1, alpha2)))
-        plan.append((m, entries))
-    gains = [g for _, entries in plan for *_, g in entries]
-    solutions = iter(relay_mod.df_min_power_batch(
-        scenario.target_rate, [g.alpha1 for g in gains], [g.alpha2 for g in gains]))
+        relay, white = _NodeLink(frame, m), noise * np.eye(m)
+        h_rd = los_channel(beta_rd, *angles, relay.layout)
+        covs = np.stack([relay.iso, relay.correlation("case2", angles)])
+        covs *= variance
+        covs += white
+        mmse = relay_mod.mmse_gains(relay.h_sr, covs)
+        mr = [relay_mod.effective_gain_first_phase(relay.h_sr, cov, relay_mod.CombinerKind.MR)
+              for cov in (*covs, white)]
+        plan.append((m, relay_mod.effective_gain_second_phase(h_rd, noise), [
+            ("df_mmse", "optimized_iso", mmse[0]), ("df_mr", "optimized_iso", mr[0]),
+            ("df_mmse", "optimized_case2", mmse[1]), ("df_mr", "optimized_case2", mr[1]),
+            ("df", "optimized_none", mr[2])]))
+    alphas = [(alpha1, alpha2) for _, alpha2, entries in plan for *_, alpha1 in entries]
+    solutions = iter(relay_mod.df_min_power_batch(scenario.target_rate, *zip(*alphas)))
     rows = []
-    for m, entries in plan:
-        rows.extend(_row(float(m), tech, mode, _df_solved, scenario.target_rate, gains,
-                         next(solutions)) for tech, mode, gains in entries)
+    for m, alpha2, entries in plan:
+        rows.extend(_row(float(m), tech, mode, _df_solved, scenario.target_rate,
+                         relay_mod.EffectiveGains(alpha1, alpha2), next(solutions))
+                    for tech, mode, alpha1 in entries)
         rows.extend(replace(ref, sweep_var=float(m)) for ref in refs)
     return SweepResult("antennas", tuple(rows))
 
@@ -477,8 +477,8 @@ def correlations(figure: str, scenario: Scenario) -> dict[str, np.ndarray]:
         emis, size = ("iso", "case2"), max(scenario.relay_antennas)
     else:
         return {}
-    node = _NodeLink(scenario, size)
-    angles, _ = node.toward(scenario.dest_pos)
+    frame = _Frame(scenario)
+    node, angles = _NodeLink(frame, size), frame.sight(scenario.dest_pos)[0]
     return {f"{figure}_{emi}": node.correlation(emi, angles) for emi in emis}
 
 

@@ -218,15 +218,15 @@ def phases_emi_aware(link: IrsLink) -> tuple[np.ndarray, int, bool]:
 
 
 def irs_min_power_emi_aware(target_rate: float,
-                            link: IrsLink) -> tuple[float, np.ndarray, int, bool]:
+                            link: IrsLink) -> tuple[float, float, np.ndarray, int, bool]:
     """Minimum power to reach ``target_rate`` with interference-aware phases.
 
     SINR = p g(phi), so the best phases do not depend on the power: they are
     found once by ``phases_emi_aware`` (stopping at MM_TOL or MM_MAX_ITERS)
-    and the power follows in closed form.  Returns ``(power_w, phases,
-    iterations, converged)``, the power followed by the optimizer's triple.
-    The power never exceeds the noise-only-phases power.  Raises
-    InfeasibleError when it exceeds POWER_UPPER_W.
+    and the power follows in closed form.  Returns ``(power_w, rate, phases,
+    iterations, converged)``, ``irs_power_and_rate``'s pair followed by the
+    optimizer's triple.  The power never exceeds the noise-only-phases power.
+    Raises InfeasibleError when it exceeds POWER_UPPER_W.
     """
     phases, iterations, converged = phases_emi_aware(link)
-    return irs_power_and_rate(target_rate, link, phases)[0], phases, iterations, converged
+    return *irs_power_and_rate(target_rate, link, phases), phases, iterations, converged

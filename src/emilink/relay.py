@@ -242,11 +242,20 @@ def effective_gain_first_phase(h_sr: np.ndarray, covariance: np.ndarray,
         if denom <= 0:
             raise NumericalError("covariance is not positive definite")
         return float(np.abs(h.conj() @ h) ** 2) / denom
+    return mmse_gains(h, cov[None])[0]
+
+
+def mmse_gains(h_sr: np.ndarray, covariances: np.ndarray) -> list[float]:
+    """MMSE gains h^H C_k^{-1} h of a (K, M, M) stack of covariances, from one solve;
+    each takes its own product with h, as one product over the stack rounds differently."""
+    h, covs = np.asarray(h_sr), np.asarray(covariances)
+    if h.ndim != 1 or covs.shape[1:] != (h.size, h.size):
+        raise ValueError("channel/covariance dimensions disagree")
     try:
-        solved = np.linalg.solve(cov, h)
+        solved = np.linalg.solve(covs, h[:, None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericalError("covariance is singular") from exc
-    return float(np.real(h.conj() @ solved))
+    return [float(np.real(h.conj() @ x)) for x in solved]
 
 
 def effective_gain_second_phase(h_rd: np.ndarray, noise_power_w: float) -> float:

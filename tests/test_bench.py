@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -20,7 +21,8 @@ from emilink import (LinkBudget, Scenario, SweepResult, SweepRow, format_csv,
                      run_fig5, run_fig6, run_fig7, run_fig8,
                      repetition_required_power, scenario_from_config, watt_to_dbm)
 from emilink.bench import CSV_HEADER, RUNNERS, correlations, dump_matrix_csv
-from emilink import bench, cli, irs
+from emilink import bench, cli, irs, relay
+from emilink.relay import CombinerKind, effective_gain_first_phase
 from emilink.errors import capped_power
 
 SMALL = Scenario(distance_sweep=(20.0, 120.0, 6), rho_sweep=(-10.0, 40.0, 6),
@@ -477,6 +479,41 @@ def test_paper_size_output_matches_golden_bytes(name, seed0_runs):
     assert text.encode() == (GOLDEN_DIR / "paper" / name).read_bytes()
 
 
+_GOLDEN_CHILD = """
+import json, pickle, sys
+from emilink import RUNNERS, format_csv
+print(json.dumps({name: format_csv(RUNNERS[fig](scenario))
+                  for name, (scenario, fig) in pickle.load(sys.stdin.buffer).items()}))
+"""
+
+
+def test_paper_size_goldens_hold_at_one_blas_thread():
+    """The paper-size goldens, byte for byte, in a child process at one BLAS thread.
+
+    The other golden tests run in-process, at the BLAS library's default
+    thread count (one per CPU unless OPENBLAS_NUM_THREADS says otherwise);
+    the benchmark runs its figures at one thread.  A product whose blocking
+    depended on the thread count would pass one of them and fail the other.
+    The goldens still depend on the OpenBLAS build and the CPU kernel it
+    selects (DYNAMIC_ARCH), which no test here varies.
+    """
+    jobs = {name: (scenario, fig) for name, (scenario, fig, _) in PAPER_GOLDENS.items()}
+    package_root = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+               filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _GOLDEN_CHILD],
+                          input=pickle.dumps(jobs), capture_output=True, check=False, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    texts = json.loads(proc.stdout)
+    assert texts.keys() == PAPER_GOLDENS.keys()
+    in_process = os.environ.get("OPENBLAS_NUM_THREADS", f"the default ({os.cpu_count()} CPUs)")
+    for name, text in texts.items():
+        assert text.encode() == (GOLDEN_DIR / "paper" / name).read_bytes(), (
+            f"{name} at 1 BLAS thread differs from the golden, which in-process runs "
+            f"at OPENBLAS_NUM_THREADS={in_process} match")
+
+
 def test_svg_output():
     result = run_fig4(SMALL)
     svg = format_svg(result)
@@ -673,17 +710,24 @@ def test_fig7_case_ordering():
 
 
 def test_heuristic_surface_rows_take_one_quadratic_form(monkeypatch):
-    # one interference evaluation gives a heuristic row its power and its rate;
-    # rows without EMI (variance 0) take none
+    # one interference evaluation gives a surface row its power and its rate,
+    # heuristic or optimized (the optimizer's own products with R go through
+    # corr_matvec); rows without EMI (variance 0) take none
     original, calls = irs.emi_quadratic_form, []
     monkeypatch.setattr(irs, "emi_quadratic_form",
                         lambda *args: calls.append(args) or original(*args))
-    for runner in (run_fig3, run_fig7):
+    optimize, optimized = irs.irs_min_power_emi_aware, []
+    monkeypatch.setattr(irs, "irs_min_power_emi_aware", lambda rate, link: optimized.append(
+        (link, optimize(rate, link))) or optimized[-1][1])
+    for runner in (run_fig3, run_fig5, run_fig6, run_fig7):
         calls.clear()
         rows = [r for r in runner(SMALL).rows if r.technology.startswith("irs")]
-        assert {r.mode.split("_")[0] for r in rows} == {"heuristic"}
         assert len(calls) == sum(not r.mode.endswith("_none") for r in rows), runner
     monkeypatch.undo()
+    # fig5's and fig6's optimized rows, six each, rate as irs_rate gives it
+    assert len(optimized) == 6 + 6
+    for link, (power, rate, phases, _, _) in optimized:
+        assert float.hex(rate) == float.hex(irs.irs_rate(power, link, phases))
 
     # the pair is the capped required power and the rate at it, bit for bit, on
     # every heuristic link of the paper's figures; the rate at 6 bit/s/Hz rounds
@@ -727,6 +771,19 @@ def test_fig8_builds_one_quadrature_per_array(monkeypatch):
     assert len(calls) == len(SMALL.relay_antennas) + 1
     monkeypatch.undo()
 
+    # the orientation and the endpoints' angles are taken once for the figure
+    def geometry_calls(antennas):
+        scenario = replace(SMALL, relay_antennas=antennas)
+        spied = {name: [] for name in ("_facing_orientation", "angles_between")}
+        with monkeypatch.context() as patch:
+            for name, seen in spied.items():
+                patch.setattr(bench, name, lambda *args, seen=seen, fn=getattr(bench, name):
+                              seen.append(args) or fn(*args))
+            run_fig8(scenario)
+        return {name: len(seen) for name, seen in spied.items()}
+
+    assert geometry_calls(tuple(range(1, 5))) == geometry_calls(tuple(range(1, 25)))
+
     # Consecutive case-2 correlations share their column sums, grown as the
     # grids widen.  Whatever the order of the antenna counts, and whether the
     # sums are reused or rebuilt, each count's rows keep every bit.
@@ -741,6 +798,25 @@ def test_fig8_builds_one_quadrature_per_array(monkeypatch):
     for m in counts:
         bench.emi_mod._column_sums.cache_clear()
         assert rows_by_count((m,)) == {m: ascending[m]}
+
+
+def test_fig8_stacked_mmse_gains_equal_the_single_solves():
+    # fig8 solves each antenna count's iso and case-2 MMSE gains as one stack,
+    # and builds its no-EMI covariance as N0 I rather than 0 R + N0 I
+    sc = Scenario()
+    frame, noise = bench._Frame(sc), sc.budget.noise_power_w
+    for m in sc.relay_antennas:
+        node, angles = bench._NodeLink(frame, m), frame.sight(sc.dest_pos)[0]
+        h, white = node.h_sr, noise * np.eye(m)
+        covs = [sc.emi_variance * node.correlation(emi, angles) + white
+                for emi in ("iso", "case2")]
+        single = [effective_gain_first_phase(h, cov, CombinerKind.MMSE) for cov in covs]
+        direct = [float(np.real(h.conj() @ np.linalg.solve(cov, h))) for cov in covs]
+        stacked = relay.mmse_gains(h, np.stack(covs))
+        assert list(map(float.hex, stacked)) == list(map(float.hex, single)), m
+        assert list(map(float.hex, stacked)) == list(map(float.hex, direct)), m
+        assert float.hex(effective_gain_first_phase(h, white, CombinerKind.MR)) == float.hex(
+            effective_gain_first_phase(h, 0.0 * node.iso + white, CombinerKind.MR)), m
 
 
 def test_all_rows_achieve_target_rate():

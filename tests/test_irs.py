@@ -276,7 +276,7 @@ def test_min_power_no_emi_equals_heuristic_power():
     quiet = IrsLink(link.h_sr, link.h_rd, 0.0, link.correlation, NOISE)
     heur = phases_noise_only(link.h_sr, link.h_rd)
     direct = irs_required_power(6.0, quiet, heur)
-    power, _, _, converged = irs_min_power_emi_aware(6.0, quiet)
+    power, _, _, _, converged = irs_min_power_emi_aware(6.0, quiet)
     assert power == pytest.approx(direct, rel=1e-9)
     assert converged
 
@@ -285,7 +285,7 @@ def test_min_power_never_exceeds_heuristic():
     link = reference_link(n=75, rho_db=25.0)
     heur = phases_noise_only(link.h_sr, link.h_rd)
     p_heur = irs_required_power(6.0, link, heur)
-    power, phases, _, _ = irs_min_power_emi_aware(6.0, link)
+    power, _, phases, _, _ = irs_min_power_emi_aware(6.0, link)
     assert power <= p_heur
     assert irs_rate(power, link, phases) == pytest.approx(6.0, rel=1e-9)
 
@@ -474,7 +474,7 @@ def test_min_power_iteration_limit_reported(monkeypatch):
     monkeypatch.setattr(emilink.irs, "MM_MAX_ITERS", 1)
     monkeypatch.setattr(emilink.irs, "MM_TOL", 0.0)
     with pytest.warns(RuntimeWarning, match="iteration limit"):
-        _, _, iterations, converged = irs_min_power_emi_aware(6.0, link)
+        _, _, _, iterations, converged = irs_min_power_emi_aware(6.0, link)
     assert converged is False
     assert iterations == 1
 
@@ -486,7 +486,7 @@ def test_phases_are_wrapped():
     for _ in range(5):
         link = random_link(rng, 12, rho_db=25.0)
         for phases in (phases_noise_only(link.h_sr, link.h_rd), phases_emi_aware(link)[0],
-                       irs_min_power_emi_aware(6.0, link)[1]):
+                       irs_min_power_emi_aware(6.0, link)[2]):
             assert phases.shape == (12,) and phases.dtype == float
             assert np.all((phases >= 0) & (phases < 2 * np.pi))
 
