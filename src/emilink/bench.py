@@ -436,8 +436,9 @@ def run_fig8(scenario: Scenario) -> SweepResult:
     for m in scenario.relay_antennas:
         relay, white = _NodeLink(frame, m), noise * np.eye(m)
         h_rd = los_channel(beta_rd, *angles, relay.layout)
-        covs = np.stack([relay.iso, relay.correlation("case2", angles)])
-        covs *= variance
+        covs = np.empty((2, m, m), dtype=complex)  # filled in place: no stacked temporary
+        np.multiply(relay.iso, variance, out=covs[0])
+        np.multiply(relay.correlation("case2", angles), variance, out=covs[1])
         covs += white
         mmse = relay_mod.mmse_gains(relay.h_sr, covs)
         mr = [relay_mod.effective_gain_first_phase(relay.h_sr, cov, relay_mod.CombinerKind.MR)
