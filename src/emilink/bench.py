@@ -251,7 +251,7 @@ class _Frame:
 
     def __init__(self, scenario: Scenario):
         self.scenario, self.orientation = scenario, _facing_orientation(scenario)
-        self.source = self.sight(scenario.source_pos)
+        self.source_angles, self.beta_sr = self.sight(scenario.source_pos)
 
     def sight(self, pos: tuple) -> tuple[tuple[float, float], float]:
         """Angles of ``pos`` seen from the node and the gain of the hop between them."""
@@ -266,8 +266,7 @@ class _NodeLink:
     def __init__(self, frame: _Frame, n_elements: int):
         self.frame, self.scenario = frame, frame.scenario
         self.layout = make_layout(n_elements, self.scenario.budget.wavelength)
-        angles, beta_sr = frame.source
-        self.h_sr = los_channel(beta_sr, *angles, self.layout)
+        self.h_sr = los_channel(frame.beta_sr, *frame.source_angles, self.layout)
         self.iso = emi_mod.corr_isotropic(self.layout)
 
     def _gaussian(self, azimuth: float, elevation: float) -> np.ndarray:
@@ -277,7 +276,7 @@ class _NodeLink:
 
     @cached_property
     def case1(self) -> np.ndarray:
-        return self._gaussian(*self.frame.source[0])
+        return self._gaussian(*self.frame.source_angles)
 
     def correlation(self, emi: str, angles: tuple[float, float]) -> np.ndarray:
         """Correlation of the EMI named none or iso (sinc), case1 (gaussian centred
@@ -368,7 +367,7 @@ def _sweep(frame: _Frame, variable: str, sizes, irs_modes, df_modes) -> SweepRes
                                  _IRS_SOLVERS[solver], target, link))
         for mode in df_modes:
             rows.append(_row(x, "df", mode, _DF_SOLVERS[mode.split("_")[0]], target,
-                             frame.source[1], beta_rd, variances[mode], noise))
+                             frame.beta_sr, beta_rd, variances[mode], noise))
     return SweepResult(variable, tuple(rows))
 
 

@@ -23,7 +23,8 @@ reads numpy's exp/expm1 instead of math's; a last-bit difference that
 flipped the sign of P' at a midpoint would move tau1 by at most REL_TOL.
 p1, p2 and the power come per entry through math.expm1, as in the scalar
 solve.  The scalar ``df_min_power`` stays the path for single solves, where
-numpy's per-call overhead would cost more than the loop saves.
+numpy's per-call overhead would cost more than the loop saves.  Likewise
+``mmse_gains`` takes fig8's two MMSE gains per antenna count from one solve.
 """
 
 from __future__ import annotations
