@@ -22,7 +22,6 @@ from emilink import (LinkBudget, Scenario, SweepResult, SweepRow, format_csv,
                      repetition_required_power, scenario_from_config, watt_to_dbm)
 from emilink.bench import CSV_HEADER, RUNNERS, correlations, dump_matrix_csv
 from emilink import bench, cli, irs, relay
-from emilink.relay import CombinerKind, effective_gain_first_phase
 from emilink.errors import capped_power
 
 SMALL = Scenario(distance_sweep=(20.0, 120.0, 6), rho_sweep=(-10.0, 40.0, 6),
@@ -805,18 +804,20 @@ def test_fig8_stacked_mmse_gains_equal_the_single_solves():
     # and builds its no-EMI covariance as N0 I rather than 0 R + N0 I
     sc = Scenario()
     frame, noise = bench._Frame(sc), sc.budget.noise_power_w
+    angles = frame.sight(sc.dest_pos)[0]
+    gain, kind = relay.effective_gain_first_phase, relay.CombinerKind
     for m in sc.relay_antennas:
-        node, angles = bench._NodeLink(frame, m), frame.sight(sc.dest_pos)[0]
+        node = bench._NodeLink(frame, m)
         h, white = node.h_sr, noise * np.eye(m)
         covs = [sc.emi_variance * node.correlation(emi, angles) + white
                 for emi in ("iso", "case2")]
-        single = [effective_gain_first_phase(h, cov, CombinerKind.MMSE) for cov in covs]
+        single = [gain(h, cov, kind.MMSE) for cov in covs]
         direct = [float(np.real(h.conj() @ np.linalg.solve(cov, h))) for cov in covs]
         stacked = relay.mmse_gains(h, np.stack(covs))
         assert list(map(float.hex, stacked)) == list(map(float.hex, single)), m
         assert list(map(float.hex, stacked)) == list(map(float.hex, direct)), m
-        assert float.hex(effective_gain_first_phase(h, white, CombinerKind.MR)) == float.hex(
-            effective_gain_first_phase(h, 0.0 * node.iso + white, CombinerKind.MR)), m
+        assert float.hex(gain(h, white, kind.MR)) == float.hex(
+            gain(h, 0.0 * node.iso + white, kind.MR)), m
 
 
 def test_all_rows_achieve_target_rate():
