@@ -50,7 +50,6 @@ class Scenario:
     relay_antennas: tuple[int, ...] = tuple(range(1, 81))
     distance_sweep: tuple[float, float, int] = (20.0, 120.0, 26)
     rho_sweep: tuple[float, float, int] = (-10.0, 40.0, 26)
-    quadrature_nodes: int = 64
 
     def __post_init__(self):
         if not self.target_rate > 0:
@@ -74,13 +73,10 @@ class Scenario:
         if not (self.irs_elements and self.relay_antennas
                 and all(float(n).is_integer() and n >= 1 for n in counts)):
             raise ValueError("element and antenna counts must be non-empty whole numbers >= 1")
-        if not (float(self.quadrature_nodes).is_integer() and self.quadrature_nodes >= 2):
-            raise ValueError("need a whole number of at least 2 quadrature nodes per axis")
         # whole floats such as 75.0 are stored as ints
         for name in ("irs_elements", "relay_antennas"):
             object.__setattr__(self, name, tuple(int(n) for n in getattr(self, name)))
-        for name in ("irs_reference_elements", "quadrature_nodes"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "irs_reference_elements", int(self.irs_reference_elements))
         for name in ("source_pos", "node_pos", "dest_pos"):  # lists and arrays become tuples
             pos = tuple(float(c) for c in getattr(self, name))
             if len(pos) != 3 or not all(map(math.isfinite, pos)):
@@ -176,7 +172,6 @@ _CONFIG_KEYS = {
             "reference_elements": ("irs_reference_elements", float)},
     "relay": {"antennas": ("relay_antennas", _antenna_counts)},
     "sweeps": {"distance_m": ("distance_sweep", tuple), "rho_db": ("rho_sweep", tuple)},
-    "quadrature_nodes": ("quadrature_nodes", float),
 }
 
 
@@ -272,7 +267,7 @@ class _NodeLink:
     def _gaussian(self, azimuth: float, elevation: float) -> np.ndarray:
         spread = math.radians(self.scenario.emi_spread_deg)
         density = emi_mod.AngularDensity(azimuth, elevation, spread, spread)
-        return emi_mod.corr_directional(self.layout, density, self.scenario.quadrature_nodes)
+        return emi_mod.corr_directional(self.layout, density, emi_mod.QUADRATURE_NODES)
 
     @cached_property
     def case1(self) -> np.ndarray:
@@ -423,29 +418,25 @@ def run_fig8(scenario: Scenario) -> SweepResult:
     configured rho (covariance v R + N0 I), a no-EMI relay reference (N0 I),
     and at every antenna count the surface reference: fig5's surface at that
     rho, iso and case 2.  Per antenna count only the array's channels,
-    correlations and gains are built, both MMSE gains by one stacked solve;
-    the DF solves of all relay rows run as one batch.
+    correlations and gains are built; the DF solves of all relay rows run as
+    one batch.
     """
     noise, variance = scenario.budget.noise_power_w, scenario.emi_variance
     frame = _Frame(replace(scenario, rho_sweep=(scenario.rho_db, scenario.rho_db, 1)))
     refs = _sweep(frame, "rho_db", (scenario.irs_reference_elements,),
                   ("optimized_iso", "optimized_case2"), ()).rows
     angles, beta_rd = frame.sight(scenario.dest_pos)
+    kinds = {"df_mmse": relay_mod.CombinerKind.MMSE, "df_mr": relay_mod.CombinerKind.MR}
     plan = []  # per antenna count, its alpha2 and its relay rows' (technology, mode, alpha1)
     for m in scenario.relay_antennas:
         relay, white = _NodeLink(frame, m), noise * np.eye(m)
         h_rd = los_channel(beta_rd, *angles, relay.layout)
-        covs = np.empty((2, m, m), dtype=complex)  # filled in place: no stacked temporary
-        np.multiply(relay.iso, variance, out=covs[0])
-        np.multiply(relay.correlation("case2", angles), variance, out=covs[1])
-        covs += white
-        mmse = relay_mod.mmse_gains(relay.h_sr, covs)
-        mr = [relay_mod.effective_gain_first_phase(relay.h_sr, cov, relay_mod.CombinerKind.MR)
-              for cov in (*covs, white)]
+        covs = {"iso": (variance * relay.iso + white, kinds),
+                "case2": (variance * relay.correlation("case2", angles) + white, kinds),
+                "none": (white, {"df": kinds["df_mr"]})}
         plan.append((m, relay_mod.effective_gain_second_phase(h_rd, noise), [
-            ("df_mmse", "optimized_iso", mmse[0]), ("df_mr", "optimized_iso", mr[0]),
-            ("df_mmse", "optimized_case2", mmse[1]), ("df_mr", "optimized_case2", mr[1]),
-            ("df", "optimized_none", mr[2])]))
+            (tech, f"optimized_{emi}", relay_mod.effective_gain_first_phase(relay.h_sr, cov, kind))
+            for emi, (cov, combiners) in covs.items() for tech, kind in combiners.items()]))
     alphas = [(alpha1, alpha2) for _, alpha2, entries in plan for *_, alpha1 in entries]
     solutions = iter(relay_mod.df_min_power_batch(scenario.target_rate, *zip(*alphas)))
     rows = []

@@ -61,10 +61,11 @@ HALF_PI = np.pi / 2.0
 # Gaussian densities are integrated over +-GAUSS_WINDOW_SIGMAS standard
 # deviations (clipped to the front half-space), so that a narrow density is
 # resolved in angle.  That says nothing of the phase across the array: the
-# default 64 nodes under-resolve grids with many columns, fig8's 1 x M,
-# 2 x M/2 and 3 x 23 relays (see the strict xfail
+# QUADRATURE_NODES per axis that the sweeps use under-resolve grids with many
+# columns, fig8's 1 x M, 2 x M/2 and 3 x 23 relays (see the strict xfail
 # test_acceptance.py::test_fig8_case2_relay_rows_are_resolved_by_the_quadrature).
 GAUSS_WINDOW_SIGMAS = 8.0
+QUADRATURE_NODES = 64
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,7 @@ reads numpy's exp/expm1 instead of math's; a last-bit difference that
 flipped the sign of P' at a midpoint would move tau1 by at most REL_TOL.
 p1, p2 and the power come per entry through math.expm1, as in the scalar
 solve.  The scalar ``df_min_power`` stays the path for single solves, where
-numpy's per-call overhead would cost more than the loop saves.  Likewise
-``mmse_gains`` takes fig8's two MMSE gains per antenna count from one solve.
+numpy's per-call overhead would cost more than the loop saves.
 """
 
 from __future__ import annotations
@@ -243,20 +242,13 @@ def effective_gain_first_phase(h_sr: np.ndarray, covariance: np.ndarray,
         if denom <= 0:
             raise NumericalError("covariance is not positive definite")
         return float(np.abs(h.conj() @ h) ** 2) / denom
-    return mmse_gains(h, cov[None])[0]
-
-
-def mmse_gains(h_sr: np.ndarray, covariances: np.ndarray) -> list[float]:
-    """MMSE gains h^H C_k^{-1} h of a (K, M, M) stack of covariances, from one solve;
-    each takes its own product with h, as one product over the stack rounds differently."""
-    h, covs = np.asarray(h_sr), np.asarray(covariances)
-    if h.ndim != 1 or covs.shape[1:] != (h.size, h.size):
-        raise ValueError("channel/covariance dimensions disagree")
+    if kind is not CombinerKind.MMSE:
+        raise ValueError(f"unknown combiner kind: {kind!r}")
     try:
-        solved = np.linalg.solve(covs, h[:, None])[..., 0]
+        solved = np.linalg.solve(cov, h)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("covariance is singular") from exc
-    return [float(np.real(h.conj() @ x)) for x in solved]
+    return float(np.real(h.conj() @ solved))
 
 
 def effective_gain_second_phase(h_rd: np.ndarray, noise_power_w: float) -> float:

@@ -167,7 +167,7 @@ def oracle_corr(scenario, n, centre=None):
     """EMI correlation of the n-element grid: the isotropic sinc, or, given a
     point ``centre``, the Gram product of a gaussian density of the scenario's
     spread centred on the direction of ``centre`` from the node, over the
-    scenario's quadrature nodes.  Its angles are read in ``oracle_frame``,
+    sweeps' QUADRATURE_NODES per axis.  Its angles are read in ``oracle_frame``,
     azimuth from the broadside toward the horizontal axis."""
     wavelength = SPEED_OF_LIGHT / (scenario.budget.carrier_frequency_ghz * 1e9)
     node, source, dest = (np.array(p) for p in
@@ -180,7 +180,7 @@ def oracle_corr(scenario, n, centre=None):
     spread = math.radians(scenario.emi_spread_deg)
     density = AngularDensity(math.atan2(toward[1], toward[0]), math.asin(toward[2]),
                              spread, spread)
-    return gram_oracle(offsets @ frame.T, wavelength, density, scenario.quadrature_nodes)
+    return gram_oracle(offsets @ frame.T, wavelength, density, emilink.emi.QUADRATURE_NODES)
 
 
 def oracle_surface_gains(scenario, target, variance, corr):
@@ -760,9 +760,10 @@ def test_criterion_6d_fig8b_crossovers(fig8_result):
     "known defect: the fixed 64-node directional quadrature under-resolves grids with many "
     "columns (1 x M, 2 x M/2, 3 x 23), so fig8's df case-2 rows move by up to 2.26 dB "
     "(df_mr, M = 61) against a 256-node rule"))
-def test_fig8_case2_relay_rows_are_resolved_by_the_quadrature(fig8_result):
+def test_fig8_case2_relay_rows_are_resolved_by_the_quadrature(fig8_result, monkeypatch):
     # 256 nodes agree with 1024 nodes within 1.2e-11 dB on every row
-    fine = run_fig8(replace(Scenario(), quadrature_nodes=256))
+    monkeypatch.setattr(emilink.emi, "QUADRATURE_NODES", 256)
+    fine = run_fig8(Scenario())
     expected = {(r.sweep_var, r.technology): r.power_dbm for r in fine.rows
                 if r.technology.startswith("df_") and r.mode == "optimized_case2"}
     rows = {(r.sweep_var, r.technology): r.power_dbm for r in fig8_result.rows

@@ -71,9 +71,11 @@ def test_scenario_from_config_rejects_unknown_keys():
         scenario_from_config({"nonsense": 1})
     with pytest.raises(ValueError, match="unknown config key: emi.rho"):
         scenario_from_config({"emi": {"rho": 3}})
-    # keys that set no field: the combiner is an output of fig8, not a setting
+    # keys that set no field: the combiner is an output of fig8, not a setting,
+    # and the quadrature node count is emi.QUADRATURE_NODES
     for raw, key in [({"budget": {"bandwidth_hz": 20e6}}, "budget.bandwidth_hz"),
                      ({"relay": {"combiner": "mr"}}, "relay.combiner"),
+                     ({"quadrature_nodes": 64}, "quadrature_nodes"),
                      ({"optimization": {"emi_aware": True}}, "optimization")]:
         with pytest.raises(ValueError, match=f"unknown config key: {key}$"):
             scenario_from_config(raw)
@@ -88,7 +90,7 @@ def test_scenario_from_config_rejects_unknown_keys():
     ({"irs": {"elements": []}}, "counts"),
     ({"irs": {"reference_elements": 0}}, "counts"),
     ({"relay": {"antennas": 0}}, "counts"),
-    ({"quadrature_nodes": 1}, "quadrature"),
+    ({"relay": {"antennas": [2, 0]}}, "counts"),
     ({"geometry": {"node_m": [0.0, 0.0, 0.0]}}, "distinct"),
     ({"geometry": {"node_m": [30.0, 0.0, 5.0]}}, "axis"),
     ({"emi": {"rho_db": math.nan}}, "rho_db"),
@@ -105,7 +107,7 @@ def test_scenario_from_config_rejects_unknown_keys():
     ({"irs": {"reference_elements": 9.9}}, "counts"),
     ({"relay": {"antennas": 3.5}}, "counts"),
     ({"relay": {"antennas": [2, 3.5]}}, "counts"),
-    ({"quadrature_nodes": 64.7}, "quadrature"),
+    ({"relay": {"antennas": -3}}, "counts"),  # 1..M is empty
     ([{"version": 1}], "must be an object"),
     ("fig3", "must be an object"),
     # hops under 1 m: node to destination, source to node, node to the
@@ -119,7 +121,7 @@ def test_scenario_from_config_rejects_unknown_keys():
     ({"version": True}, "version"),
     ({"irs": {"reference_elements": "75"}}, "irs.reference_elements"),
     ({"emi": {"rho_db": "25"}}, "emi.rho_db"),
-    ({"quadrature_nodes": "64"}, "quadrature_nodes"),
+    ({"sweeps": {"rho_db": [-10.0, "40", 26]}}, "sweeps.rho_db"),
     ({"target_rate_bps_hz": "6"}, "target_rate_bps_hz"),
     ({"irs": {"elements": "75"}}, "irs.elements"),
     ({"irs": {"elements": [True, 4]}}, "irs.elements"),
@@ -166,7 +168,6 @@ def test_scenario_accepts_emi_below_the_float_limit():
     ({"irs_elements": (2.5,)}, "counts"),
     ({"irs_reference_elements": 9.9}, "counts"),
     ({"relay_antennas": (1, 3.5)}, "counts"),
-    ({"quadrature_nodes": 64.7}, "quadrature"),
 ])
 def test_scenario_rejects_fractional_counts(kwargs, message):
     # built directly, without the config loader in front
@@ -195,10 +196,9 @@ def test_scenario_rejects_bad_positions(name, bad):
 
 def test_whole_float_counts_load_as_ints():
     sc = scenario_from_config({"irs": {"elements": [50.0, 75, 100.0], "reference_elements": 75.0},
-                               "relay": {"antennas": 80.0}, "quadrature_nodes": 64.0})
+                               "relay": {"antennas": 80.0}})
     assert sc == Scenario()
-    counts = (*sc.irs_elements, sc.irs_reference_elements, *sc.relay_antennas,
-              sc.quadrature_nodes)
+    counts = (*sc.irs_elements, sc.irs_reference_elements, *sc.relay_antennas)
     assert all(type(n) is int for n in counts)
 
 
@@ -298,7 +298,7 @@ def test_only_the_config_classes_have_field_defaults():
                                 or f.default_factory is not dataclasses.MISSING)
     expected = {("Scenario", f.name) for f in dataclasses.fields(Scenario)}
     expected |= {("LinkBudget", f.name) for f in dataclasses.fields(LinkBudget)}
-    assert len(expected) == 13 + 4
+    assert len(expected) == 12 + 4
     assert defaults == expected
 
 
@@ -313,7 +313,7 @@ def test_each_config_key_sets_a_distinct_field():
     targets = list(leaves(_CONFIG_KEYS))
     expected = {f.name for f in dataclasses.fields(Scenario) if f.name != "budget"}
     expected |= {f"budget.{f.name}" for f in dataclasses.fields(LinkBudget)}
-    assert len(targets) == len(set(targets)) == 16
+    assert len(targets) == len(set(targets)) == 15
     assert set(targets) == expected
 
 
@@ -758,16 +758,32 @@ def test_fig8_structure_and_dominance():
         for m in mmse:
             assert mmse[m] <= mr[m] + 1e-6
             assert clean[m] <= mmse[m] + 1e-6
+    # the no-EMI covariance is built as N0 I; 0 R + N0 I gives the same MR gain bits
+    sc = Scenario()
+    frame, noise = bench._Frame(sc), sc.budget.noise_power_w
+    gain, mr_kind = relay.effective_gain_first_phase, relay.CombinerKind.MR
+    for m in sc.relay_antennas:
+        node, white = bench._NodeLink(frame, m), noise * np.eye(m)
+        assert float.hex(gain(node.h_sr, white, mr_kind)) == float.hex(
+            gain(node.h_sr, 0.0 * node.iso + white, mr_kind)), m
 
 
 def test_fig8_builds_one_quadrature_per_array(monkeypatch):
     # one case-2 correlation per relay antenna count and one for the surface
-    # reference; the relay's MMSE and MR rows share theirs
-    original, calls = bench.emi_mod.corr_directional, []
-    monkeypatch.setattr(bench.emi_mod, "corr_directional",
-                        lambda *args: calls.append(args) or original(*args))
+    # reference; the relay's MMSE and MR rows share theirs.  Each of the five
+    # relay gains per count comes from effective_gain_first_phase, and every
+    # DF row from one batch solve, so a profiler wrapping those names sees all.
+    calls = {}
+    for module, name in ((bench.emi_mod, "corr_directional"),
+                         (bench.relay_mod, "effective_gain_first_phase"),
+                         (bench.relay_mod, "df_min_power_batch")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, fn=getattr(module, name):
+                            calls.setdefault(name, []).append(args) or fn(*args))
     run_fig8(SMALL)
-    assert len(calls) == len(SMALL.relay_antennas) + 1
+    arrays = len(SMALL.relay_antennas)
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "corr_directional": arrays + 1, "effective_gain_first_phase": 5 * arrays,
+        "df_min_power_batch": 1}
     monkeypatch.undo()
 
     # the orientation and the endpoints' angles are taken once for the figure
@@ -797,27 +813,6 @@ def test_fig8_builds_one_quadrature_per_array(monkeypatch):
     for m in counts:
         bench.emi_mod._column_sums.cache_clear()
         assert rows_by_count((m,)) == {m: ascending[m]}
-
-
-def test_fig8_stacked_mmse_gains_equal_the_single_solves():
-    # fig8 solves each antenna count's iso and case-2 MMSE gains as one stack,
-    # and builds its no-EMI covariance as N0 I rather than 0 R + N0 I
-    sc = Scenario()
-    frame, noise = bench._Frame(sc), sc.budget.noise_power_w
-    angles = frame.sight(sc.dest_pos)[0]
-    gain, kind = relay.effective_gain_first_phase, relay.CombinerKind
-    for m in sc.relay_antennas:
-        node = bench._NodeLink(frame, m)
-        h, white = node.h_sr, noise * np.eye(m)
-        covs = [sc.emi_variance * node.correlation(emi, angles) + white
-                for emi in ("iso", "case2")]
-        single = [gain(h, cov, kind.MMSE) for cov in covs]
-        direct = [float(np.real(h.conj() @ np.linalg.solve(cov, h))) for cov in covs]
-        stacked = relay.mmse_gains(h, np.stack(covs))
-        assert list(map(float.hex, stacked)) == list(map(float.hex, single)), m
-        assert list(map(float.hex, stacked)) == list(map(float.hex, direct)), m
-        assert float.hex(gain(h, white, kind.MR)) == float.hex(
-            gain(h, 0.0 * node.iso + white, kind.MR)), m
 
 
 def test_all_rows_achieve_target_rate():

@@ -5,11 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from emilink import (ArrayLayout, CombinerKind, EffectiveGains, InfeasibleError, IrsLink,
-                     Scenario, df_inner_max_rate, df_min_power, df_min_power_batch, df_rate,
-                     effective_gain_first_phase, effective_gain_second_phase,
-                     effective_gains_single, irs_required_power, irs_sinr, los_channel,
-                     make_layout, phases_noise_only, repetition_required_power, run_fig5,
-                     run_fig6, run_fig8)
+                     NumericalError, Scenario, df_inner_max_rate, df_min_power,
+                     df_min_power_batch, df_rate, effective_gain_first_phase,
+                     effective_gain_second_phase, effective_gains_single, irs_required_power,
+                     irs_sinr, los_channel, make_layout, phases_noise_only,
+                     repetition_required_power, run_fig5, run_fig6, run_fig8)
 from emilink import relay
 from emilink.errors import POWER_UPPER_W, capped_power
 from conftest import random_complex, random_unit_diag_psd
@@ -304,6 +304,11 @@ def test_first_phase_hand_value():
     cov = np.diag([1.0, 4.0])
     assert effective_gain_first_phase(h, cov, CombinerKind.MMSE) == pytest.approx(1.25)
     assert effective_gain_first_phase(h, cov, CombinerKind.MR) == pytest.approx(0.8)
+    # a singular covariance fails the MMSE solve; a zero one leaves MR no denominator
+    with pytest.raises(NumericalError, match="singular"):
+        effective_gain_first_phase(h, np.ones((2, 2)), CombinerKind.MMSE)
+    with pytest.raises(NumericalError, match="positive definite"):
+        effective_gain_first_phase(h, np.zeros((2, 2)), CombinerKind.MR)
 
 
 def test_first_phase_white_noise_equality():
@@ -400,6 +405,11 @@ def _unit_link(n=4, noise=NOISE):
     pytest.param(lambda: df_min_power_batch(6.0, [[1.0]], [[1.0]]), id="df-batch-2d"),
     pytest.param(lambda: df_rate(0.5, math.nan, 1.0, EffectiveGains(1.0, 1.0)), id="df-rate-p1"),
     pytest.param(lambda: df_rate(0.5, 1.0, math.nan, EffectiveGains(1.0, 1.0)), id="df-rate-p2"),
+    # a combiner kind given by its value, or not at all, is not taken for MMSE
+    pytest.param(lambda: effective_gain_first_phase(np.ones(2), np.eye(2), "mr"),
+                 id="first-phase-kind-string"),
+    pytest.param(lambda: effective_gain_first_phase(np.ones(2), np.eye(2), None),
+                 id="first-phase-kind-none"),
     pytest.param(lambda: _unit_link(noise=math.nan), id="irs-link-noise"),
     pytest.param(lambda: los_channel(math.nan, 0.0, 0.0, make_layout(4, 0.1)), id="los-gain"),
     pytest.param(lambda: irs_sinr(math.nan, _unit_link(), np.zeros(4)), id="irs-sinr-power"),
