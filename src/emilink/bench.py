@@ -21,7 +21,7 @@ import numpy as np
 from . import emi as emi_mod
 from . import irs as irs_mod
 from . import relay as relay_mod
-from .errors import InfeasibleError, capped_power
+from .errors import InfeasibleError, capped_power, pow2m1
 from .scene import (LinkBudget, angles_between, dbm_to_watt, los_channel, make_layout,
                     pathloss_umi, watt_to_dbm)
 
@@ -52,8 +52,9 @@ class Scenario:
     rho_sweep: tuple[float, float, int] = (-10.0, 40.0, 26)
 
     def __post_init__(self):
-        if not self.target_rate > 0:
-            raise ValueError(f"target rate must be positive, got {self.target_rate!r}")
+        if not (self.target_rate > 0 and pow2m1(self.target_rate) > 0):  # pow2m1(nan) is inf
+            raise ValueError("target rate must be large enough that the SNR 2^R - 1 it needs "
+                             f"is positive (R >~ 1.6e-16), got {self.target_rate!r}")
         if not 0.0 < self.emi_spread_deg < math.inf:
             raise ValueError(f"emi_spread_deg must be finite and > 0, got {self.emi_spread_deg!r}")
         for name in ("distance_sweep", "rho_sweep"):

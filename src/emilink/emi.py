@@ -20,11 +20,11 @@ the y (column) phase over azimuth, then the z (row) phase over elevation.
 The column sums g[dc, t] are prefix-stable: row dc comes from a running
 product over dc, so it is the same bit for bit whatever the layout's column
 count.  A one-slot memo keyed by (density, nodes, ks) keeps the last
-density's sums and extends them when a wider grid asks, so fig8's antenna
-counts and its surface reference share one set under the case-2 density;
-each layout still takes its own row exponent and kernel product.  A miss
-builds the weighted angular grid and checks its sum, the density's mass,
-against the (cached) mass at twice the nodes.
+density's sums, so fig8's antenna counts and its surface reference share one
+set under the case-2 density; each layout still takes its own row exponent
+and kernel product.  A wider grid replaces the sums by a longer snapshot and
+never writes an array it has handed out, so concurrent calls give serial bits.
+A miss builds the weighted grid and checks its mass against twice the nodes.
 
 Both correlations are used as built, with no projection onto the PSD cone.
 The quadrature matrix is a positively weighted sum of outer products.  The
@@ -137,22 +137,18 @@ def _weighted_grid(density: AngularDensity, nodes: int):
     return phi, th, np.outer(w_phi, w_th) * values
 
 
-@cache
-def _density_mass(density: AngularDensity, nodes: int) -> float:
-    return float(np.sum(_weighted_grid(density, nodes)[2]))
-
-
 class _ColumnSums:
     """Column sums g[dc, t] = sum_p W[p, t] exp(j dc ks cos(theta_t) sin(phi_p))
     of one density, for dc >= 0, extended on demand.
 
     Row dc comes from the running product of W with exp(j ks cos(theta) sin(phi))
     over dc, so it is the same bit for bit however many rows are asked for:
-    a grid with more columns only runs the product further.
+    a grid with more columns only runs the product further.  The rows and the
+    running term are one read-only snapshot that a wider request replaces whole.
     """
 
     def __init__(self, density: AngularDensity, nodes: int, ks: float):
-        mass_fine = _density_mass(density, 2 * nodes)
+        mass_fine = float(np.sum(_weighted_grid(density, 2 * nodes)[2]))
         phi, self.theta, weight = _weighted_grid(density, nodes)
         mass = float(np.sum(weight))
         if mass <= 0 or not np.isfinite(mass) or abs(mass - mass_fine) > 1e-6 * abs(mass_fine):
@@ -160,21 +156,21 @@ class _ColumnSums:
                 f"density normalization did not converge ({mass!r} vs {mass_fine!r}); "
                 "increase the quadrature nodes")
         self._step = np.exp(1j * ks * np.outer(np.sin(phi), np.cos(self.theta)))  # (P, T)
-        self._term = (weight / mass).astype(complex)
-        self._g = np.empty((0, self.theta.size), dtype=complex)
+        self._snapshot = np.empty((0, self.theta.size), complex), (weight / mass).astype(complex)
 
     def first(self, cols: int) -> np.ndarray:
         """g[:cols] as a C-contiguous (cols, T) view, laid out as a freshly built
         array would be, so the kernel product takes the same BLAS path."""
-        done = len(self._g)
-        if done < cols:
-            g = np.empty((cols, self.theta.size), dtype=complex)
-            g[:done] = self._g
-            for dc in range(done, cols):
-                g[dc] = self._term.sum(axis=0)
-                self._term *= self._step
-            self._g = g
-        return self._g[:cols]
+        g, term = self._snapshot
+        if len(g) < cols:
+            term, rows = term.copy(), []
+            for _ in range(len(g), cols):
+                rows.append(term.sum(axis=0))
+                term *= self._step
+            g = np.concatenate([g, rows])
+            g.flags.writeable = term.flags.writeable = False
+            self._snapshot = g, term
+        return g[:cols]
 
 
 @lru_cache(maxsize=1)

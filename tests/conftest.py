@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -53,3 +55,33 @@ def gram_oracle(positions, wavelength, density, nodes=64):
         [np.cos(tt) * np.cos(pp), np.cos(tt) * np.sin(pp), np.sin(tt)])
     steering = np.exp(1j * (positions @ k))
     return (steering * wf) @ steering.conj().T
+
+
+def run_concurrently(jobs, timeout=30.0):
+    """Run each zero-argument job in its own thread, all released at once by a
+    barrier, and return their results in order.  The interpreter switches
+    threads every microsecond meanwhile, so that shared state is interleaved
+    finely.  An exception in a job is collected, not left to escape its thread,
+    and fails the calling test."""
+    barrier, results, errors = threading.Barrier(len(jobs)), [None] * len(jobs), []
+
+    def work(i):
+        try:
+            barrier.wait(timeout)
+            results[i] = jobs[i]()
+        except Exception as exc:  # reported below, with the job it came from
+            errors.append((i, exc))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), "a job did not finish"
+    assert not errors, errors
+    return results

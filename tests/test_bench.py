@@ -23,6 +23,7 @@ from emilink import (LinkBudget, Scenario, SweepResult, SweepRow, format_csv,
 from emilink.bench import CSV_HEADER, RUNNERS, correlations, dump_matrix_csv
 from emilink import bench, cli, irs, relay
 from emilink.errors import capped_power
+from conftest import run_concurrently
 
 SMALL = Scenario(distance_sweep=(20.0, 120.0, 6), rho_sweep=(-10.0, 40.0, 6),
                  irs_elements=(16,), irs_reference_elements=16,
@@ -152,6 +153,9 @@ def test_scenario_from_config_rejects_unknown_keys():
     ({"budget": {"carrier_frequency_ghz": 1e-300}}, "carrier_frequency_ghz"),
     # a config table given as a number
     ({"geometry": 5}, "geometry must be an object"),
+    # a target rate so small that 2^R - 1 rounds to 0, or none at all
+    ({"target_rate_bps_hz": 1e-300}, "target rate"),
+    ({"target_rate_bps_hz": math.nan}, "target rate"),
 ])
 def test_scenario_from_config_rejects_bad_values(raw, message):
     # rejected while the Scenario is built, before any sweep work
@@ -300,6 +304,36 @@ def test_only_the_config_classes_have_field_defaults():
     expected |= {("LinkBudget", f.name) for f in dataclasses.fields(LinkBudget)}
     assert len(expected) == 12 + 4
     assert defaults == expected
+
+
+def test_the_package_keeps_only_these_memos():
+    # a memo is state that every caller in the process shares, and the README
+    # promises that concurrent calls are safe, so adding one is a deliberate
+    # edit of this set; each use of a memo name must decorate one of these
+    memo_names, memos, uses = {"cache", "lru_cache", "cached_property"}, set(), 0
+
+    def is_memo(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return getattr(node, "id", getattr(node, "attr", None)) in memo_names
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                memos.update((module, prefix + child.name)
+                             for d in child.decorator_list if is_memo(d))
+                visit(child, module, f"{prefix}{child.name}.")
+            else:
+                visit(child, module, prefix)
+
+    for path in pathlib.Path(cli.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        visit(tree, path.stem, "")
+        uses += sum(isinstance(n, (ast.Name, ast.Attribute)) and is_memo(n)
+                    for n in ast.walk(tree))
+    assert memos == {("emi", "_leggauss"), ("emi", "_column_sums"),
+                     ("scene", "ArrayLayout.positions"), ("scene", "ArrayLayout.offset_index"),
+                     ("bench", "_NodeLink.case1")}
+    assert uses == len(memos)
 
 
 def test_each_config_key_sets_a_distinct_field():
@@ -813,6 +847,20 @@ def test_fig8_builds_one_quadrature_per_array(monkeypatch):
     for m in counts:
         bench.emi_mod._column_sums.cache_clear()
         assert rows_by_count((m,)) == {m: ascending[m]}
+
+
+def test_concurrent_figures_give_the_serial_rows():
+    # three fig8 runs share the case-2 column sums while fig7's densities evict
+    # them from the one-slot memo; each run must keep the rows of a serial run
+    scenario = Scenario(relay_antennas=tuple(range(1, 41)))
+    runners = (run_fig8, run_fig8, run_fig8, run_fig7)
+    serial = {runner: [repr(row) for row in runner(scenario).rows]
+              for runner in (run_fig8, run_fig7)}
+    for _ in range(6):
+        bench.emi_mod._column_sums.cache_clear()
+        results = run_concurrently([lambda r=r: r(scenario) for r in runners])
+        for runner, result in zip(runners, results):
+            assert [repr(row) for row in result.rows] == serial[runner], runner.__name__
 
 
 def test_all_rows_achieve_target_rate():

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from emilink import (AngularDensity, NumericalError,
+from emilink import (AngularDensity, ArrayLayout, NumericalError,
                      corr_directional, corr_isotropic,
                      emi_quadratic_form, los_channel, make_layout, psd_project)
+from emilink import emi
 from emilink.emi import corr_matvec
-from conftest import gram_oracle, random_unit_diag_psd
+from conftest import gram_oracle, random_unit_diag_psd, run_concurrently
 
 LAM = 0.1
 
@@ -248,6 +249,27 @@ def test_corr_directional_reuses_the_layout_offset_index():
     dens = AngularDensity(0.6, -0.3, math.radians(10), math.radians(10))
     corr_directional(lay, dens, 64)
     assert _peak_bytes(corr_directional, lay, dens, 64) < 1.5 * n * n * 16
+
+
+def test_concurrent_corr_directional_gives_the_serial_bits():
+    # Four threads widen one density's shared column sums at once, each through
+    # its own interleaved share of the 1 x M lines.  Each matrix must keep the
+    # bits of a serial call: the sums are replaced by snapshots, never grown in place.
+    density = AngularDensity(0.3, -0.2, math.radians(10), math.radians(10))
+    widths = range(31, 80)
+    serial = {m: corr_directional(ArrayLayout(1, m, LAM), density, 64).tobytes()
+              for m in widths}
+
+    def job(share):
+        return [(m, corr_directional(ArrayLayout(1, m, LAM), density, 64).tobytes())
+                for m in share]
+
+    shares = [widths[k::4] for k in range(4)]
+    for _ in range(16):
+        emi._column_sums.cache_clear()
+        for results in run_concurrently([lambda s=s: job(s) for s in shares]):
+            for m, corr in results:
+                assert corr == serial[m], m
 
 
 @pytest.mark.parametrize("n", [7, 23, 80, 400])
