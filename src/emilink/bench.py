@@ -21,7 +21,7 @@ import numpy as np
 from . import emi as emi_mod
 from . import irs as irs_mod
 from . import relay as relay_mod
-from .errors import InfeasibleError, capped_power, pow2m1
+from .errors import POWER_UPPER_W, InfeasibleError, pow2m1
 from .scene import (LinkBudget, angles_between, dbm_to_watt, los_channel, make_layout,
                     pathloss_umi, watt_to_dbm)
 
@@ -52,9 +52,7 @@ class Scenario:
     rho_sweep: tuple[float, float, int] = (-10.0, 40.0, 26)
 
     def __post_init__(self):
-        if not (self.target_rate > 0 and pow2m1(self.target_rate) > 0):  # pow2m1(nan) is inf
-            raise ValueError("target rate must be large enough that the SNR 2^R - 1 it needs "
-                             f"is positive (R >~ 1.6e-16), got {self.target_rate!r}")
+        pow2m1(self.target_rate)  # raises, naming the target rate, unless 2^R - 1 > 0
         if not 0.0 < self.emi_spread_deg < math.inf:
             raise ValueError(f"emi_spread_deg must be finite and > 0, got {self.emi_spread_deg!r}")
         for name in ("distance_sweep", "rho_sweep"):
@@ -295,8 +293,7 @@ def _irs_optimized(target_rate, link):
 
 
 def _df_repetition(target_rate, beta_sr, beta_rd, variance, noise):
-    power = capped_power(relay_mod.repetition_required_power(
-        target_rate, beta_sr, beta_rd, variance, noise), target_rate)
+    power = relay_mod.repetition_required_power(target_rate, beta_sr, beta_rd, variance, noise)
     gains = relay_mod.effective_gains_single(beta_sr, beta_rd, variance, noise)
     snr = 2.0 * power * gains.alpha1 * gains.alpha2 / (gains.alpha1 + gains.alpha2)
     return power, relay_mod.df_rate(0.5, snr / gains.alpha1, snr / gains.alpha2, gains), 0
@@ -304,13 +301,13 @@ def _df_repetition(target_rate, beta_sr, beta_rd, variance, noise):
 
 def _df_optimized(target_rate, beta_sr, beta_rd, variance, noise):
     gains = relay_mod.effective_gains_single(beta_sr, beta_rd, variance, noise)
-    return _df_solved(target_rate, gains, relay_mod.df_min_power(target_rate, gains))
+    return _df_solved(gains, relay_mod.df_min_power(target_rate, gains))
 
 
-def _df_solved(target_rate, gains, solution):
-    """Row of a ``df_min_power`` or (not yet capped) ``df_min_power_batch`` solution."""
+def _df_solved(gains, solution):
+    """(power W, rate, iterations) of a ``df_min_power`` or ``df_min_power_batch`` solution."""
     power, tau1, p1, p2, iterations = solution
-    return capped_power(power, target_rate), relay_mod.df_rate(tau1, p1, p2, gains), iterations
+    return power, relay_mod.df_rate(tau1, p1, p2, gains), iterations
 
 
 _IRS_SOLVERS = {"heuristic": _irs_heuristic, "optimized": _irs_optimized}
@@ -319,11 +316,13 @@ _DF_SOLVERS = {"repetition": _df_repetition, "optimized": _df_optimized}
 
 
 def _row(sweep_var, tech, mode, solve, *args) -> SweepRow:
-    """Row of ``solve(*args)`` -> (power W, rate, iterations); infeasible
-    targets give the inf/nan/0 sentinel row."""
+    """Row of ``solve(*args)`` -> (power W, rate, iterations).  The one feasibility test:
+    a power not <= POWER_UPPER_W (NaN too) or an InfeasibleError gives the inf/nan/0 row."""
     try:
         power, rate, iterations = solve(*args)
     except InfeasibleError:
+        power = math.nan
+    if not power <= POWER_UPPER_W:
         return SweepRow(sweep_var, tech, mode, math.inf, math.nan, 0)
     return SweepRow(sweep_var, tech, mode, watt_to_dbm(power), rate, iterations)
 
@@ -442,7 +441,7 @@ def run_fig8(scenario: Scenario) -> SweepResult:
     solutions = iter(relay_mod.df_min_power_batch(scenario.target_rate, *zip(*alphas)))
     rows = []
     for m, alpha2, entries in plan:
-        rows.extend(_row(float(m), tech, mode, _df_solved, scenario.target_rate,
+        rows.extend(_row(float(m), tech, mode, _df_solved,
                          relay_mod.EffectiveGains(alpha1, alpha2), next(solutions))
                     for tech, mode, alpha1 in entries)
         rows.extend(replace(ref, sweep_var=float(m)) for ref in refs)

@@ -1,9 +1,10 @@
-"""Exception types shared across the package, and the power cap.
+"""Exception types shared across the package, the power cap and the rate rule.
 
 Invalid arguments raise the built-in ValueError; the classes below cover
-failure modes that a caller may want to catch separately.  A rate counts
-as infeasible for every technology alike: when the transmit power it needs
-exceeds POWER_UPPER_W.
+failure modes that a caller may want to catch separately.  The power
+functions return the power they compute, however large; a rate counts as
+infeasible for every technology alike when that power is not at most
+POWER_UPPER_W, which ``bench._row`` alone tests.
 """
 
 import math
@@ -12,21 +13,18 @@ POWER_UPPER_W = 1e5  # 80 dBm
 
 
 class InfeasibleError(Exception):
-    """The requested rate cannot be met within the allowed power budget."""
+    """No power achieves the requested rate: a channel is zero."""
 
 
 class NumericalError(Exception):
     """A numerical routine failed to reach its accuracy target."""
 
 
-def capped_power(power_w: float, target_rate: float) -> float:
-    """``power_w``, or InfeasibleError when it exceeds POWER_UPPER_W or is NaN."""
-    if not power_w <= POWER_UPPER_W:
-        raise InfeasibleError(f"rate {target_rate} unreachable within {POWER_UPPER_W:.0e} W")
-    return power_w
-
-
 def pow2m1(x: float) -> float:
-    """2^x - 1, the SNR a rate of x bit/s/Hz needs, or inf where 2^x overflows
-    a float (x >= 1024), so that a huge target reads as infeasible."""
-    return 2.0 ** x - 1.0 if x < 1024.0 else math.inf
+    """2^x - 1, the SNR a rate of x bit/s/Hz needs, or inf where 2^x overflows a
+    float (x >= 1024), so that a huge target reads as infeasible.  ValueError
+    unless x > 0 and 2^x - 1 > 0, which rejects NaN and x below ~1.6e-16."""
+    snr = 2.0 ** x - 1.0 if x < 1024.0 else math.inf
+    if not (x > 0 and snr > 0):
+        raise ValueError(f"target rate must be positive with 2^R - 1 > 0 (R >~ 1.6e-16), got {x!r}")
+    return snr

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emi import corr_matvec, emi_quadratic_form
-from .errors import InfeasibleError, capped_power, pow2m1
+from .errors import InfeasibleError, pow2m1
 
 TWO_PI = 2.0 * np.pi
 MM_TOL = 1e-8  # relative change of g at which the phase optimizer stops
@@ -110,11 +110,10 @@ def irs_rate(power_w: float, link: IrsLink, phases: np.ndarray) -> float:
 
 
 def _power_for(target_rate: float, gain: float, denominator: float) -> float:
-    if not target_rate > 0:
-        raise ValueError("target rate must be positive")
+    snr = pow2m1(target_rate)  # checks the rate before the channel
     if gain == 0.0:
         raise InfeasibleError("cascaded channel is zero; no power achieves the rate")
-    return pow2m1(target_rate) * denominator / gain
+    return snr * denominator / gain
 
 
 def irs_required_power(target_rate: float, link: IrsLink, phases: np.ndarray) -> float:
@@ -123,9 +122,9 @@ def irs_required_power(target_rate: float, link: IrsLink, phases: np.ndarray) ->
 
 
 def irs_power_and_rate(target_rate: float, link: IrsLink, phases: np.ndarray):
-    """Capped ``irs_required_power`` and ``irs_rate`` at it, bit for bit, in one evaluation."""
+    """``irs_required_power`` and ``irs_rate`` at it, bit for bit, in one evaluation."""
     gain, denominator = _gain_and_denominator(link, phases)
-    power = capped_power(_power_for(target_rate, gain, denominator), target_rate)
+    power = _power_for(target_rate, gain, denominator)
     return power, float(np.log2(1.0 + power * gain / denominator))
 
 
@@ -225,8 +224,8 @@ def irs_min_power_emi_aware(target_rate: float,
     found once by ``phases_emi_aware`` (stopping at MM_TOL or MM_MAX_ITERS)
     and the power follows in closed form.  Returns ``(power_w, rate, phases,
     iterations, converged)``, ``irs_power_and_rate``'s pair followed by the
-    optimizer's triple.  The power never exceeds the noise-only-phases power.
-    Raises InfeasibleError when it exceeds POWER_UPPER_W.
+    optimizer's triple.  The power never exceeds the noise-only-phases power;
+    it is returned however large, for the caller to hold against POWER_UPPER_W.
     """
     phases, iterations, converged = phases_emi_aware(link)
     return *irs_power_and_rate(target_rate, link, phases), phases, iterations, converged

@@ -22,8 +22,9 @@ predicate, REL_TOL and stopping rule applied to each entry.  Its predicate
 reads numpy's exp/expm1 instead of math's; a last-bit difference that
 flipped the sign of P' at a midpoint would move tau1 by at most REL_TOL.
 p1, p2 and the power come per entry through math.expm1, as in the scalar
-solve.  The scalar ``df_min_power`` stays the path for single solves, where
-numpy's per-call overhead would cost more than the loop saves.
+solve, beyond POWER_UPPER_W too: neither solve caps the power.  The scalar
+``df_min_power`` stays the path for single solves, where numpy's per-call
+overhead would cost more than the loop saves.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InfeasibleError, NumericalError, capped_power, pow2m1
+from .errors import InfeasibleError, NumericalError, pow2m1
 
 LN2 = math.log(2.0)
 REL_TOL = 1e-13  # relative width at which a bisection stops
@@ -167,13 +168,13 @@ def df_min_power(target_rate: float,
     """Minimum average power reaching ``target_rate``, with both phase rates
     pinned at it: (power_w, tau1, p1, p2, bisection steps).
 
-    Raises InfeasibleError when that power exceeds POWER_UPPER_W; a rate whose
-    power overflows a float reads as inf and is rejected alike.
+    The power is returned however large, for the caller to hold against
+    POWER_UPPER_W; one that overflows a float reads as inf.
     """
     if not target_rate > 0:
         raise ValueError("target rate must be positive")
     tau1, p1, p2, power, steps = _min_power_at(target_rate, gains)
-    return capped_power(power, target_rate), tau1, p1, p2, steps
+    return power, tau1, p1, p2, steps
 
 
 def _scaled_f_batch(u: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -189,9 +190,8 @@ def df_min_power_batch(target_rate: float, alpha1,
     """``df_min_power`` for each gain pair (alpha1[i], alpha2[i]) at one rate,
     as one bisection on numpy arrays (see the module docstring).
 
-    Returns one (power_w, tau1, p1, p2, bisection steps) per entry.  The power
-    is not capped: pass each through ``errors.capped_power``, which raises
-    InfeasibleError where ``df_min_power`` would.
+    Returns one (power_w, tau1, p1, p2, bisection steps) per entry, each equal
+    to ``df_min_power``'s bit for bit, the power uncapped as there.
     """
     if not target_rate > 0:
         raise ValueError("target rate must be positive")

@@ -22,7 +22,7 @@ from emilink import (LinkBudget, Scenario, SweepResult, SweepRow, format_csv,
                      repetition_required_power, scenario_from_config, watt_to_dbm)
 from emilink.bench import CSV_HEADER, RUNNERS, correlations, dump_matrix_csv
 from emilink import bench, cli, irs, relay
-from emilink.errors import capped_power
+from emilink.errors import POWER_UPPER_W, InfeasibleError
 from conftest import run_concurrently
 
 SMALL = Scenario(distance_sweep=(20.0, 120.0, 6), rho_sweep=(-10.0, 40.0, 6),
@@ -334,6 +334,27 @@ def test_the_package_keeps_only_these_memos():
                      ("scene", "ArrayLayout.positions"), ("scene", "ArrayLayout.offset_index"),
                      ("bench", "_NodeLink.case1")}
     assert uses == len(memos)
+
+
+def test_only_bench_row_reads_the_power_cap():
+    # infeasibility means one thing for every technology, so one function decides
+    # it: every power function returns the power it computes, and _row alone
+    # holds it against POWER_UPPER_W
+    readers = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load)
+                    and getattr(child, "id", getattr(child, "attr", None)) == "POWER_UPPER_W"):
+                readers.add((module, scope))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, module, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    for path in pathlib.Path(cli.__file__).parent.glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        assert "capped_power" not in source, path.name
+        visit(ast.parse(source), path.stem, "")
+    assert readers == {("bench", "_row")}
 
 
 def test_each_config_key_sets_a_distinct_field():
@@ -762,7 +783,7 @@ def test_heuristic_surface_rows_take_one_quadratic_form(monkeypatch):
     for link, (power, rate, phases, _, _) in optimized:
         assert float.hex(rate) == float.hex(irs.irs_rate(power, link, phases))
 
-    # the pair is the capped required power and the rate at it, bit for bit, on
+    # the pair is the required power and the rate at it, bit for bit, on
     # every heuristic link of the paper's figures; the rate at 6 bit/s/Hz rounds
     # to 6.0 whatever the last bits of the power, so two other targets check it
     heuristic, links = bench._IRS_SOLVERS["heuristic"], []
@@ -775,7 +796,7 @@ def test_heuristic_surface_rows_take_one_quadratic_form(monkeypatch):
         phases = irs.phases_noise_only(link.h_sr, link.h_rd)
         for rate in (6.0, 0.3, 13.7):
             power, achieved = irs.irs_power_and_rate(rate, link, phases)
-            expected = capped_power(irs.irs_required_power(rate, link, phases), rate)
+            expected = irs.irs_required_power(rate, link, phases)
             assert float.hex(power) == float.hex(expected)
             assert float.hex(achieved) == float.hex(irs.irs_rate(expected, link, phases))
 
@@ -965,6 +986,27 @@ def test_huge_target_rate_gives_infeasible_rows(rate):
         for row in runner(scenario).rows:
             assert math.isinf(row.power_dbm) and math.isnan(row.rate_bps_hz), (runner, row)
             assert row.solver_iters == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_row_is_the_one_feasibility_test():
+    # stub solvers: a power at the cap gives a finite row; one above it, inf,
+    # NaN or an InfeasibleError gives the inf/nan/0 sentinel
+    def solver(power):
+        return lambda: (power, 6.0, 7)
+
+    def zero_channel():
+        raise InfeasibleError("cascaded channel is zero")
+
+    row = bench._row(1.0, "df", "optimized_iso", solver(POWER_UPPER_W))
+    assert row == SweepRow(1.0, "df", "optimized_iso", watt_to_dbm(POWER_UPPER_W), 6.0, 7)
+    assert row.feasible
+    for solve in (solver(math.nextafter(POWER_UPPER_W, math.inf)), solver(1e6),
+                  solver(math.inf), solver(math.nan), zero_channel):
+        row = bench._row(1.0, "df", "optimized_iso", solve)
+        assert (row.sweep_var, row.technology, row.mode) == (1.0, "df", "optimized_iso")
+        assert row.power_dbm == math.inf and math.isnan(row.rate_bps_hz), row
+        assert row.solver_iters == 0
 
 
 def test_cli_huge_target_rate_exits_infeasible(tmp_path):

@@ -10,8 +10,8 @@ from emilink import (ArrayLayout, CombinerKind, EffectiveGains, InfeasibleError,
                      effective_gain_second_phase, effective_gains_single, irs_required_power,
                      irs_sinr, los_channel, make_layout, phases_noise_only,
                      repetition_required_power, run_fig5, run_fig6, run_fig8)
-from emilink import relay
-from emilink.errors import POWER_UPPER_W, capped_power
+from emilink import bench, relay
+from emilink.errors import POWER_UPPER_W
 from conftest import random_complex, random_unit_diag_psd
 
 NOISE = 10.0 ** ((-94.0 - 30.0) / 10.0)
@@ -182,9 +182,21 @@ def test_min_power_inverse_consistency():
     assert rate == pytest.approx(6.0, rel=1e-6)
 
 
+def df_row(rate, gains):
+    """The sweep row that ``bench._row`` makes of ``df_min_power(rate, gains)``."""
+    return bench._row(rate, "df", "optimized_iso", bench._df_solved, gains,
+                      df_min_power(rate, gains))
+
+
+def is_sentinel(row):
+    return row.power_dbm == math.inf and math.isnan(row.rate_bps_hz) and row.solver_iters == 0
+
+
 def test_min_power_infeasible():
-    with pytest.raises(InfeasibleError):
-        df_min_power(6.0, EffectiveGains(1e-9, 1e-9))
+    # the solve returns the power it needs, beyond the cap; the row is the sentinel
+    gains = EffectiveGains(1e-9, 1e-9)
+    assert df_min_power(6.0, gains)[0] > POWER_UPPER_W
+    assert is_sentinel(df_row(6.0, gains))
 
 
 def closed_form_power(tau, rate, gains):
@@ -219,19 +231,19 @@ def test_min_power_matches_dense_tau_grid():
 def test_min_power_far_beyond_the_cap_is_infeasible(rate):
     for gains in (EffectiveGains(1e5, 1e6), EffectiveGains(1e2, 1e7),
                   EffectiveGains(1e12, 1e12), EffectiveGains(1e-9, 1e-9)):
-        with pytest.raises(InfeasibleError):
-            df_min_power(rate, gains)
+        assert df_min_power(rate, gains)[0] > POWER_UPPER_W
+        assert is_sentinel(df_row(rate, gains))
     # within the gain bound, but the optimum overflows a float
-    with pytest.raises(InfeasibleError):
-        df_min_power(1000.0, EffectiveGains(1e300, 1e300))
+    gains = EffectiveGains(1e300, 1e300)
+    assert df_min_power(1000.0, gains)[0] == math.inf
+    assert is_sentinel(df_row(1000.0, gains))
 
 
 @pytest.mark.filterwarnings("error")
 def test_min_power_batch_equals_the_scalar_solver(monkeypatch):
     """The batch solve gives df_min_power's power, tau1, p1, p2 and step count bit
     for bit: on every DF solve that fig5, fig6 and fig8 make at three target
-    rates, and on gains far beyond the power cap, where df_min_power raises
-    InfeasibleError and the batch's power fails ``capped_power`` alike."""
+    rates, and on gains far beyond the power cap, where neither caps the power."""
     cases = {}  # target rate -> gain pairs
     scalar, batch = relay.df_min_power, relay.df_min_power_batch
 
@@ -263,14 +275,9 @@ def test_min_power_batch_equals_the_scalar_solver(monkeypatch):
     for rate, pairs in cases.items():
         solutions = df_min_power_batch(rate, *zip(*pairs))
         for (a1, a2), solution in zip(pairs, solutions, strict=True):
-            try:
-                expected = df_min_power(rate, EffectiveGains(a1, a2))
-            except InfeasibleError:
-                infeasible += 1
-                with pytest.raises(InfeasibleError):
-                    capped_power(solution[0], rate)
-            else:
-                assert bits(solution) == bits(expected), (rate, a1, a2)
+            expected = df_min_power(rate, EffectiveGains(a1, a2))
+            assert bits(solution) == bits(expected), (rate, a1, a2)
+            infeasible += not expected[0] <= POWER_UPPER_W
     assert infeasible >= 4 * len(beyond) + 2
 
 
@@ -279,8 +286,9 @@ def test_min_power_cap_is_the_feasibility_boundary():
     for gains in (EffectiveGains(3e4, 8e6), EffectiveGains(1e2, 1e2), EffectiveGains(1e7, 1e3)):
         edge = df_inner_max_rate(POWER_UPPER_W, gains)[0]
         assert df_min_power(edge * (1 - 1e-9), gains)[0] <= POWER_UPPER_W
-        with pytest.raises(InfeasibleError):
-            df_min_power(edge * (1 + 1e-9), gains)
+        assert df_row(edge * (1 - 1e-9), gains).feasible
+        assert df_min_power(edge * (1 + 1e-9), gains)[0] > POWER_UPPER_W
+        assert is_sentinel(df_row(edge * (1 + 1e-9), gains))
 
 
 @pytest.mark.filterwarnings("error")
@@ -398,6 +406,13 @@ def _unit_link(n=4, noise=NOISE):
                  id="repetition-noise"),
     pytest.param(lambda: repetition_required_power(6.0, math.nan, BETA_RD, 0.0, NOISE),
                  id="repetition-gain"),
+    # one rate rule, errors.pow2m1: NaN, and a rate whose 2^R - 1 rounds to 0
+    pytest.param(lambda: repetition_required_power(math.nan, BETA_SR, BETA_RD, 0.0, NOISE),
+                 id="repetition-rate"),
+    pytest.param(lambda: repetition_required_power(1e-300, BETA_SR, BETA_RD, 0.0, NOISE),
+                 id="repetition-tiny-rate"),
+    pytest.param(lambda: irs_required_power(1e-300, _unit_link(), np.zeros(4)),
+                 id="irs-required-power-tiny-rate"),
     pytest.param(lambda: df_min_power_batch(math.nan, [1.0], [1.0]), id="df-batch-rate"),
     pytest.param(lambda: df_min_power_batch(6.0, [1.0, math.nan], [1.0, 1.0]),
                  id="df-batch-gain"),
