@@ -241,11 +241,19 @@ def _facing_orientation(scenario: Scenario) -> np.ndarray:
 
 
 class _Frame:
-    """The node's facing frame and the endpoints' sights in it, shared by every array size."""
+    """One figure run's geometry: the node's facing frame and the endpoints' sights
+    in it, and one gaussian EMI kernel per direction over the largest rows and
+    columns of the figure's array sizes, from which every array gathers."""
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, sizes):
         self.scenario, self.orientation = scenario, _facing_orientation(scenario)
         self.source_angles, self.beta_sr = self.sight(scenario.source_pos)
+        # only the shapes are kept: a kept layout would keep its cached offset index
+        wavelength = scenario.budget.wavelength
+        grids = [make_layout(n, wavelength) for n in sizes]
+        self.rows, self.cols = max(g.rows for g in grids), max(g.cols for g in grids)
+        self.ks = 2.0 * np.pi * (wavelength / 2.0) / wavelength
+        self.kernels = {}
 
     def sight(self, pos: tuple) -> tuple[tuple[float, float], float]:
         """Angles of ``pos`` seen from the node and the gain of the hop between them."""
@@ -253,24 +261,28 @@ class _Frame:
         return (angles_between(node, pos, self.orientation),
                 pathloss_umi(float(np.linalg.norm(np.subtract(pos, node))), self.scenario.budget))
 
+    def kernel(self, angles: tuple[float, float]) -> np.ndarray:
+        """Lattice of the gaussian EMI centred on the direction ``angles``, built on first use."""
+        if angles not in self.kernels:
+            spread = math.radians(self.scenario.emi_spread_deg)
+            density = emi_mod.AngularDensity(*angles, spread, spread)
+            self.kernels[angles] = emi_mod.directional_kernel(
+                density, emi_mod.QUADRATURE_NODES, self.ks, self.rows, self.cols)
+        return self.kernels[angles]
+
 
 class _NodeLink:
     """Channels and EMI correlations at the surface/relay for one layout of a frame's array."""
 
     def __init__(self, frame: _Frame, n_elements: int):
-        self.frame, self.scenario = frame, frame.scenario
-        self.layout = make_layout(n_elements, self.scenario.budget.wavelength)
+        self.frame = frame
+        self.layout = make_layout(n_elements, frame.scenario.budget.wavelength)
         self.h_sr = los_channel(frame.beta_sr, *frame.source_angles, self.layout)
         self.iso = emi_mod.corr_isotropic(self.layout)
 
-    def _gaussian(self, azimuth: float, elevation: float) -> np.ndarray:
-        spread = math.radians(self.scenario.emi_spread_deg)
-        density = emi_mod.AngularDensity(azimuth, elevation, spread, spread)
-        return emi_mod.corr_directional(self.layout, density, emi_mod.QUADRATURE_NODES)
-
     @cached_property
     def case1(self) -> np.ndarray:
-        return self._gaussian(*self.frame.source_angles)
+        return emi_mod.gather(self.frame.kernel(self.frame.source_angles), self.layout)
 
     def correlation(self, emi: str, angles: tuple[float, float]) -> np.ndarray:
         """Correlation of the EMI named none or iso (sinc), case1 (gaussian centred
@@ -279,7 +291,7 @@ class _NodeLink:
             return self.iso
         if emi == "case1":
             return self.case1
-        return self._gaussian(*angles)
+        return emi_mod.gather(self.frame.kernel(angles), self.layout)
 
 
 def _irs_heuristic(target_rate, link):
@@ -375,20 +387,21 @@ def run_fig3(scenario: Scenario) -> SweepResult:
     Surface rows use the noise-only phase heuristic; relay rows use
     repetition coding.  Each appears with and without isotropic EMI.
     """
-    return _sweep(_Frame(scenario), "distance_m", scenario.irs_elements,
+    sizes = scenario.irs_elements
+    return _sweep(_Frame(scenario, sizes), "distance_m", sizes,
                   ("heuristic_none", "heuristic_iso"), ("repetition_none", "repetition_iso"))
 
 
 def run_fig4(scenario: Scenario) -> SweepResult:
     """Required power vs interference-to-noise ratio, no optimization."""
-    return _sweep(_Frame(scenario), "rho_db", (scenario.irs_reference_elements,),
-                  ("heuristic_iso",), ("repetition_iso",))
+    sizes = (scenario.irs_reference_elements,)
+    return _sweep(_Frame(scenario, sizes), "rho_db", sizes, ("heuristic_iso",), ("repetition_iso",))
 
 
 def run_fig5(scenario: Scenario) -> SweepResult:
     """As run_fig4 but with both technologies optimized against EMI."""
-    return _sweep(_Frame(scenario), "rho_db", (scenario.irs_reference_elements,),
-                  ("optimized_iso",), ("optimized_iso",))
+    sizes = (scenario.irs_reference_elements,)
+    return _sweep(_Frame(scenario, sizes), "rho_db", sizes, ("optimized_iso",), ("optimized_iso",))
 
 
 def run_fig6(scenario: Scenario) -> SweepResult:
@@ -397,7 +410,8 @@ def run_fig6(scenario: Scenario) -> SweepResult:
     Non-optimized rows are included so that the optimization gain can be
     read off row-wise.
     """
-    return _sweep(_Frame(scenario), "distance_m", scenario.irs_elements,
+    sizes = scenario.irs_elements
+    return _sweep(_Frame(scenario, sizes), "distance_m", sizes,
                   ("heuristic_iso", "optimized_iso"), ("repetition_iso", "optimized_iso"))
 
 
@@ -405,9 +419,11 @@ def run_fig7(scenario: Scenario) -> SweepResult:
     """Surface power vs distance under different interference distributions.
 
     Modes: no EMI, isotropic, gaussian centred on the source direction
-    (case 1) and on the destination direction (case 2).
+    (case 1) and on the destination direction (case 2).  Each direction's
+    kernel is built once: case 1's and one case 2 kernel per distance.
     """
-    return _sweep(_Frame(scenario), "distance_m", (scenario.irs_reference_elements,),
+    sizes = (scenario.irs_reference_elements,)
+    return _sweep(_Frame(scenario, sizes), "distance_m", sizes,
                   ("heuristic_none", "heuristic_iso", "heuristic_case1", "heuristic_case2"), ())
 
 
@@ -417,12 +433,14 @@ def run_fig8(scenario: Scenario) -> SweepResult:
     Covers isotropic EMI and the destination-centred gaussian (case 2) at the
     configured rho (covariance v R + N0 I), a no-EMI relay reference (N0 I),
     and at every antenna count the surface reference: fig5's surface at that
-    rho, iso and case 2.  Per antenna count only the array's channels,
-    correlations and gains are built; the DF solves of all relay rows run as
-    one batch.
+    rho, iso and case 2.  One case-2 kernel spans the largest rows and columns
+    of the relays and the surface, and every array gathers its correlation
+    from it.  Per antenna count only the array's channels, correlations and
+    gains are built; the DF solves of all relay rows run as one batch.
     """
     noise, variance = scenario.budget.noise_power_w, scenario.emi_variance
-    frame = _Frame(replace(scenario, rho_sweep=(scenario.rho_db, scenario.rho_db, 1)))
+    frame = _Frame(replace(scenario, rho_sweep=(scenario.rho_db, scenario.rho_db, 1)),
+                   (scenario.irs_reference_elements, *scenario.relay_antennas))
     refs = _sweep(frame, "rho_db", (scenario.irs_reference_elements,),
                   ("optimized_iso", "optimized_case2"), ()).rows
     angles, beta_rd = frame.sight(scenario.dest_pos)
@@ -468,7 +486,7 @@ def correlations(figure: str, scenario: Scenario) -> dict[str, np.ndarray]:
         emis, size = ("iso", "case2"), max(scenario.relay_antennas)
     else:
         return {}
-    frame = _Frame(scenario)
+    frame = _Frame(scenario, (size,))
     node, angles = _NodeLink(frame, size), frame.sight(scenario.dest_pos)[0]
     return {f"{figure}_{emi}": node.correlation(emi, angles) for emi in emis}
 

@@ -13,18 +13,16 @@ Gauss-Legendre quadrature.
 Both correlations are built on the element-offset lattice.  An
 ``ArrayLayout`` is a rows x cols grid at half-wavelength pitch, indexed row
 by row, so ``R[n, m]`` depends only on the offset (r_n - r_m, c_n - c_m),
-and the sinc only on the offset's length, counted in half wavelengths.  Each
-kernel is evaluated once on the (2 rows - 1) x (2 cols - 1) offsets and
-gathered through the layout's cached ``offset_index``.  The quadrature sums
-the y (column) phase over azimuth, then the z (row) phase over elevation.
-The column sums g[dc, t] are prefix-stable: row dc comes from a running
-product over dc, so it is the same bit for bit whatever the layout's column
-count.  A one-slot memo keyed by (density, nodes, ks) keeps the last
-density's sums, so fig8's antenna counts and its surface reference share one
-set under the case-2 density; each layout still takes its own row exponent
-and kernel product.  A wider grid replaces the sums by a longer snapshot and
-never writes an array it has handed out, so concurrent calls give serial bits.
-A miss builds the weighted grid and checks its mass against twice the nodes.
+and the sinc only on the offset's length, counted in half wavelengths.  A
+kernel is evaluated once per offset of a lattice centred on (0, 0), and
+``gather`` takes a layout's matrix from the lattice's centred (2 rows - 1) x
+(2 cols - 1) slice through the layout's cached ``offset_index``.  No entry of
+the quadrature kernel depends on the lattice's extent: the column phase is
+summed over azimuth by a running product over the column offset, the row
+phase over elevation by an einsum, not a BLAS product, whose rounding would
+change with the shape.  So one kernel over a figure's largest rows and
+columns gives every array of the figure its own ``corr_directional``, bit
+for bit.  emi keeps no memo besides the read-only Gauss-Legendre rules.
 
 Both correlations are used as built, with no projection onto the PSD cone.
 The quadrature matrix is a positively weighted sum of outer products.  The
@@ -49,7 +47,7 @@ and the surface optimizer take their products with R through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -105,7 +103,7 @@ class AngularDensity:
 def corr_isotropic(layout: ArrayLayout) -> np.ndarray:
     """Closed-form isotropic correlation sinc(2 d_nm / lambda), one sinc per offset."""
     dr, dc = np.arange(1 - layout.rows, layout.rows), np.arange(1 - layout.cols, layout.cols)
-    return np.sinc(np.hypot(dr[:, None], dc[None, :])).ravel()[layout.offset_index]
+    return gather(np.sinc(np.hypot(dr[:, None], dc[None, :])), layout)
 
 
 @cache
@@ -137,76 +135,57 @@ def _weighted_grid(density: AngularDensity, nodes: int):
     return phi, th, np.outer(w_phi, w_th) * values
 
 
-class _ColumnSums:
-    """Column sums g[dc, t] = sum_p W[p, t] exp(j dc ks cos(theta_t) sin(phi_p))
-    of one density, for dc >= 0, extended on demand.
-
-    Row dc comes from the running product of W with exp(j ks cos(theta) sin(phi))
-    over dc, so it is the same bit for bit however many rows are asked for:
-    a grid with more columns only runs the product further.  The rows and the
-    running term are one read-only snapshot that a wider request replaces whole.
-    """
-
-    def __init__(self, density: AngularDensity, nodes: int, ks: float):
-        mass_fine = float(np.sum(_weighted_grid(density, 2 * nodes)[2]))
-        phi, self.theta, weight = _weighted_grid(density, nodes)
-        mass = float(np.sum(weight))
-        if mass <= 0 or not np.isfinite(mass) or abs(mass - mass_fine) > 1e-6 * abs(mass_fine):
-            raise NumericalError(
-                f"density normalization did not converge ({mass!r} vs {mass_fine!r}); "
-                "increase the quadrature nodes")
-        self._step = np.exp(1j * ks * np.outer(np.sin(phi), np.cos(self.theta)))  # (P, T)
-        self._snapshot = np.empty((0, self.theta.size), complex), (weight / mass).astype(complex)
-
-    def first(self, cols: int) -> np.ndarray:
-        """g[:cols] as a C-contiguous (cols, T) view, laid out as a freshly built
-        array would be, so the kernel product takes the same BLAS path."""
-        g, term = self._snapshot
-        if len(g) < cols:
-            term, rows = term.copy(), []
-            for _ in range(len(g), cols):
-                rows.append(term.sum(axis=0))
-                term *= self._step
-            g = np.concatenate([g, rows])
-            g.flags.writeable = term.flags.writeable = False
-            self._snapshot = g, term
-        return g[:cols]
-
-
-@lru_cache(maxsize=1)
-def _column_sums(density: AngularDensity, nodes: int, ks: float) -> _ColumnSums:
-    """The last density's column sums: consecutive layouts under one density (fig8's
-    antenna counts, its surface reference) share them; a miss rebuilds and rechecks."""
-    return _ColumnSums(density, nodes, ks)
-
-
-def corr_directional(layout: ArrayLayout, density: AngularDensity, nodes: int) -> np.ndarray:
-    """Correlation matrix for an arbitrary angular density by quadrature.
-
-    The kernel kappa(dr, dc) is built once per offset of the layout's grid,
-    and gathered through ``layout.offset_index``, as
-    sum_t exp(j dr ks sin(theta_t)) sum_p W[p, t] exp(j dc ks cos(theta_t) sin(phi_p))
-    with ks = 2 pi spacing / wavelength and W the normalized tensor weights,
-    for dc >= 0 only; kappa(-d) = conj kappa(d) fills the rest, so the
-    result is exactly Hermitian.  The density is normalized to unit mass on
-    its quadrature window, and the diagonal is exactly 1.  Raises
-    NumericalError when the mass estimate has not converged to 1e-6
-    (relative) under node doubling.
+def directional_kernel(density: AngularDensity, nodes: int, ks: float, rows: int,
+                       cols: int) -> np.ndarray:
+    """Quadrature kernel on the (2 rows - 1) x (2 cols - 1) offset lattice,
+    kappa(dr, dc) = sum_t exp(j dr ks sin(theta_t)) g[dc, t] with column sums
+    g[dc, t] = sum_p W[p, t] exp(j dc ks cos(theta_t) sin(phi_p)), ks = 2 pi
+    spacing / wavelength and W the tensor weights normalized to unit mass on
+    the density's window.  It is taken for dc >= 0 only; kappa(-d) = conj
+    kappa(d) fills the rest and the origin is exactly 1.  Raises NumericalError
+    when the mass has not converged to 1e-6 (relative) under node doubling.
     """
     if nodes < 2:
         raise ValueError("need at least 2 quadrature nodes per axis")
-    ks = 2.0 * np.pi * layout.spacing / layout.wavelength
-    rows, cols = layout.rows, layout.cols
-    sums = _column_sums(density, nodes, ks)
-    # kappa[dr, dc] = sum_t exp(j dr ks sin(theta_t)) g[dc, t], dr = -(rows-1)..rows-1
-    dr = np.arange(1 - rows, rows)
-    kappa = np.exp(1j * ks * np.outer(dr, np.sin(sums.theta))) @ sums.first(cols).T  # (2r-1, c)
-    # kappa(-d) = conj kappa(d): the dc = 0 column is mirrored from dr >= 0 and
-    # the origin pinned to 1, so the gathered matrix is exactly Hermitian.
+    mass_fine = float(np.sum(_weighted_grid(density, 2 * nodes)[2]))
+    phi, theta, weight = _weighted_grid(density, nodes)
+    mass = float(np.sum(weight))
+    if mass <= 0 or not np.isfinite(mass) or abs(mass - mass_fine) > 1e-6 * abs(mass_fine):
+        raise NumericalError(
+            f"density normalization did not converge ({mass!r} vs {mass_fine!r}); "
+            "increase the quadrature nodes")
+    step = np.exp(1j * ks * np.outer(np.sin(phi), np.cos(theta)))  # (P, T)
+    term, g = (weight / mass).astype(complex), np.empty((cols, theta.size), complex)
+    for dc in range(cols):
+        g[dc] = term.sum(axis=0)
+        term *= step
+    row_phase = np.exp(1j * ks * np.outer(np.arange(1 - rows, rows), np.sin(theta)))
+    kappa = np.einsum("rt,ct->rc", row_phase, g)  # (2 rows - 1, cols), dc >= 0
+    # the dc = 0 column is mirrored from dr >= 0 and the origin pinned to 1, so a
+    # gathered matrix is exactly Hermitian
     kappa[:rows - 1, 0] = kappa[:rows - 1:-1, 0].conj()
     kappa[rows - 1, 0] = 1.0
-    lattice = np.concatenate([kappa[::-1, :0:-1].conj(), kappa], axis=1)  # (2r-1, 2c-1)
-    return lattice.ravel()[layout.offset_index]
+    return np.concatenate([kappa[::-1, :0:-1].conj(), kappa], axis=1)
+
+
+def gather(lattice: np.ndarray, layout: ArrayLayout) -> np.ndarray:
+    """The layout's correlation matrix from a kernel lattice centred on offset (0, 0)
+    that spans at least the layout's offsets: its centred slice, indexed through
+    ``layout.offset_index``."""
+    r0, c0 = (lattice.shape[0] + 1) // 2 - layout.rows, (lattice.shape[1] + 1) // 2 - layout.cols
+    if r0 < 0 or c0 < 0:
+        raise ValueError(f"a {lattice.shape} lattice does not span the offsets of a "
+                         f"{layout.rows} x {layout.cols} layout")
+    centred = lattice[r0:r0 + 2 * layout.rows - 1, c0:c0 + 2 * layout.cols - 1]
+    return centred.ravel()[layout.offset_index]
+
+
+def corr_directional(layout: ArrayLayout, density: AngularDensity, nodes: int) -> np.ndarray:
+    """Correlation matrix for an arbitrary angular density by quadrature, exactly
+    Hermitian with a unit diagonal: ``directional_kernel`` over the layout's
+    offsets, gathered, bit for bit as if gathered from any larger kernel."""
+    ks = 2.0 * np.pi * layout.spacing / layout.wavelength
+    return gather(directional_kernel(density, nodes, ks, layout.rows, layout.cols), layout)
 
 
 def psd_project(matrix: np.ndarray) -> np.ndarray:

@@ -330,7 +330,7 @@ def test_the_package_keeps_only_these_memos():
         visit(tree, path.stem, "")
         uses += sum(isinstance(n, (ast.Name, ast.Attribute)) and is_memo(n)
                     for n in ast.walk(tree))
-    assert memos == {("emi", "_leggauss"), ("emi", "_column_sums"),
+    assert memos == {("emi", "_leggauss"),
                      ("scene", "ArrayLayout.positions"), ("scene", "ArrayLayout.offset_index"),
                      ("bench", "_NodeLink.case1")}
     assert uses == len(memos)
@@ -815,7 +815,7 @@ def test_fig8_structure_and_dominance():
             assert clean[m] <= mmse[m] + 1e-6
     # the no-EMI covariance is built as N0 I; 0 R + N0 I gives the same MR gain bits
     sc = Scenario()
-    frame, noise = bench._Frame(sc), sc.budget.noise_power_w
+    frame, noise = bench._Frame(sc, sc.relay_antennas), sc.budget.noise_power_w
     gain, mr_kind = relay.effective_gain_first_phase, relay.CombinerKind.MR
     for m in sc.relay_antennas:
         node, white = bench._NodeLink(frame, m), noise * np.eye(m)
@@ -824,12 +824,13 @@ def test_fig8_structure_and_dominance():
 
 
 def test_fig8_builds_one_quadrature_per_array(monkeypatch):
-    # one case-2 correlation per relay antenna count and one for the surface
-    # reference; the relay's MMSE and MR rows share theirs.  Each of the five
+    # one case-2 kernel for the figure, over the largest rows and columns of the
+    # relays and the surface reference, from which every array gathers; fig7
+    # builds case 1's and one case-2 kernel per distance.  Each of the five
     # relay gains per count comes from effective_gain_first_phase, and every
     # DF row from one batch solve, so a profiler wrapping those names sees all.
     calls = {}
-    for module, name in ((bench.emi_mod, "corr_directional"),
+    for module, name in ((bench.emi_mod, "directional_kernel"),
                          (bench.relay_mod, "effective_gain_first_phase"),
                          (bench.relay_mod, "df_min_power_batch")):
         monkeypatch.setattr(module, name, lambda *args, name=name, fn=getattr(module, name):
@@ -837,8 +838,12 @@ def test_fig8_builds_one_quadrature_per_array(monkeypatch):
     run_fig8(SMALL)
     arrays = len(SMALL.relay_antennas)
     assert {name: len(seen) for name, seen in calls.items()} == {
-        "corr_directional": arrays + 1, "effective_gain_first_phase": 5 * arrays,
+        "directional_kernel": 1, "effective_gain_first_phase": 5 * arrays,
         "df_min_power_batch": 1}
+    calls.clear()
+    run_fig7(SMALL)
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "directional_kernel": 1 + len(SMALL.distances())}
     monkeypatch.undo()
 
     # the orientation and the endpoints' angles are taken once for the figure
@@ -854,9 +859,9 @@ def test_fig8_builds_one_quadrature_per_array(monkeypatch):
 
     assert geometry_calls(tuple(range(1, 5))) == geometry_calls(tuple(range(1, 25)))
 
-    # Consecutive case-2 correlations share their column sums, grown as the
-    # grids widen.  Whatever the order of the antenna counts, and whether the
-    # sums are reused or rebuilt, each count's rows keep every bit.
+    # Each count gathers its case-2 correlation from a kernel whose extent the
+    # set of counts decides.  Whatever the order or the set of the antenna
+    # counts, each count's rows keep every bit.
     def rows_by_count(antennas):
         rows = run_fig8(replace(SMALL, relay_antennas=antennas)).rows
         return {m: [repr(r) for r in rows if r.sweep_var == m] for m in antennas}
@@ -866,19 +871,17 @@ def test_fig8_builds_one_quadrature_per_array(monkeypatch):
     assert rows_by_count(counts[::-1]) == ascending
     assert rows_by_count(tuple(np.random.default_rng(8).permutation(counts).tolist())) == ascending
     for m in counts:
-        bench.emi_mod._column_sums.cache_clear()
         assert rows_by_count((m,)) == {m: ascending[m]}
 
 
 def test_concurrent_figures_give_the_serial_rows():
-    # three fig8 runs share the case-2 column sums while fig7's densities evict
-    # them from the one-slot memo; each run must keep the rows of a serial run
+    # three fig8 runs and a fig7 run at once, each building its own kernels;
+    # each run must keep the rows of a serial run
     scenario = Scenario(relay_antennas=tuple(range(1, 41)))
     runners = (run_fig8, run_fig8, run_fig8, run_fig7)
     serial = {runner: [repr(row) for row in runner(scenario).rows]
               for runner in (run_fig8, run_fig7)}
     for _ in range(6):
-        bench.emi_mod._column_sums.cache_clear()
         results = run_concurrently([lambda r=r: r(scenario) for r in runners])
         for runner, result in zip(runners, results):
             assert [repr(row) for row in result.rows] == serial[runner], runner.__name__

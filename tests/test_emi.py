@@ -8,8 +8,7 @@ from numpy.testing import assert_allclose
 from emilink import (AngularDensity, ArrayLayout, NumericalError,
                      corr_directional, corr_isotropic,
                      emi_quadratic_form, los_channel, make_layout, psd_project)
-from emilink import emi
-from emilink.emi import corr_matvec
+from emilink.emi import corr_matvec, directional_kernel, gather
 from conftest import gram_oracle, random_unit_diag_psd, run_concurrently
 
 LAM = 0.1
@@ -252,9 +251,9 @@ def test_corr_directional_reuses_the_layout_offset_index():
 
 
 def test_concurrent_corr_directional_gives_the_serial_bits():
-    # Four threads widen one density's shared column sums at once, each through
-    # its own interleaved share of the 1 x M lines.  Each matrix must keep the
-    # bits of a serial call: the sums are replaced by snapshots, never grown in place.
+    # Four threads build one density's correlations at once, each through its
+    # own interleaved share of the 1 x M lines.  Each matrix must keep the bits
+    # of a serial call.
     density = AngularDensity(0.3, -0.2, math.radians(10), math.radians(10))
     widths = range(31, 80)
     serial = {m: corr_directional(ArrayLayout(1, m, LAM), density, 64).tobytes()
@@ -266,10 +265,32 @@ def test_concurrent_corr_directional_gives_the_serial_bits():
 
     shares = [widths[k::4] for k in range(4)]
     for _ in range(16):
-        emi._column_sums.cache_clear()
         for results in run_concurrently([lambda s=s: job(s) for s in shares]):
             for m, corr in results:
                 assert corr == serial[m], m
+
+
+FIG8_LAYOUTS = [make_layout(m, LAM) for m in range(1, 81)] + [ArrayLayout(5, 15, LAM)]
+
+
+@pytest.mark.parametrize("extent, layouts", [
+    ((8, 79), FIG8_LAYOUTS),
+    ((20, 79), [ArrayLayout(20, 20, LAM)]),
+], ids=["fig8_relays_and_surface", "large_surface_20x20"])
+@pytest.mark.parametrize("density", [
+    AngularDensity.isotropic(),
+    AngularDensity(0.6, -0.3, math.radians(10), math.radians(10)),
+    AngularDensity(1.45, 0.2, math.radians(10), math.radians(10)),
+], ids=["isotropic", "off_broadside_gaussian", "near_endfire_gaussian"])
+def test_gathered_kernel_equals_the_layouts_own_correlation(extent, layouts, density):
+    # no kernel entry depends on the kernel's extent, so a figure may build one
+    # kernel over its largest rows and columns and gather every array from it
+    kernel = directional_kernel(density, 64, 2.0 * math.pi * (LAM / 2.0) / LAM, *extent)
+    assert kernel.shape == (2 * extent[0] - 1, 2 * extent[1] - 1)
+    for lay in layouts:
+        assert gather(kernel, lay).tobytes() == corr_directional(lay, density, 64).tobytes(), lay
+    with pytest.raises(ValueError, match="does not span"):
+        gather(kernel, ArrayLayout(extent[0] + 1, 1, LAM))
 
 
 @pytest.mark.parametrize("n", [7, 23, 80, 400])
