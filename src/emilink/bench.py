@@ -22,7 +22,7 @@ from . import emi as emi_mod
 from . import irs as irs_mod
 from . import relay as relay_mod
 from .errors import POWER_UPPER_W, InfeasibleError, pow2m1
-from .scene import (LinkBudget, angles_between, dbm_to_watt, los_channel, make_layout,
+from .scene import (ArrayLayout, LinkBudget, angles_between, dbm_to_watt, los_channel, make_layout,
                     pathloss_umi, watt_to_dbm)
 
 CSV_HEADER = "sweep_var,technology,mode,power_dbm,rate_bps_hz,solver_iters"
@@ -242,18 +242,17 @@ def _facing_orientation(scenario: Scenario) -> np.ndarray:
 
 class _Frame:
     """One figure run's geometry: the node's facing frame and the endpoints' sights
-    in it, and one gaussian EMI kernel per direction over the largest rows and
-    columns of the figure's array sizes, from which every array gathers."""
+    in it, one layout per array size, and the gaussian EMI kernel of the direction
+    last asked for over the layouts' ``envelope``, from which every array gathers."""
 
     def __init__(self, scenario: Scenario, sizes):
         self.scenario, self.orientation = scenario, _facing_orientation(scenario)
         self.source_angles, self.beta_sr = self.sight(scenario.source_pos)
-        # only the shapes are kept: a kept layout would keep its cached offset index
         wavelength = scenario.budget.wavelength
-        grids = [make_layout(n, wavelength) for n in sizes]
-        self.rows, self.cols = max(g.rows for g in grids), max(g.cols for g in grids)
-        self.ks = 2.0 * np.pi * (wavelength / 2.0) / wavelength
-        self.kernels = {}
+        self.layouts = {n: make_layout(n, wavelength) for n in dict.fromkeys(sizes)}
+        self.envelope = ArrayLayout(max(g.rows for g in self.layouts.values()),
+                                    max(g.cols for g in self.layouts.values()), wavelength)
+        self.last_kernel = (None, None)  # (angles, lattice)
 
     def sight(self, pos: tuple) -> tuple[tuple[float, float], float]:
         """Angles of ``pos`` seen from the node and the gain of the hop between them."""
@@ -262,13 +261,14 @@ class _Frame:
                 pathloss_umi(float(np.linalg.norm(np.subtract(pos, node))), self.scenario.budget))
 
     def kernel(self, angles: tuple[float, float]) -> np.ndarray:
-        """Lattice of the gaussian EMI centred on the direction ``angles``, built on first use."""
-        if angles not in self.kernels:
+        """Lattice of the gaussian EMI centred on the direction ``angles``; only the
+        last direction's is kept, since the sweeps ask for one direction at a time."""
+        if self.last_kernel[0] != angles:
             spread = math.radians(self.scenario.emi_spread_deg)
             density = emi_mod.AngularDensity(*angles, spread, spread)
-            self.kernels[angles] = emi_mod.directional_kernel(
-                density, emi_mod.QUADRATURE_NODES, self.ks, self.rows, self.cols)
-        return self.kernels[angles]
+            self.last_kernel = angles, emi_mod.directional_kernel(
+                density, emi_mod.QUADRATURE_NODES, self.envelope)
+        return self.last_kernel[1]
 
 
 class _NodeLink:
@@ -276,7 +276,7 @@ class _NodeLink:
 
     def __init__(self, frame: _Frame, n_elements: int):
         self.frame = frame
-        self.layout = make_layout(n_elements, frame.scenario.budget.wavelength)
+        self.layout = frame.layouts[n_elements]
         self.h_sr = los_channel(frame.beta_sr, *frame.source_angles, self.layout)
         self.iso = emi_mod.corr_isotropic(self.layout)
 

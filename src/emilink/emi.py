@@ -15,14 +15,14 @@ Both correlations are built on the element-offset lattice.  An
 by row, so ``R[n, m]`` depends only on the offset (r_n - r_m, c_n - c_m),
 and the sinc only on the offset's length, counted in half wavelengths.  A
 kernel is evaluated once per offset of a lattice centred on (0, 0), and
-``gather`` takes a layout's matrix from the lattice's centred (2 rows - 1) x
-(2 cols - 1) slice through the layout's cached ``offset_index``.  No entry of
-the quadrature kernel depends on the lattice's extent: the column phase is
-summed over azimuth by a running product over the column offset, the row
-phase over elevation by an einsum, not a BLAS product, whose rounding would
-change with the shape.  So one kernel over a figure's largest rows and
-columns gives every array of the figure its own ``corr_directional``, bit
-for bit.  emi keeps no memo besides the read-only Gauss-Legendre rules.
+``gather`` copies a layout's matrix out of a strided window on it, so only
+emi knows the lattice's format.  No entry of the quadrature kernel depends
+on the lattice's extent: the column phase is summed over azimuth by a
+running product over the column offset, the row phase over elevation by an
+einsum, not a BLAS product, whose rounding would change with the shape.  So
+one kernel over a figure's largest rows and columns gives every array of
+the figure its own ``corr_directional``, bit for bit.  emi keeps no memo
+besides the read-only Gauss-Legendre rules.
 
 Both correlations are used as built, with no projection onto the PSD cone.
 The quadrature matrix is a positively weighted sum of outer products.  The
@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericalError
 from .scene import ArrayLayout
@@ -135,9 +136,9 @@ def _weighted_grid(density: AngularDensity, nodes: int):
     return phi, th, np.outer(w_phi, w_th) * values
 
 
-def directional_kernel(density: AngularDensity, nodes: int, ks: float, rows: int,
-                       cols: int) -> np.ndarray:
-    """Quadrature kernel on the (2 rows - 1) x (2 cols - 1) offset lattice,
+def directional_kernel(density: AngularDensity, nodes: int, layout: ArrayLayout) -> np.ndarray:
+    """Quadrature kernel on the (2 rows - 1) x (2 cols - 1) offset lattice of
+    ``layout``, which ``gather`` reads for that layout or any grid it contains:
     kappa(dr, dc) = sum_t exp(j dr ks sin(theta_t)) g[dc, t] with column sums
     g[dc, t] = sum_p W[p, t] exp(j dc ks cos(theta_t) sin(phi_p)), ks = 2 pi
     spacing / wavelength and W the tensor weights normalized to unit mass on
@@ -145,6 +146,8 @@ def directional_kernel(density: AngularDensity, nodes: int, ks: float, rows: int
     kappa(d) fills the rest and the origin is exactly 1.  Raises NumericalError
     when the mass has not converged to 1e-6 (relative) under node doubling.
     """
+    rows, cols = layout.rows, layout.cols
+    ks = 2.0 * np.pi * layout.spacing / layout.wavelength
     if nodes < 2:
         raise ValueError("need at least 2 quadrature nodes per axis")
     mass_fine = float(np.sum(_weighted_grid(density, 2 * nodes)[2]))
@@ -169,23 +172,27 @@ def directional_kernel(density: AngularDensity, nodes: int, ks: float, rows: int
 
 
 def gather(lattice: np.ndarray, layout: ArrayLayout) -> np.ndarray:
-    """The layout's correlation matrix from a kernel lattice centred on offset (0, 0)
-    that spans at least the layout's offsets: its centred slice, indexed through
-    ``layout.offset_index``."""
-    r0, c0 = (lattice.shape[0] + 1) // 2 - layout.rows, (lattice.shape[1] + 1) // 2 - layout.cols
+    """The layout's correlation matrix, a new array, from a kernel lattice centred
+    on offset (0, 0) that spans at least the layout's offsets: the window entry
+    (r_n, c_n, r_m, c_m) steps from offset (0, 0) to (r_n - r_m, c_n - c_m)."""
+    rows, cols = layout.rows, layout.cols
+    r0, c0 = (lattice.shape[0] + 1) // 2 - rows, (lattice.shape[1] + 1) // 2 - cols
     if r0 < 0 or c0 < 0:
         raise ValueError(f"a {lattice.shape} lattice does not span the offsets of a "
-                         f"{layout.rows} x {layout.cols} layout")
-    centred = lattice[r0:r0 + 2 * layout.rows - 1, c0:c0 + 2 * layout.cols - 1]
-    return centred.ravel()[layout.offset_index]
+                         f"{rows} x {cols} layout")
+    origin = lattice[r0 + rows - 1:, c0 + cols - 1:]
+    s0, s1 = origin.strides
+    window = as_strided(origin, (rows, cols, rows, cols), (s0, s1, -s0, -s1), writeable=False)
+    # copied before the reshape: a 1-row or 1-column window would reshape to a
+    # read-only, negatively strided view of the lattice
+    return window.copy().reshape(layout.n_elements, layout.n_elements)
 
 
 def corr_directional(layout: ArrayLayout, density: AngularDensity, nodes: int) -> np.ndarray:
     """Correlation matrix for an arbitrary angular density by quadrature, exactly
     Hermitian with a unit diagonal: ``directional_kernel`` over the layout's
     offsets, gathered, bit for bit as if gathered from any larger kernel."""
-    ks = 2.0 * np.pi * layout.spacing / layout.wavelength
-    return gather(directional_kernel(density, nodes, ks, layout.rows, layout.cols), layout)
+    return gather(directional_kernel(density, nodes, layout), layout)
 
 
 def psd_project(matrix: np.ndarray) -> np.ndarray:

@@ -34,9 +34,7 @@ class ArrayLayout:
     at half-wavelength pitch, indexed row by row: element n sits in row and
     column ``(r, c) = divmod(n, cols)``.  The cached ``positions`` are the
     (N, 3) local element centres, ``(0, c, r) * spacing`` shifted so that the
-    centroid is the local origin; the cached N x N ``offset_index`` is the
-    flat index of each pair's offset ``(r_n - r_m, c_n - c_m)`` into the
-    row-major (2 rows - 1) x (2 cols - 1) lattice centred on offset (0, 0).
+    centroid is the local origin.
     """
 
     rows: int
@@ -60,13 +58,6 @@ class ArrayLayout:
         y = (c + 0.5 - self.cols / 2.0) * self.spacing
         z = (r + 0.5 - self.rows / 2.0) * self.spacing
         return np.column_stack([np.zeros_like(y), y, z])
-
-    @cached_property
-    def offset_index(self) -> np.ndarray:
-        r, c = np.divmod(np.arange(self.n_elements), self.cols)
-        # flat is linear, and offset (0, 0) sits at flat(rows - 1, cols - 1)
-        flat = r * (2 * self.cols - 1) + c
-        return (flat + flat[-1])[:, None] - flat[None, :]
 
     @property
     def n_elements(self) -> int:

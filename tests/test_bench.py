@@ -331,8 +331,7 @@ def test_the_package_keeps_only_these_memos():
         uses += sum(isinstance(n, (ast.Name, ast.Attribute)) and is_memo(n)
                     for n in ast.walk(tree))
     assert memos == {("emi", "_leggauss"),
-                     ("scene", "ArrayLayout.positions"), ("scene", "ArrayLayout.offset_index"),
-                     ("bench", "_NodeLink.case1")}
+                     ("scene", "ArrayLayout.positions"), ("bench", "_NodeLink.case1")}
     assert uses == len(memos)
 
 
@@ -872,6 +871,16 @@ def test_fig8_builds_one_quadrature_per_array(monkeypatch):
     assert rows_by_count(tuple(np.random.default_rng(8).permutation(counts).tolist())) == ascending
     for m in counts:
         assert rows_by_count((m,)) == {m: ascending[m]}
+
+
+def test_a_figure_makes_one_layout_per_array_size(monkeypatch):
+    # the frame makes each size's layout once, and the kernel's extent and every
+    # array's links read that one layout
+    made = []
+    monkeypatch.setattr(bench, "make_layout", lambda *args, fn=bench.make_layout:
+                        made.append(args) or fn(*args))
+    run_fig8(SMALL)
+    assert len(made) == len({SMALL.irs_reference_elements, *SMALL.relay_antennas}) == 5
 
 
 def test_concurrent_figures_give_the_serial_rows():

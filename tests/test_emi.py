@@ -236,18 +236,17 @@ def test_quadratic_form_does_not_copy_a_real_correlation():
 
 def test_corr_isotropic_builds_no_distance_tensor():
     # the (N, N, 3) difference tensor alone would be 3 N^2 floats; the sinc is
-    # taken per offset, so the peak is the cached offset index and the result
+    # taken per offset, so the peak is the result and the small offset lattice
     n = 400
     assert _peak_bytes(corr_isotropic, make_layout(n, LAM)) < 4 * n * n * 8
 
 
-def test_corr_directional_reuses_the_layout_offset_index():
-    # a second correlation on the same layout allocates little beyond its result
+def test_corr_directional_allocates_little_beyond_its_result():
+    # a correlation on a fresh layout allocates little beyond its result: the
+    # kernel is taken per offset and gathered with no per-pair index
     n = 400
-    lay = make_layout(n, LAM)
     dens = AngularDensity(0.6, -0.3, math.radians(10), math.radians(10))
-    corr_directional(lay, dens, 64)
-    assert _peak_bytes(corr_directional, lay, dens, 64) < 1.5 * n * n * 16
+    assert _peak_bytes(corr_directional, make_layout(n, LAM), dens, 64) < 1.5 * n * n * 16
 
 
 def test_concurrent_corr_directional_gives_the_serial_bits():
@@ -285,7 +284,7 @@ FIG8_LAYOUTS = [make_layout(m, LAM) for m in range(1, 81)] + [ArrayLayout(5, 15,
 def test_gathered_kernel_equals_the_layouts_own_correlation(extent, layouts, density):
     # no kernel entry depends on the kernel's extent, so a figure may build one
     # kernel over its largest rows and columns and gather every array from it
-    kernel = directional_kernel(density, 64, 2.0 * math.pi * (LAM / 2.0) / LAM, *extent)
+    kernel = directional_kernel(density, 64, ArrayLayout(*extent, LAM))
     assert kernel.shape == (2 * extent[0] - 1, 2 * extent[1] - 1)
     for lay in layouts:
         assert gather(kernel, lay).tobytes() == corr_directional(lay, density, 64).tobytes(), lay

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from emilink import (ArrayLayout, LinkBudget, angles_between, dbm_to_watt,
                      los_channel, make_layout, pathloss_umi, watt_to_dbm, wave_vector)
 from emilink.bench import Scenario, _facing_orientation
+from emilink.emi import gather
 
 
 def test_wave_vector_broadside():
@@ -71,16 +72,24 @@ def test_make_layout_grid_geometry():
     assert_allclose(lay.positions[4] - lay.positions[0], [0.0, 0.0, 0.1], atol=1e-15)
 
 
-@pytest.mark.parametrize("rows, cols", [(1, 5), (2, 3), (3, 23), (5, 15)])
+@pytest.mark.parametrize("rows, cols", [(1, 5), (2, 3), (3, 23), (5, 15), (1, 1), (1, 7), (7, 1)])
 def test_offset_index_matches_per_pair_index(rows, cols):
     lay = ArrayLayout(rows, cols, 0.1)
-    # flat index of (r_n - r_m, c_n - c_m) in the row-major (2 rows - 1) x (2 cols - 1)
-    # lattice centred on offset (0, 0)
+    # a lattice centred on offset (0, 0) and larger than the layout's offsets, whose
+    # entries are their own flat indices: the gathered entry of elements n and m
+    # (row-major, as the layout indexes them) names the lattice cell of their offset
+    # (r_n - r_m, c_n - c_m)
+    shape = (2 * rows + 1, 2 * cols + 3)
     cells = [(n // cols, n % cols) for n in range(rows * cols)]
-    expected = [[(rn - rm + rows - 1) * (2 * cols - 1) + cn - cm + cols - 1
+    expected = [[(rn - rm + rows) * shape[1] + cn - cm + cols + 1
                  for rm, cm in cells] for rn, cn in cells]
-    assert lay.offset_index.tolist() == expected
-    assert lay.offset_index is lay.offset_index
+    for dtype in (float, complex):
+        lattice = np.arange(shape[0] * shape[1], dtype=dtype).reshape(shape)
+        gathered = gather(lattice, lay)
+        assert gathered.tolist() == expected
+        # a new array, never a view of the lattice, whatever the layout's shape
+        assert gathered.flags.c_contiguous and gathered.flags.writeable
+        assert not np.shares_memory(gathered, lattice)
 
 
 def test_make_layout_rejects_bad_args():
