@@ -311,20 +311,13 @@ def _df_repetition(target_rate, beta_sr, beta_rd, variance, noise):
     return power, relay_mod.df_rate(0.5, snr / gains.alpha1, snr / gains.alpha2, gains), 0
 
 
-def _df_optimized(target_rate, beta_sr, beta_rd, variance, noise):
-    gains = relay_mod.effective_gains_single(beta_sr, beta_rd, variance, noise)
-    return _df_solved(gains, relay_mod.df_min_power(target_rate, gains))
-
-
 def _df_solved(gains, solution):
-    """(power W, rate, iterations) of a ``df_min_power`` or ``df_min_power_batch`` solution."""
+    """(power W, rate, iterations) of a ``df_min_power_batch`` solution."""
     power, tau1, p1, p2, iterations = solution
     return power, relay_mod.df_rate(tau1, p1, p2, gains), iterations
 
 
 _IRS_SOLVERS = {"heuristic": _irs_heuristic, "optimized": _irs_optimized}
-# on a single-antenna relay, from (target rate, beta_sr, beta_rd, EMI variance, noise)
-_DF_SOLVERS = {"repetition": _df_repetition, "optimized": _df_optimized}
 
 
 def _row(sweep_var, tech, mode, solve, *args) -> SweepRow:
@@ -339,6 +332,18 @@ def _row(sweep_var, tech, mode, solve, *args) -> SweepRow:
     return SweepRow(sweep_var, tech, mode, watt_to_dbm(power), rate, iterations)
 
 
+def _solve_df(target_rate, rows) -> tuple[SweepRow, ...]:
+    """``rows`` in order, each pending (sweep_var, technology, mode, EffectiveGains)
+    entry made a row of its DF minimum power; one batch solves every pending entry."""
+    gains = [row[3] for row in rows if not isinstance(row, SweepRow)]
+    if not gains:
+        return tuple(rows)
+    solutions = iter(relay_mod.df_min_power_batch(
+        target_rate, [g.alpha1 for g in gains], [g.alpha2 for g in gains]))
+    return tuple(row if isinstance(row, SweepRow)
+                 else _row(*row[:3], _df_solved, row[3], next(solutions)) for row in rows)
+
+
 def _sweep(frame: _Frame, variable: str, sizes, irs_modes, df_modes) -> SweepResult:
     """Rows over the distance (``distance_m``) or EMI-to-noise (``rho_db``) sweep.
 
@@ -348,6 +353,7 @@ def _sweep(frame: _Frame, variable: str, sizes, irs_modes, df_modes) -> SweepRes
     ``optimized`` for the surface and ``repetition`` or ``optimized`` for the
     relay, the EMI one of ``_NodeLink.correlation``'s; EMI none means no
     interference (variance 0); surface links hold the plain channel arrays.
+    Optimized relay rows are left pending for ``_solve_df``.
     """
     scenario = frame.scenario
     noise, target = scenario.budget.noise_power_w, scenario.target_rate
@@ -373,9 +379,11 @@ def _sweep(frame: _Frame, variable: str, sizes, irs_modes, df_modes) -> SweepRes
                 rows.append(_row(x, f"irs_n{node.layout.n_elements}", mode,
                                  _IRS_SOLVERS[solver], target, link))
         for mode in df_modes:
-            rows.append(_row(x, "df", mode, _DF_SOLVERS[mode.split("_")[0]], target,
-                             frame.beta_sr, beta_rd, variances[mode], noise))
-    return SweepResult(variable, tuple(rows))
+            inputs = frame.beta_sr, beta_rd, variances[mode], noise
+            rows.append((x, "df", mode, relay_mod.effective_gains_single(*inputs))
+                        if mode.startswith("optimized")
+                        else _row(x, "df", mode, _df_repetition, target, *inputs))
+    return SweepResult(variable, _solve_df(target, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +444,7 @@ def run_fig8(scenario: Scenario) -> SweepResult:
     rho, iso and case 2.  One case-2 kernel spans the largest rows and columns
     of the relays and the surface, and every array gathers its correlation
     from it.  Per antenna count only the array's channels, correlations and
-    gains are built; the DF solves of all relay rows run as one batch.
+    gains are built; its relay rows wait for ``_solve_df``, as optimized DF rows do.
     """
     noise, variance = scenario.budget.noise_power_w, scenario.emi_variance
     frame = _Frame(replace(scenario, rho_sweep=(scenario.rho_db, scenario.rho_db, 1)),
@@ -445,25 +453,19 @@ def run_fig8(scenario: Scenario) -> SweepResult:
                   ("optimized_iso", "optimized_case2"), ()).rows
     angles, beta_rd = frame.sight(scenario.dest_pos)
     kinds = {"df_mmse": relay_mod.CombinerKind.MMSE, "df_mr": relay_mod.CombinerKind.MR}
-    plan = []  # per antenna count, its alpha2 and its relay rows' (technology, mode, alpha1)
+    rows = []
     for m in scenario.relay_antennas:
         relay, white = _NodeLink(frame, m), noise * np.eye(m)
-        h_rd = los_channel(beta_rd, *angles, relay.layout)
+        alpha2 = relay_mod.effective_gain_second_phase(
+            los_channel(beta_rd, *angles, relay.layout), noise)
         covs = {"iso": (variance * relay.iso + white, kinds),
                 "case2": (variance * relay.correlation("case2", angles) + white, kinds),
                 "none": (white, {"df": kinds["df_mr"]})}
-        plan.append((m, relay_mod.effective_gain_second_phase(h_rd, noise), [
-            (tech, f"optimized_{emi}", relay_mod.effective_gain_first_phase(relay.h_sr, cov, kind))
-            for emi, (cov, combiners) in covs.items() for tech, kind in combiners.items()]))
-    alphas = [(alpha1, alpha2) for _, alpha2, entries in plan for *_, alpha1 in entries]
-    solutions = iter(relay_mod.df_min_power_batch(scenario.target_rate, *zip(*alphas)))
-    rows = []
-    for m, alpha2, entries in plan:
-        rows.extend(_row(float(m), tech, mode, _df_solved,
-                         relay_mod.EffectiveGains(alpha1, alpha2), next(solutions))
-                    for tech, mode, alpha1 in entries)
+        rows.extend((float(m), tech, f"optimized_{emi}", relay_mod.EffectiveGains(
+            relay_mod.effective_gain_first_phase(relay.h_sr, cov, kind), alpha2))
+            for emi, (cov, combiners) in covs.items() for tech, kind in combiners.items())
         rows.extend(replace(ref, sweep_var=float(m)) for ref in refs)
-    return SweepResult("antennas", tuple(rows))
+    return SweepResult("antennas", _solve_df(scenario.target_rate, rows))
 
 
 RUNNERS = {

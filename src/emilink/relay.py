@@ -17,14 +17,14 @@ one bisection on its sign finds the global minimum.  The maximum rate under
 a power budget is the inverse of that minimum, found by bisection on R.
 
 ``df_min_power_batch`` runs the bisections of many gain pairs at one rate
-together on numpy arrays (fig8's 400 relay rows), with the scalar
-predicate, REL_TOL and stopping rule applied to each entry.  Its predicate
-reads numpy's exp/expm1 instead of math's; a last-bit difference that
-flipped the sign of P' at a midpoint would move tau1 by at most REL_TOL.
+together on numpy arrays (every optimized DF row of a figure), with the
+scalar predicate, REL_TOL and stopping rule applied to each entry.  Its
+predicate reads numpy's exp/expm1 instead of math's; a last-bit difference
+that flipped the sign of P' at a midpoint would move tau1 by at most REL_TOL.
 p1, p2 and the power come per entry through math.expm1, as in the scalar
 solve, beyond POWER_UPPER_W too: neither solve caps the power.  The scalar
-``df_min_power`` stays the path for single solves, where numpy's per-call
-overhead would cost more than the loop saves.
+``df_min_power`` is the batch's bit-for-bit reference, and its minimizer is
+the inner solve of ``df_inner_max_rate``.
 """
 
 from __future__ import annotations
@@ -202,22 +202,19 @@ def df_min_power_batch(target_rate: float, alpha1,
         raise ValueError("effective gains must be positive")
     c = target_rate * LN2
     lo, hi, steps = np.zeros(a1.size), np.ones(a1.size), np.zeros(a1.size, dtype=int)
-    live = np.arange(a1.size)
-    # Python floats overflow to inf (and inf - inf to nan) silently; numpy does
-    # the same here, so far-out gains compare as the scalar predicate does.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while live.size:
-            low, high = lo[live], hi[live]
-            mid = 0.5 * (low + high)
-            going = (high - low > REL_TOL * high) & (low < mid) & (mid < high)
-            live, mid = live[going], mid[going]
+    # Overflow is silent here (to inf, and inf - inf to nan), as with Python floats, so
+    # far-out gains compare as in the scalar solve; stopped entries (mid 0 or 1) are dropped.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while True:
+            mid = 0.5 * (lo + hi)
+            going = (hi - lo > REL_TOL * hi) & (lo < mid) & (mid < hi)
+            if not going.any():
+                break
             u1, u2 = c / mid, c / (1.0 - mid)
             shift = np.maximum(np.maximum(u1, u2), EXP_LIMIT) - EXP_LIMIT
-            rising = (_scaled_f_batch(u1, shift) / a1[live]
-                      >= _scaled_f_batch(u2, shift) / a2[live])
-            hi[live[rising]] = mid[rising]
-            lo[live[~rising]] = mid[~rising]
-            steps[live] += 1
+            rising = _scaled_f_batch(u1, shift) / a1 >= _scaled_f_batch(u2, shift) / a2
+            hi, lo = np.where(going & rising, mid, hi), np.where(going & ~rising, mid, lo)
+            steps += going
     solutions = []
     for tau1, g1, g2, n in zip((0.5 * (lo + hi)).tolist(), a1.tolist(), a2.tolist(),
                                steps.tolist()):

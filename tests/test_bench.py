@@ -356,6 +356,65 @@ def test_only_bench_row_reads_the_power_cap():
     assert readers == {("bench", "_row")}
 
 
+def test_every_optimized_df_row_takes_one_batch_solve(monkeypatch):
+    # one DF min-power path: fig5, fig6 and fig8 hand all their optimized DF rows
+    # to one df_min_power_batch call, the other figures make none, and no figure
+    # calls the scalar solve
+    calls = {"df_min_power": [], "df_min_power_batch": []}
+    for name, seen in calls.items():
+        monkeypatch.setattr(relay, name, lambda *args, seen=seen, fn=getattr(relay, name):
+                            seen.append(args) or fn(*args))
+    batches = {}
+    for runner in (run_fig3, run_fig4, run_fig5, run_fig6, run_fig7, run_fig8):
+        calls["df_min_power_batch"].clear()
+        rows = runner(SMALL).rows
+        optimized = [r for r in rows if r.technology.startswith("df")
+                     and r.mode.startswith("optimized")]
+        batches[runner.__name__] = [len(alpha1) for _, alpha1, _ in calls["df_min_power_batch"]]
+        assert batches[runner.__name__] == ([len(optimized)] if optimized else []), runner
+    monkeypatch.undo()
+    assert calls["df_min_power"] == []
+    assert batches == {"run_fig3": [], "run_fig4": [], "run_fig5": [6], "run_fig6": [6],
+                       "run_fig7": [], "run_fig8": [5 * len(SMALL.relay_antennas)]}
+
+    # and in the source, bench._solve_df is the one caller of either solve
+    callers = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "id", getattr(child.func, "attr", None)) in (
+                    "df_min_power", "df_min_power_batch"):
+                callers.add((module, scope, ast.unparse(child.func)))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, module, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    for path in pathlib.Path(cli.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    assert callers == {("bench", "_solve_df", "relay_mod.df_min_power_batch")}
+
+
+def test_solve_df_keeps_every_row_in_place(monkeypatch):
+    # finished rows come back unchanged, each pending entry becomes the row of its
+    # DF minimum power where it stood, one beyond the power cap the inf/nan/0 row
+    first = SweepRow(1.0, "irs_n16", "optimized_iso", 30.0, 6.0, 7)
+    last = SweepRow(2.0, "df", "repetition_iso", 40.0, 6.0, 0)
+    feasible = relay.EffectiveGains(1e5, 1e6)
+    rows = bench._solve_df(6.0, [first, (1.0, "df", "optimized_iso", relay.EffectiveGains(
+        1e-9, 1e-9)), (2.0, "df", "optimized_none", feasible), last])
+    assert len(rows) == 4 and rows[0] is first and rows[3] is last
+    beyond = rows[1]
+    assert (beyond.sweep_var, beyond.technology, beyond.mode) == (1.0, "df", "optimized_iso")
+    assert (beyond.power_dbm, beyond.solver_iters) == (math.inf, 0)
+    assert math.isnan(beyond.rate_bps_hz)
+    assert rows[2].feasible
+    assert repr(rows[2]) == repr(bench._row(2.0, "df", "optimized_none", bench._df_solved,
+                                            feasible, relay.df_min_power(6.0, feasible)))
+    # nothing pending, no solve
+    monkeypatch.setattr(relay, "df_min_power_batch", None)
+    assert bench._solve_df(6.0, [first, last]) == (first, last)
+
+
 def test_each_config_key_sets_a_distinct_field():
     # one leaf key per Scenario field, with budget split into its LinkBudget fields
     from emilink.bench import _CONFIG_KEYS

@@ -183,9 +183,8 @@ def test_min_power_inverse_consistency():
 
 
 def df_row(rate, gains):
-    """The sweep row that ``bench._row`` makes of ``df_min_power(rate, gains)``."""
-    return bench._row(rate, "df", "optimized_iso", bench._df_solved, gains,
-                      df_min_power(rate, gains))
+    """The sweep row that ``bench._solve_df`` makes of a DF row pending at ``rate``."""
+    return bench._solve_df(rate, [(rate, "df", "optimized_iso", gains)])[0]
 
 
 def is_sentinel(row):
