@@ -23,7 +23,7 @@ from . import irs as irs_mod
 from . import relay as relay_mod
 from .errors import POWER_UPPER_W, InfeasibleError, pow2m1
 from .scene import (ArrayLayout, LinkBudget, angles_between, dbm_to_watt, los_channel, make_layout,
-                    pathloss_umi, watt_to_dbm)
+                    pathloss_umi, watt_to_dbm, wave_vector)
 
 CSV_HEADER = "sweep_var,technology,mode,power_dbm,rate_bps_hz,solver_iters"
 CONFIG_VERSION = 1
@@ -242,8 +242,9 @@ def _facing_orientation(scenario: Scenario) -> np.ndarray:
 
 class _Frame:
     """One figure run's geometry: the node's facing frame and the endpoints' sights
-    in it, one layout per array size, and the gaussian EMI kernel of the direction
-    last asked for over the layouts' ``envelope``, from which every array gathers."""
+    in it, one layout per array size, and over the layouts' ``envelope`` the
+    source wave's phase lattice, the sinc lattice and the gaussian EMI kernel of
+    the direction last asked for, from which every array reads its EMI."""
 
     def __init__(self, scenario: Scenario, sizes):
         self.scenario, self.orientation = scenario, _facing_orientation(scenario)
@@ -252,6 +253,9 @@ class _Frame:
         self.layouts = {n: make_layout(n, wavelength) for n in dict.fromkeys(sizes)}
         self.envelope = ArrayLayout(max(g.rows for g in self.layouts.values()),
                                     max(g.cols for g in self.layouts.values()), wavelength)
+        self.source_phases = emi_mod.plane_wave_lattice(
+            self.envelope, wave_vector(*self.source_angles, wavelength))
+        self.iso_lattice = emi_mod.isotropic_kernel(self.envelope)
         self.last_kernel = (None, None)  # (angles, lattice)
 
     def sight(self, pos: tuple) -> tuple[tuple[float, float], float]:
@@ -260,9 +264,13 @@ class _Frame:
         return (angles_between(node, pos, self.orientation),
                 pathloss_umi(float(np.linalg.norm(np.subtract(pos, node))), self.scenario.budget))
 
-    def kernel(self, angles: tuple[float, float]) -> np.ndarray:
-        """Lattice of the gaussian EMI centred on the direction ``angles``; only the
-        last direction's is kept, since the sweeps ask for one direction at a time."""
+    def lattice(self, emi: str, angles: tuple[float, float]) -> np.ndarray:
+        """Lattice of the EMI named iso (sinc), case1 (gaussian centred on the source
+        direction) or case2 (centred on ``angles``).  Only the last gaussian
+        direction's is kept, since the sweeps ask for one direction at a time."""
+        if emi == "iso":
+            return self.iso_lattice
+        angles = self.source_angles if emi == "case1" else angles
         if self.last_kernel[0] != angles:
             spread = math.radians(self.scenario.emi_spread_deg)
             density = emi_mod.AngularDensity(*angles, spread, spread)
@@ -272,31 +280,36 @@ class _Frame:
 
 
 class _NodeLink:
-    """Channels and EMI correlations at the surface/relay for one layout of a frame's array."""
+    """Source channel and EMI at the surface/relay for one layout of a frame's array."""
 
     def __init__(self, frame: _Frame, n_elements: int):
         self.frame = frame
         self.layout = frame.layouts[n_elements]
         self.h_sr = los_channel(frame.beta_sr, *frame.source_angles, self.layout)
-        self.iso = emi_mod.corr_isotropic(self.layout)
+        self.forms = {}
 
     @cached_property
-    def case1(self) -> np.ndarray:
-        return emi_mod.gather(self.frame.kernel(self.frame.source_angles), self.layout)
+    def iso(self) -> np.ndarray:
+        return emi_mod.corr_isotropic(self.layout)
 
     def correlation(self, emi: str, angles: tuple[float, float]) -> np.ndarray:
-        """Correlation of the EMI named none or iso (sinc), case1 (gaussian centred
-        on the source direction) or case2 (centred on the destination ``angles``)."""
-        if emi in ("none", "iso"):
-            return self.iso
-        if emi == "case1":
-            return self.case1
-        return emi_mod.gather(self.frame.kernel(angles), self.layout)
+        """Correlation matrix of the EMI named as in ``_Frame.lattice``."""
+        return self.iso if emi == "iso" else emi_mod.gather(self.frame.lattice(emi, angles),
+                                                           self.layout)
+
+    def form(self, emi: str, angles: tuple[float, float]) -> float:
+        """u^H R u for the source's unit plane wave u under the EMI named as in
+        ``_Frame.lattice``, or none (0); taken once per EMI, and per direction for
+        case2, with no N x N array."""
+        key = (emi, angles) if emi == "case2" else emi
+        if key not in self.forms:
+            self.forms[key] = 0.0 if emi == "none" else emi_mod.plane_wave_form(
+                self.frame.lattice(emi, angles), self.layout, self.frame.source_phases)
+        return self.forms[key]
 
 
-def _irs_heuristic(target_rate, link):
-    phases = irs_mod.phases_noise_only(link.h_sr, link.h_rd)
-    return *irs_mod.irs_power_and_rate(target_rate, link, phases), 0
+def _irs_heuristic(target_rate, gain, denominator):
+    return *irs_mod.power_and_rate(target_rate, gain, denominator), 0
 
 
 def _irs_optimized(target_rate, link):
@@ -315,9 +328,6 @@ def _df_solved(gains, solution):
     """(power W, rate, iterations) of a ``df_min_power_batch`` solution."""
     power, tau1, p1, p2, iterations = solution
     return power, relay_mod.df_rate(tau1, p1, p2, gains), iterations
-
-
-_IRS_SOLVERS = {"heuristic": _irs_heuristic, "optimized": _irs_optimized}
 
 
 def _row(sweep_var, tech, mode, solve, *args) -> SweepRow:
@@ -351,8 +361,9 @@ def _sweep(frame: _Frame, variable: str, sizes, irs_modes, df_modes) -> SweepRes
     (a repeated size runs once), then every relay mode on a single-antenna
     relay.  A mode is ``<solver>_<emi>``, the solver ``heuristic`` or
     ``optimized`` for the surface and ``repetition`` or ``optimized`` for the
-    relay, the EMI one of ``_NodeLink.correlation``'s; EMI none means no
-    interference (variance 0); surface links hold the plain channel arrays.
+    relay, the EMI none (variance 0) or one of ``_Frame.lattice``'s.  A heuristic
+    surface row is a closed form of ``_NodeLink.form`` (see irs), so only optimized
+    surface rows build the destination channels and a correlation matrix.
     Optimized relay rows are left pending for ``_solve_df``.
     """
     scenario = frame.scenario
@@ -366,18 +377,24 @@ def _sweep(frame: _Frame, variable: str, sizes, irs_modes, df_modes) -> SweepRes
                   for d, dest in zip(scenario.distances(), scenario.sweep_destinations())]
     sights = {d: frame.sight(d) for d in dict.fromkeys(p[1] for p in points)}
     toward = {d: [los_channel(beta_rd, *angles, node.layout) for node in nodes]
-              for d, (angles, beta_rd) in sights.items()}
+              for d, (angles, beta_rd) in sights.items()
+              if any(mode.startswith("optimized") for mode in irs_modes)}
     rows = []
     for x, dest, variance in points:
         angles, beta_rd = sights[dest]
         variances = {m: 0.0 if m.endswith("_none") else variance for m in irs_modes + df_modes}
-        for node, h_rd in zip(nodes, toward[dest]):
+        for i, node in enumerate(nodes):
             for mode in irs_modes:
                 solver, emi = mode.split("_")
-                link = irs_mod.IrsLink(node.h_sr, h_rd, variances[mode],
-                                       node.correlation(emi, angles), noise)
-                rows.append(_row(x, f"irs_n{node.layout.n_elements}", mode,
-                                 _IRS_SOLVERS[solver], target, link))
+                if solver == "heuristic":
+                    gain = frame.beta_sr * beta_rd * node.layout.n_elements ** 2
+                    args = (_irs_heuristic, target, gain,
+                            variances[mode] * beta_rd * node.form(emi, angles) + noise)
+                else:
+                    args = _irs_optimized, target, irs_mod.IrsLink(
+                        node.h_sr, toward[dest][i], variances[mode],
+                        node.correlation(emi, angles), noise)
+                rows.append(_row(x, f"irs_n{node.layout.n_elements}", mode, *args))
         for mode in df_modes:
             inputs = frame.beta_sr, beta_rd, variances[mode], noise
             rows.append((x, "df", mode, relay_mod.effective_gains_single(*inputs))
@@ -442,9 +459,10 @@ def run_fig8(scenario: Scenario) -> SweepResult:
     configured rho (covariance v R + N0 I), a no-EMI relay reference (N0 I),
     and at every antenna count the surface reference: fig5's surface at that
     rho, iso and case 2.  One case-2 kernel spans the largest rows and columns
-    of the relays and the surface, and every array gathers its correlation
-    from it.  Per antenna count only the array's channels, correlations and
-    gains are built; its relay rows wait for ``_solve_df``, as optimized DF rows do.
+    of the relays and the surface, and every array reads its EMI from it.  Per
+    antenna count, each MMSE gain solves its covariance and each MR gain is the
+    closed form beta_sr M^2 / (v q + N0 M) of q = ``_NodeLink.form`` (see relay);
+    the relay rows wait for ``_solve_df``, as optimized DF rows do.
     """
     noise, variance = scenario.budget.noise_power_w, scenario.emi_variance
     frame = _Frame(replace(scenario, rho_sweep=(scenario.rho_db, scenario.rho_db, 1)),
@@ -452,18 +470,20 @@ def run_fig8(scenario: Scenario) -> SweepResult:
     refs = _sweep(frame, "rho_db", (scenario.irs_reference_elements,),
                   ("optimized_iso", "optimized_case2"), ()).rows
     angles, beta_rd = frame.sight(scenario.dest_pos)
-    kinds = {"df_mmse": relay_mod.CombinerKind.MMSE, "df_mr": relay_mod.CombinerKind.MR}
-    rows = []
+    rows, mmse = [], relay_mod.CombinerKind.MMSE
     for m in scenario.relay_antennas:
-        relay, white = _NodeLink(frame, m), noise * np.eye(m)
+        relay = _NodeLink(frame, m)
         alpha2 = relay_mod.effective_gain_second_phase(
             los_channel(beta_rd, *angles, relay.layout), noise)
-        covs = {"iso": (variance * relay.iso + white, kinds),
-                "case2": (variance * relay.correlation("case2", angles) + white, kinds),
-                "none": (white, {"df": kinds["df_mr"]})}
-        rows.extend((float(m), tech, f"optimized_{emi}", relay_mod.EffectiveGains(
-            relay_mod.effective_gain_first_phase(relay.h_sr, cov, kind), alpha2))
-            for emi, (cov, combiners) in covs.items() for tech, kind in combiners.items())
+        for emi in ("iso", "case2", "none"):  # the form of none is 0
+            gains = {}
+            if emi != "none":
+                cov = variance * relay.correlation(emi, angles) + noise * np.eye(m)
+                gains["df_mmse"] = relay_mod.effective_gain_first_phase(relay.h_sr, cov, mmse)
+            gains["df" if emi == "none" else "df_mr"] = frame.beta_sr * m ** 2 / (
+                variance * relay.form(emi, angles) + noise * m)
+            rows.extend((float(m), tech, f"optimized_{emi}", relay_mod.EffectiveGains(
+                alpha1, alpha2)) for tech, alpha1 in gains.items())
         rows.extend(replace(ref, sweep_var=float(m)) for ref in refs)
     return SweepResult("antennas", _solve_df(scenario.target_rate, rows))
 

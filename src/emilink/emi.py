@@ -21,8 +21,11 @@ on the lattice's extent: the column phase is summed over azimuth by a
 running product over the column offset, the row phase over elevation by an
 einsum, not a BLAS product, whose rounding would change with the shape.  So
 one kernel over a figure's largest rows and columns gives every array of
-the figure its own ``corr_directional``, bit for bit.  emi keeps no memo
-besides the read-only Gauss-Legendre rules.
+the figure its own ``corr_directional``, bit for bit.  The interference
+u^H R u that a plane wave u picks up (a surface with the noise-only phases,
+an MR relay) is one sum over the same window of the kernel and of the
+wave's own lattice of phases, ``plane_wave_form``: O(N) work and no N x N
+array.  emi keeps no memo besides the read-only Gauss-Legendre rules.
 
 Both correlations are used as built, with no projection onto the PSD cone.
 The quadrature matrix is a positively weighted sum of outer products.  The
@@ -32,10 +35,10 @@ sphere), so the sampled matrix is PSD in exact arithmetic.  On the
 half-wavelength grids its smallest eigenvalue stays >= 6e-11 of the
 largest for every N up to 400; round-off pushes it below zero on far
 larger grids (-1.4e-16 of the largest at N = 1225, -3.1e-16 at 1600).
-Every consumer tolerates round-off of that size: ``emi_quadratic_form``
-clips at 0, and the MMSE covariance and the surface optimizer's MM matrix
-both add a positive noise term.  ``psd_project`` stays available as a
-standalone utility; no sweep calls it.
+Every consumer tolerates round-off of that size: both forms clip at 0,
+and the MMSE covariance and the surface optimizer's MM matrix both add a
+positive noise term.  ``psd_project`` stays available as a standalone
+utility; no sweep calls it.
 
 The sinc correlation is real (float64) and the quadrature one complex.
 ``corr_matvec`` multiplies a real R by a complex vector in real arithmetic,
@@ -101,10 +104,15 @@ class AngularDensity:
         return AngularDensity(0.0, 0.0, np.inf, np.inf)
 
 
+def isotropic_kernel(layout: ArrayLayout) -> np.ndarray:
+    """The sinc on the offset lattice of ``layout``, as ``directional_kernel`` lays it out."""
+    dr, dc = np.arange(1 - layout.rows, layout.rows), np.arange(1 - layout.cols, layout.cols)
+    return np.sinc(np.hypot(dr[:, None], dc[None, :]))
+
+
 def corr_isotropic(layout: ArrayLayout) -> np.ndarray:
     """Closed-form isotropic correlation sinc(2 d_nm / lambda), one sinc per offset."""
-    dr, dc = np.arange(1 - layout.rows, layout.rows), np.arange(1 - layout.cols, layout.cols)
-    return gather(np.sinc(np.hypot(dr[:, None], dc[None, :])), layout)
+    return gather(isotropic_kernel(layout), layout)
 
 
 @cache
@@ -171,21 +179,57 @@ def directional_kernel(density: AngularDensity, nodes: int, layout: ArrayLayout)
     return np.concatenate([kappa[::-1, :0:-1].conj(), kappa], axis=1)
 
 
-def gather(lattice: np.ndarray, layout: ArrayLayout) -> np.ndarray:
-    """The layout's correlation matrix, a new array, from a kernel lattice centred
-    on offset (0, 0) that spans at least the layout's offsets: the window entry
-    (r_n, c_n, r_m, c_m) steps from offset (0, 0) to (r_n - r_m, c_n - c_m)."""
+def _window(lattice: np.ndarray, layout: ArrayLayout) -> np.ndarray:
+    """The view of a lattice centred on offset (0, 0) that holds the layout's offsets."""
     rows, cols = layout.rows, layout.cols
     r0, c0 = (lattice.shape[0] + 1) // 2 - rows, (lattice.shape[1] + 1) // 2 - cols
     if r0 < 0 or c0 < 0:
         raise ValueError(f"a {lattice.shape} lattice does not span the offsets of a "
                          f"{rows} x {cols} layout")
-    origin = lattice[r0 + rows - 1:, c0 + cols - 1:]
+    return lattice[r0:r0 + 2 * rows - 1, c0:c0 + 2 * cols - 1]
+
+
+def gather(lattice: np.ndarray, layout: ArrayLayout) -> np.ndarray:
+    """The layout's correlation matrix, a new array, from a kernel lattice centred
+    on offset (0, 0) that spans at least the layout's offsets: the window entry
+    (r_n, c_n, r_m, c_m) steps from offset (0, 0) to (r_n - r_m, c_n - c_m)."""
+    rows, cols = layout.rows, layout.cols
+    origin = _window(lattice, layout)[rows - 1:, cols - 1:]
     s0, s1 = origin.strides
     window = as_strided(origin, (rows, cols, rows, cols), (s0, s1, -s0, -s1), writeable=False)
     # copied before the reshape: a 1-row or 1-column window would reshape to a
     # read-only, negatively strided view of the lattice
     return window.copy().reshape(layout.n_elements, layout.n_elements)
+
+
+def plane_wave_lattice(layout: ArrayLayout, wave: np.ndarray) -> np.ndarray:
+    """exp(-j s (wave_z dr + wave_y dc)) on the offset lattice of ``layout``, s the
+    spacing and wave in the layout's frame (``scene.wave_vector``), which
+    ``plane_wave_form`` reads for that layout or any grid it contains.  Each axis's
+    phase is reduced exactly before it is rounded: s wave / pi, in half turns, splits
+    into a head on a 2^-40 grid, whose products with the offsets (fewer than 2^12 a
+    side) are exact, and a small tail.  Rounding s wave d itself put up to 1e-14 rad
+    on a phase, 5e-12 of a form whose terms cancel (1 x 61 relay, case-2 EMI)."""
+    phases = []
+    for count, half_turns in ((layout.rows, layout.spacing * wave[2] / np.pi),
+                              (layout.cols, layout.spacing * wave[1] / np.pi)):
+        d = np.arange(1 - count, count)
+        head = np.round(half_turns * 2.0 ** 40) / 2.0 ** 40
+        turns = head * d - 2.0 * np.round(head * d / 2.0) + (half_turns - head) * d
+        phases.append(np.exp(-1j * np.pi * turns))
+    return phases[0][:, None] * phases[1]
+
+
+def plane_wave_form(lattice: np.ndarray, layout: ArrayLayout, wave_lattice: np.ndarray) -> float:
+    """u^H R u, R = gather(lattice, layout), for the plane wave u_n = exp(j wave^T p_n)
+    at the element positions p_n, given its ``plane_wave_lattice``, with no N x N
+    array: the (rows - |dr|)(cols - |dc|) pairs at offset (dr, dc) share its kernel
+    value and its phase.  Clipped at 0, as ``emi_quadratic_form`` is."""
+    rows, cols = layout.rows, layout.cols
+    pairs = np.outer(rows - np.abs(np.arange(1 - rows, rows)),
+                     cols - np.abs(np.arange(1 - cols, cols)))
+    terms = pairs * _window(lattice, layout) * _window(wave_lattice, layout)
+    return max(float(terms.sum().real), 0.0)
 
 
 def corr_directional(layout: ArrayLayout, density: AngularDensity, nodes: int) -> np.ndarray:

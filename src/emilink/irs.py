@@ -13,7 +13,12 @@ SINR is p times a power-free gain g(phi), so the best phases do not depend
 on p: they are optimized once and the required power follows in closed
 form.  Closing the phases on the channel product
 (phi_n = -arg(h_sr_n h_rd_n)) maximizes the numerator and is optimal
-without interference.  The interference-aware optimizer starts there and
+without interference.  On plane-wave channels sqrt(beta) u, |u_n| = 1, it
+leaves the row vector sqrt(beta_rd) conj(u_sr) whatever the destination, so
+the SINR is p beta_sr beta_rd N^2 / (variance beta_rd u_sr^H R u_sr + noise):
+the sweeps take those rows in that closed form (``power_and_rate``), and
+``irs_power_and_rate`` on these phases is its dense oracle.
+The interference-aware optimizer starts from these phases and
 maximizes g by minorization-maximization on the unit-modulus torus (Sun,
 Babu and Palomar, IEEE Trans. Signal Process. 65(3), 2017): each step is a
 phase alignment costing one product with R (``emi.corr_matvec``, which
@@ -121,11 +126,15 @@ def irs_required_power(target_rate: float, link: IrsLink, phases: np.ndarray) ->
     return _power_for(target_rate, *_gain_and_denominator(link, phases))
 
 
-def irs_power_and_rate(target_rate: float, link: IrsLink, phases: np.ndarray):
-    """``irs_required_power`` and ``irs_rate`` at it, bit for bit, in one evaluation."""
-    gain, denominator = _gain_and_denominator(link, phases)
+def power_and_rate(target_rate: float, gain: float, denominator: float):
+    """The power that reaches ``target_rate`` at SINR p gain / denominator, and the rate at it."""
     power = _power_for(target_rate, gain, denominator)
     return power, float(np.log2(1.0 + power * gain / denominator))
+
+
+def irs_power_and_rate(target_rate: float, link: IrsLink, phases: np.ndarray):
+    """``irs_required_power`` and ``irs_rate`` at it, bit for bit, in one evaluation."""
+    return power_and_rate(target_rate, *_gain_and_denominator(link, phases))
 
 
 def irs_sinr_gradient(power_w: float, link: IrsLink, phases: np.ndarray) -> np.ndarray:

@@ -25,6 +25,10 @@ p1, p2 and the power come per entry through math.expm1, as in the scalar
 solve, beyond POWER_UPPER_W too: neither solve caps the power.  The scalar
 ``df_min_power`` is the batch's bit-for-bit reference, and its minimizer is
 the inner solve of ``df_inner_max_rate``.
+
+The MR gain of ``effective_gain_first_phase`` on a plane wave h = sqrt(beta) u
+(|u_n| = 1) is beta M^2 / (variance u^H R u + noise M); the sweeps take it in
+that closed form, with this dense product as its oracle.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ import pathlib
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from itertools import pairwise
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from emilink import (LinkBudget, Scenario, SweepResult, SweepRow, format_csv,
-                     format_svg, pathloss_umi, run_fig3, run_fig4,
+                     format_svg, los_channel, pathloss_umi, run_fig3, run_fig4,
                      run_fig5, run_fig6, run_fig7, run_fig8,
                      repetition_required_power, scenario_from_config, watt_to_dbm)
 from emilink.bench import CSV_HEADER, RUNNERS, correlations, dump_matrix_csv
@@ -331,7 +332,7 @@ def test_the_package_keeps_only_these_memos():
         uses += sum(isinstance(n, (ast.Name, ast.Attribute)) and is_memo(n)
                     for n in ast.walk(tree))
     assert memos == {("emi", "_leggauss"),
-                     ("scene", "ArrayLayout.positions"), ("bench", "_NodeLink.case1")}
+                     ("scene", "ArrayLayout.positions"), ("bench", "_NodeLink.iso")}
     assert uses == len(memos)
 
 
@@ -821,10 +822,38 @@ def test_fig7_case_ordering():
             watt_to_dbm(63.0 * noise / (16 ** 2 * b_sr * b_rd)), abs=1e-9)
 
 
-def test_heuristic_surface_rows_take_one_quadratic_form(monkeypatch):
-    # one interference evaluation gives a surface row its power and its rate,
-    # heuristic or optimized (the optimizer's own products with R go through
-    # corr_matvec); rows without EMI (variance 0) take none
+def dense_heuristic_links(scenario, result):
+    """(row, IrsLink) for each heuristic surface row of ``result``, a run of
+    ``scenario``: the row's channels toward its destination and its correlation
+    matrix, for the dense path (``irs_power_and_rate`` on the noise-only phases)
+    that checks the sweeps' closed form."""
+    noise = scenario.budget.noise_power_w
+    rows = [r for r in result.rows if r.technology.startswith("irs_n")
+            and r.mode.startswith("heuristic_")]
+    sizes = sorted({int(r.technology.removeprefix("irs_n")) for r in rows})
+    frame = bench._Frame(scenario, sizes)
+    nodes = {n: bench._NodeLink(frame, n) for n in sizes}
+    dests = dict(zip(scenario.distances().tolist(), scenario.sweep_destinations().tolist()))
+    links = []
+    for row in rows:
+        emi = row.mode.removeprefix("heuristic_")
+        if result.sweep_variable == "rho_db":
+            dest, variance = scenario.dest_pos, bench._emi_variance(row.sweep_var, noise)
+        else:
+            dest, variance = tuple(dests[row.sweep_var]), scenario.emi_variance
+        angles, beta_rd = frame.sight(dest)
+        node = nodes[int(row.technology.removeprefix("irs_n"))]
+        links.append((row, irs.IrsLink(
+            node.h_sr, los_channel(beta_rd, *angles, node.layout),
+            0.0 if emi == "none" else variance,
+            node.correlation("iso" if emi == "none" else emi, angles), noise)))
+    return links
+
+
+def test_only_optimized_surface_rows_take_a_quadratic_form(monkeypatch):
+    # one interference evaluation gives an optimized surface row its power and its
+    # rate (the optimizer's own products with R go through corr_matvec); heuristic
+    # rows take theirs in closed form from emi.plane_wave_form, with no quadratic form
     original, calls = irs.emi_quadratic_form, []
     monkeypatch.setattr(irs, "emi_quadratic_form",
                         lambda *args: calls.append(args) or original(*args))
@@ -834,21 +863,18 @@ def test_heuristic_surface_rows_take_one_quadratic_form(monkeypatch):
     for runner in (run_fig3, run_fig5, run_fig6, run_fig7):
         calls.clear()
         rows = [r for r in runner(SMALL).rows if r.technology.startswith("irs")]
-        assert len(calls) == sum(not r.mode.endswith("_none") for r in rows), runner
+        assert len(calls) == sum(r.mode.startswith("optimized") for r in rows), runner
     monkeypatch.undo()
     # fig5's and fig6's optimized rows, six each, rate as irs_rate gives it
     assert len(optimized) == 6 + 6
     for link, (power, rate, phases, _, _) in optimized:
         assert float.hex(rate) == float.hex(irs.irs_rate(power, link, phases))
 
-    # the pair is the required power and the rate at it, bit for bit, on
+    # the dense pair is the required power and the rate at it, bit for bit, on
     # every heuristic link of the paper's figures; the rate at 6 bit/s/Hz rounds
     # to 6.0 whatever the last bits of the power, so two other targets check it
-    heuristic, links = bench._IRS_SOLVERS["heuristic"], []
-    monkeypatch.setitem(bench._IRS_SOLVERS, "heuristic",
-                        lambda rate, link: links.append(link) or heuristic(rate, link))
-    for runner in (run_fig3, run_fig4, run_fig7):
-        runner(Scenario())
+    links = [link for runner in (run_fig3, run_fig4, run_fig7)
+             for _, link in dense_heuristic_links(Scenario(), runner(Scenario()))]
     assert len(links) == 26 * (3 * 2 + 1 + 4)
     for link in links:
         phases = irs.phases_noise_only(link.h_sr, link.h_rd)
@@ -857,6 +883,122 @@ def test_heuristic_surface_rows_take_one_quadratic_form(monkeypatch):
             expected = irs.irs_required_power(rate, link, phases)
             assert float.hex(power) == float.hex(expected)
             assert float.hex(achieved) == float.hex(irs.irs_rate(expected, link, phases))
+
+
+@pytest.mark.parametrize("scenario, figures", [
+    pytest.param(Scenario(), ("fig3", "fig4", "fig6", "fig7"), id="paper"),
+    pytest.param(N400, ("fig7",), id="n400"),
+])
+def test_heuristic_surface_rows_match_the_dense_path(scenario, figures):
+    """Every heuristic surface row, taken in closed form from u^H R u on the
+    offset lattice, against the dense path: ``irs_power_and_rate`` with the
+    noise-only phases on the row's own channels and correlation matrix.
+
+    Worst seen: 7.1e-15 dB (one unit in the last place of the dBm values) on
+    every figure, and no rate moved; the tolerance is the closed-form
+    oracles' 1e-13 dB.
+    """
+    for fig in figures:
+        links = dense_heuristic_links(scenario, RUNNERS[fig](scenario))
+        assert links, fig
+        for row, link in links:
+            phases = irs.phases_noise_only(link.h_sr, link.h_rd)
+            power, rate = irs.irs_power_and_rate(scenario.target_rate, link, phases)
+            if not row.feasible:
+                assert power > POWER_UPPER_W, (fig, row)
+                continue
+            assert abs(row.power_dbm - watt_to_dbm(power)) <= 1e-13, (fig, row, power)
+            assert abs(row.rate_bps_hz - rate) <= 1e-15, (fig, row, rate)
+
+
+def test_fig8_mr_gains_match_the_dense_path(monkeypatch):
+    """Every MR gain of fig8 (df_mr under iso and case-2 EMI, df with none),
+    taken in closed form, against ``effective_gain_first_phase(h, v R + N0 I,
+    MR)`` on the relay's own channel and correlation matrix.
+
+    Worst seen: 1.0e-13 relative, on the case-2 gains, whose forms cancel
+    (u^H R u = 0.17 at M = 61); the tolerance is 3e-13.
+    """
+    scenario, batches = Scenario(), []
+    solve = relay.df_min_power_batch
+    monkeypatch.setattr(relay, "df_min_power_batch", lambda rate, alpha1, alpha2: batches.append(
+        alpha1) or solve(rate, alpha1, alpha2))
+    result = run_fig8(scenario)
+    monkeypatch.undo()
+    pending = [r for r in result.rows if r.technology.startswith("df")]
+    (alpha1,) = batches
+    assert len(alpha1) == len(pending) == 5 * len(scenario.relay_antennas)
+    frame, noise = bench._Frame(scenario, scenario.relay_antennas), scenario.budget.noise_power_w
+    angles = frame.sight(scenario.dest_pos)[0]
+    checked = 0
+    for row, gain in zip(pending, alpha1):
+        if row.technology == "df_mmse":
+            continue
+        node, emi = bench._NodeLink(frame, int(row.sweep_var)), row.mode.removeprefix("optimized_")
+        cov = noise * np.eye(node.layout.n_elements)
+        if emi != "none":
+            cov = scenario.emi_variance * node.correlation(emi, angles) + cov
+        dense = relay.effective_gain_first_phase(node.h_sr, cov, relay.CombinerKind.MR)
+        assert abs(gain - dense) <= 3e-13 * dense, row
+        checked += 1
+    assert checked == 3 * len(scenario.relay_antennas)
+
+
+def test_noise_only_figures_build_no_matrix(monkeypatch):
+    """fig3, fig4 and fig7 take every row in closed form, so they gather no
+    correlation matrix, and fig7 on a 400-element surface peaks, under
+    tracemalloc, below one real 400 x 400 array (1.22 MiB; 0.50 MiB seen,
+    6.37 MiB when every heuristic row took a dense form).  The runs before it
+    have built the process-wide Gauss-Legendre rules (0.8 MiB when first built)."""
+    gathered = []
+    for name in ("gather", "corr_isotropic"):
+        monkeypatch.setattr(bench.emi_mod, name, lambda *args, name=name, fn=getattr(
+            bench.emi_mod, name): gathered.append(name) or fn(*args))
+    for runner in (run_fig3, run_fig4, run_fig7):
+        runner(Scenario())
+    assert gathered == []
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        run_fig7(N400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 400 * 8, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+_FIG8_CHILD = """
+import json, pathlib, sys
+from emilink import emit, run_fig8, scenario_from_config
+for seed, config in json.loads(sys.stdin.read()).items():
+    emit(run_fig8(scenario_from_config(config)), "csv", pathlib.Path(sys.argv[1]) / f"{seed}.csv")
+"""
+
+
+def test_fig8_does_not_depend_on_the_blas_thread_count(perfbench, tmp_path):
+    """fig8 on the benchmark's antenna_sweep configs of seeds 1-5, byte for
+    byte at one and at two BLAS threads, each in a child process.  With the MR
+    denominators taken as dense products h^H C h, 6 df_mr rows differed."""
+    _, workloads = perfbench
+    configs = {seed: workloads.make_config(workloads.WORKLOADS["antenna_sweep"], seed)
+               for seed in range(1, 6)}
+    package_root = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    children = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                   filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        children[out] = subprocess.Popen(
+            [sys.executable, "-W", "error", "-c", _FIG8_CHILD, str(out)], env=env,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for child in children.values():
+        _, stderr = child.communicate(json.dumps(configs).encode(), timeout=120)
+        assert child.returncode == 0, stderr.decode()
+    one, two = children
+    for seed in configs:
+        assert (one / f"{seed}.csv").read_bytes() == (two / f"{seed}.csv").read_bytes(), seed
 
 
 def test_fig8_structure_and_dominance():
@@ -884,9 +1026,9 @@ def test_fig8_structure_and_dominance():
 def test_fig8_builds_one_quadrature_per_array(monkeypatch):
     # one case-2 kernel for the figure, over the largest rows and columns of the
     # relays and the surface reference, from which every array gathers; fig7
-    # builds case 1's and one case-2 kernel per distance.  Each of the five
-    # relay gains per count comes from effective_gain_first_phase, and every
-    # DF row from one batch solve, so a profiler wrapping those names sees all.
+    # builds case 1's and one case-2 kernel per distance.  Each of the two MMSE
+    # gains per count comes from effective_gain_first_phase (the three MR gains
+    # are closed forms), and every DF row from one batch solve.
     calls = {}
     for module, name in ((bench.emi_mod, "directional_kernel"),
                          (bench.relay_mod, "effective_gain_first_phase"),
@@ -896,7 +1038,7 @@ def test_fig8_builds_one_quadrature_per_array(monkeypatch):
     run_fig8(SMALL)
     arrays = len(SMALL.relay_antennas)
     assert {name: len(seen) for name, seen in calls.items()} == {
-        "directional_kernel": 1, "effective_gain_first_phase": 5 * arrays,
+        "directional_kernel": 1, "effective_gain_first_phase": 2 * arrays,
         "df_min_power_batch": 1}
     calls.clear()
     run_fig7(SMALL)
