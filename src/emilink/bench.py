@@ -243,8 +243,8 @@ def _facing_orientation(scenario: Scenario) -> np.ndarray:
 class _Frame:
     """One figure run's geometry: the node's facing frame and the endpoints' sights
     in it, one layout per array size, and over the layouts' ``envelope`` the
-    source wave's phase lattice, the sinc lattice and the gaussian EMI kernel of
-    the direction last asked for, from which every array reads its EMI."""
+    source wave's phase lattice and one lattice per EMI name, the only EMI source
+    from which every array of the figure reads its correlation and its forms."""
 
     def __init__(self, scenario: Scenario, sizes):
         self.scenario, self.orientation = scenario, _facing_orientation(scenario)
@@ -255,8 +255,7 @@ class _Frame:
                                     max(g.cols for g in self.layouts.values()), wavelength)
         self.source_phases = emi_mod.plane_wave_lattice(
             self.envelope, wave_vector(*self.source_angles, wavelength))
-        self.iso_lattice = emi_mod.isotropic_kernel(self.envelope)
-        self.last_kernel = (None, None)  # (angles, lattice)
+        self.lattices = {"iso": (None, emi_mod.isotropic_kernel(self.envelope))}
 
     def sight(self, pos: tuple) -> tuple[tuple[float, float], float]:
         """Angles of ``pos`` seen from the node and the gain of the hop between them."""
@@ -264,23 +263,23 @@ class _Frame:
         return (angles_between(node, pos, self.orientation),
                 pathloss_umi(float(np.linalg.norm(np.subtract(pos, node))), self.scenario.budget))
 
+    def centre(self, emi: str, angles: tuple[float, float]):
+        """Centre of the EMI named case1 (the source's direction), case2 (``angles``), else None."""
+        return angles if emi == "case2" else self.source_angles if emi == "case1" else None
+
     def lattice(self, emi: str, angles: tuple[float, float]) -> np.ndarray:
-        """Lattice of the EMI named iso (sinc), case1 (gaussian centred on the source
-        direction) or case2 (centred on ``angles``).  Only the last gaussian
-        direction's is kept, since the sweeps ask for one direction at a time."""
-        if emi == "iso":
-            return self.iso_lattice
-        angles = self.source_angles if emi == "case1" else angles
-        if self.last_kernel[0] != angles:
+        """Lattice of the EMI named iso (the sinc), case1 or case2 (a gaussian kernel):
+        one (centre, lattice) entry per name, rebuilt only when its ``centre`` moves."""
+        centre = self.centre(emi, angles)
+        if emi not in self.lattices or self.lattices[emi][0] != centre:
             spread = math.radians(self.scenario.emi_spread_deg)
-            density = emi_mod.AngularDensity(*angles, spread, spread)
-            self.last_kernel = angles, emi_mod.directional_kernel(
-                density, emi_mod.QUADRATURE_NODES, self.envelope)
-        return self.last_kernel[1]
+            self.lattices[emi] = centre, emi_mod.directional_kernel(emi_mod.AngularDensity(
+                *centre, spread, spread), emi_mod.QUADRATURE_NODES, self.envelope)
+        return self.lattices[emi][1]
 
 
 class _NodeLink:
-    """Source channel and EMI at the surface/relay for one layout of a frame's array."""
+    """Source channel and the frame's EMI at the surface/relay, for one layout of its array."""
 
     def __init__(self, frame: _Frame, n_elements: int):
         self.frame = frame
@@ -290,7 +289,7 @@ class _NodeLink:
 
     @cached_property
     def iso(self) -> np.ndarray:
-        return emi_mod.corr_isotropic(self.layout)
+        return emi_mod.gather(self.frame.lattice("iso", None), self.layout)
 
     def correlation(self, emi: str, angles: tuple[float, float]) -> np.ndarray:
         """Correlation matrix of the EMI named as in ``_Frame.lattice``."""
@@ -299,9 +298,8 @@ class _NodeLink:
 
     def form(self, emi: str, angles: tuple[float, float]) -> float:
         """u^H R u for the source's unit plane wave u under the EMI named as in
-        ``_Frame.lattice``, or none (0); taken once per EMI, and per direction for
-        case2, with no N x N array."""
-        key = (emi, angles) if emi == "case2" else emi
+        ``_Frame.lattice`` or none (0), once per EMI and centre, with no N x N array."""
+        key = emi, self.frame.centre(emi, angles)
         if key not in self.forms:
             self.forms[key] = 0.0 if emi == "none" else emi_mod.plane_wave_form(
                 self.frame.lattice(emi, angles), self.layout, self.frame.source_phases)

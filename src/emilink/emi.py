@@ -16,16 +16,18 @@ by row, so ``R[n, m]`` depends only on the offset (r_n - r_m, c_n - c_m),
 and the sinc only on the offset's length, counted in half wavelengths.  A
 kernel is evaluated once per offset of a lattice centred on (0, 0), and
 ``gather`` copies a layout's matrix out of a strided window on it, so only
-emi knows the lattice's format.  No entry of the quadrature kernel depends
-on the lattice's extent: the column phase is summed over azimuth by a
-running product over the column offset, the row phase over elevation by an
-einsum, not a BLAS product, whose rounding would change with the shape.  So
-one kernel over a figure's largest rows and columns gives every array of
-the figure its own ``corr_directional``, bit for bit.  The interference
-u^H R u that a plane wave u picks up (a surface with the noise-only phases,
-an MR relay) is one sum over the same window of the kernel and of the
-wave's own lattice of phases, ``plane_wave_form``: O(N) work and no N x N
-array.  emi keeps no memo besides the read-only Gauss-Legendre rules.
+emi knows the lattice's format.  No entry of either kernel depends on the
+lattice's extent: the sinc is taken offset by offset, and the quadrature
+kernel sums the column phase over azimuth by a running product over the
+column offset and the row phase over elevation by an einsum, not a BLAS
+product, whose rounding would change with the shape.  So one kernel over a
+figure's largest rows and columns, sinc or quadrature, gives every array of
+the figure its own ``corr_isotropic`` or ``corr_directional``, bit for bit.
+The interference u^H R u that a plane wave u picks up (a surface with the
+noise-only phases, an MR relay) is one sum over the same window of the
+kernel and of the wave's own lattice of phases, ``plane_wave_form``: O(N)
+work and no N x N array.  emi keeps no memo besides the read-only
+Gauss-Legendre rules.
 
 Both correlations are used as built, with no projection onto the PSD cone.
 The quadrature matrix is a positively weighted sum of outer products.  The

@@ -483,7 +483,7 @@ def test_golden_fixture_csv():
     import pathlib
     sc = Scenario(irs_elements=(9,), irs_reference_elements=9, rho_sweep=(0.0, 30.0, 4))
     golden = pathlib.Path(__file__).parent / "data" / "golden_fig4.csv"
-    assert format_csv(run_fig4(sc)) == golden.read_text()
+    assert format_csv(run_fig4(sc)) == golden.read_text(), dispatch_note()
 
 
 # Unsorted surface sizes with a repeat: rows follow first appearance and a
@@ -495,6 +495,45 @@ GOLDEN_CONFIG = {
     "sweeps": {"distance_m": [20.0, 120.0, 6], "rho_db": [-10.0, 40.0, 6]},
 }
 GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden"
+GOLDEN_DISPATCH = GOLDEN_DIR.with_name("golden_dispatch.json")
+
+
+def numpy_dispatch() -> dict[str, str]:
+    """What the byte goldens depend on besides the program: the numpy version, the
+    CPU target of each float64 and complex128 loop of sin, cos, exp, arctan2 and
+    hypot ("baseline" for a loop numpy does not dispatch, "unknown" on numpy < 2),
+    numpy's BLAS configuration and OPENBLAS_CORETYPE.  GOLDEN_DISPATCH records it
+    as it was when the goldens were written; rewrite it with them, from the
+    repository root, with ``PYTHONPATH=src python tests/test_bench.py``."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+        targets = opt_func_info(func_name="^(sin|cos|exp|arctan2|hypot)$")
+    except ImportError:  # numpy < 2
+        targets = None
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = blas.get("openblas configuration", f"{blas['name']} {blas['version']}")
+    except (TypeError, KeyError):  # numpy < 1.26 prints its configuration only
+        blas = "unknown"
+    record = {"numpy": np.__version__, "blas": blas,
+              "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE", "unset")}
+    for func in ("sin", "cos", "exp", "arctan2", "hypot"):
+        ufunc = getattr(np, func)
+        for dtype in ("float64", "complex128"):
+            char = np.dtype(dtype).char
+            if f"{char * ufunc.nin}->{char}" in ufunc.types:
+                record[f"{func} {dtype}"] = "unknown" if targets is None else targets.get(
+                    func, {}).get(char * ufunc.nargs, {}).get("current", "baseline")
+    return record
+
+
+def dispatch_note() -> str:
+    """The recorded dispatch next to the running one, for a failing golden check."""
+    recorded = json.loads(GOLDEN_DISPATCH.read_text(encoding="utf-8"))
+    running = numpy_dispatch()
+    return "goldens written under (recorded / running, * where they differ):\n" + "\n".join(
+        f"{'*' if recorded.get(key) != running.get(key) else ' '} {key}: "
+        f"{recorded.get(key)} / {running.get(key)}" for key in recorded | running)
 
 
 @pytest.mark.parametrize("fig", ["fig3", "fig4", "fig5", "fig6", "fig7", "fig8"])
@@ -507,7 +546,8 @@ def test_cli_output_matches_golden_bytes(fig, tmp_path):
     written = sorted(p.name for p in out.iterdir())
     assert written == sorted(p.name for p in GOLDEN_DIR.glob(f"{fig}[._]*"))
     for name in written:
-        assert (out / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+        assert (out / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), (
+            f"{name}\n{dispatch_note()}")
 
 
 PERFBENCH_DIR = pathlib.Path(__file__).parents[1] / "perfbench"
@@ -589,7 +629,7 @@ def test_paper_size_output_matches_golden_bytes(name, seed0_runs):
         run_scenario, csvs = seed0_runs[workload]
         assert run_scenario == scenario
         text = csvs[fig]
-    assert text.encode() == (GOLDEN_DIR / "paper" / name).read_bytes()
+    assert text.encode() == (GOLDEN_DIR / "paper" / name).read_bytes(), dispatch_note()
 
 
 _GOLDEN_CHILD = """
@@ -624,7 +664,7 @@ def test_paper_size_goldens_hold_at_one_blas_thread():
     for name, text in texts.items():
         assert text.encode() == (GOLDEN_DIR / "paper" / name).read_bytes(), (
             f"{name} at 1 BLAS thread differs from the golden, which in-process runs "
-            f"at OPENBLAS_NUM_THREADS={in_process} match")
+            f"at OPENBLAS_NUM_THREADS={in_process} match\n{dispatch_note()}")
 
 
 def test_svg_output():
@@ -967,6 +1007,21 @@ def test_noise_only_figures_build_no_matrix(monkeypatch):
     assert peak < 400 * 400 * 8, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
+def test_frame_keeps_one_kernel_per_emi(monkeypatch):
+    # case 1 and case 2 each keep their own kernel, so asking for them in turn,
+    # as fig7 does at every distance, rebuilds neither; a new case-2 direction
+    # rebuilds case 2 alone
+    frame, built = bench._Frame(SMALL, SMALL.irs_elements), []
+    kernel = bench.emi_mod.directional_kernel
+    monkeypatch.setattr(bench.emi_mod, "directional_kernel",
+                        lambda *args: built.append(args[0]) or kernel(*args))
+    a, b = frame.sight(SMALL.dest_pos)[0], frame.sight((30.0, 0.0, 0.0))[0]
+    lattices = [frame.lattice(emi, angles) for emi, angles in (
+        ("case1", a), ("case2", a), ("case1", a), ("case2", a), ("case2", b))]
+    assert [(d.mean_azimuth, d.mean_elevation) for d in built] == [frame.source_angles, a, b]
+    assert lattices[0] is lattices[2] and lattices[1] is lattices[3]
+
+
 _FIG8_CHILD = """
 import json, pathlib, sys
 from emilink import emit, run_fig8, scenario_from_config
@@ -1024,13 +1079,15 @@ def test_fig8_structure_and_dominance():
 
 
 def test_fig8_builds_one_quadrature_per_array(monkeypatch):
-    # one case-2 kernel for the figure, over the largest rows and columns of the
-    # relays and the surface reference, from which every array gathers; fig7
-    # builds case 1's and one case-2 kernel per distance.  Each of the two MMSE
-    # gains per count comes from effective_gain_first_phase (the three MR gains
-    # are closed forms), and every DF row from one batch solve.
+    # one case-2 kernel and one sinc lattice for the figure, over the largest rows
+    # and columns of the relays and the surface reference, from which every array
+    # gathers; fig7 builds case 1's and one case-2 kernel per distance.  Each of
+    # the two MMSE gains per count comes from effective_gain_first_phase (the
+    # three MR gains are closed forms), and every DF row from one batch solve.
     calls = {}
     for module, name in ((bench.emi_mod, "directional_kernel"),
+                         (bench.emi_mod, "isotropic_kernel"),
+                         (bench.emi_mod, "corr_isotropic"),
                          (bench.relay_mod, "effective_gain_first_phase"),
                          (bench.relay_mod, "df_min_power_batch")):
         monkeypatch.setattr(module, name, lambda *args, name=name, fn=getattr(module, name):
@@ -1038,12 +1095,17 @@ def test_fig8_builds_one_quadrature_per_array(monkeypatch):
     run_fig8(SMALL)
     arrays = len(SMALL.relay_antennas)
     assert {name: len(seen) for name, seen in calls.items()} == {
-        "directional_kernel": 1, "effective_gain_first_phase": 2 * arrays,
-        "df_min_power_batch": 1}
+        "directional_kernel": 1, "isotropic_kernel": 1,
+        "effective_gain_first_phase": 2 * arrays, "df_min_power_batch": 1}
     calls.clear()
     run_fig7(SMALL)
     assert {name: len(seen) for name, seen in calls.items()} == {
-        "directional_kernel": 1 + len(SMALL.distances())}
+        "directional_kernel": 1 + len(SMALL.distances()), "isotropic_kernel": 1}
+    # every figure reads its sinc from its frame's one lattice
+    for runner in (run_fig3, run_fig4, run_fig5, run_fig6):
+        calls.clear()
+        runner(SMALL)
+        assert (len(calls["isotropic_kernel"]), "corr_isotropic" in calls) == (1, False), runner
     monkeypatch.undo()
 
     # the orientation and the endpoints' angles are taken once for the figure
@@ -1239,3 +1301,7 @@ def test_cli_infeasible_exit_code(tmp_path, monkeypatch):
                                           math.inf, math.nan, 0),))
     monkeypatch.setitem(cli.bench.RUNNERS, "fig5", lambda sc: sentinel)
     assert cli.main(["fig5", "--out", str(tmp_path)]) == 2
+
+
+if __name__ == "__main__":
+    GOLDEN_DISPATCH.write_text(json.dumps(numpy_dispatch(), indent=1) + "\n", encoding="utf-8")

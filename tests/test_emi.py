@@ -281,14 +281,21 @@ FIG8_LAYOUTS = [make_layout(m, LAM) for m in range(1, 81)] + [ArrayLayout(5, 15,
     AngularDensity.isotropic(),
     AngularDensity(0.6, -0.3, math.radians(10), math.radians(10)),
     AngularDensity(1.45, 0.2, math.radians(10), math.radians(10)),
-], ids=["isotropic", "off_broadside_gaussian", "near_endfire_gaussian"])
+    None,
+], ids=["isotropic", "off_broadside_gaussian", "near_endfire_gaussian", "sinc"])
 def test_gathered_kernel_equals_the_layouts_own_correlation(extent, layouts, density):
     # no kernel entry depends on the kernel's extent, so a figure may build one
-    # kernel over its largest rows and columns and gather every array from it
-    kernel = directional_kernel(density, 64, ArrayLayout(*extent, LAM))
+    # kernel over its largest rows and columns and gather every array from it;
+    # density None stands for the sinc, the closed form of the isotropic density
+    envelope = ArrayLayout(*extent, LAM)
+    if density is None:
+        kernel, own = isotropic_kernel(envelope), corr_isotropic
+    else:
+        kernel = directional_kernel(density, 64, envelope)
+        own = lambda lay: corr_directional(lay, density, 64)
     assert kernel.shape == (2 * extent[0] - 1, 2 * extent[1] - 1)
     for lay in layouts:
-        assert gather(kernel, lay).tobytes() == corr_directional(lay, density, 64).tobytes(), lay
+        assert gather(kernel, lay).tobytes() == own(lay).tobytes(), lay
     with pytest.raises(ValueError, match="does not span"):
         gather(kernel, ArrayLayout(extent[0] + 1, 1, LAM))
 
