@@ -310,8 +310,11 @@ def _irs_heuristic(target_rate, gain, denominator):
     return *irs_mod.power_and_rate(target_rate, gain, denominator), 0
 
 
-def _irs_optimized(target_rate, link):
-    power, rate, _, iterations, _ = irs_mod.irs_min_power_emi_aware(target_rate, link)
+def _irs_optimized(target_rate, link, starts, key):
+    """An optimized surface row, started from ``starts[key]`` (cold when absent),
+    whose optimized phases then replace ``starts[key]``."""
+    power, rate, starts[key], iterations, _ = irs_mod.irs_min_power_emi_aware(
+        target_rate, link, starts.get(key))
     return power, rate, iterations
 
 
@@ -362,7 +365,11 @@ def _sweep(frame: _Frame, variable: str, sizes, irs_modes, df_modes) -> SweepRes
     relay, the EMI none (variance 0) or one of ``_Frame.lattice``'s.  A heuristic
     surface row is a closed form of ``_NodeLink.form`` (see irs), so only optimized
     surface rows build the destination channels and a correlation matrix.
-    Optimized relay rows are left pending for ``_solve_df``.
+    Along a rho sweep, each optimized surface row starts from the previous
+    point's optimized phases of its size and mode (natural-parameter
+    continuation: the channels stay fixed); along a distance sweep, and at a
+    sweep's first point, it starts cold.  Optimized relay rows are left
+    pending for ``_solve_df``.
     """
     scenario = frame.scenario
     noise, target = scenario.budget.noise_power_w, scenario.target_rate
@@ -377,8 +384,10 @@ def _sweep(frame: _Frame, variable: str, sizes, irs_modes, df_modes) -> SweepRes
     toward = {d: [los_channel(beta_rd, *angles, node.layout) for node in nodes]
               for d, (angles, beta_rd) in sights.items()
               if any(mode.startswith("optimized") for mode in irs_modes)}
-    rows = []
+    rows, starts = [], {}  # starts: the last optimized phases per (size, mode)
     for x, dest, variance in points:
+        if variable != "rho_db":
+            starts.clear()
         angles, beta_rd = sights[dest]
         variances = {m: 0.0 if m.endswith("_none") else variance for m in irs_modes + df_modes}
         for i, node in enumerate(nodes):
@@ -391,7 +400,7 @@ def _sweep(frame: _Frame, variable: str, sizes, irs_modes, df_modes) -> SweepRes
                 else:
                     args = _irs_optimized, target, irs_mod.IrsLink(
                         node.h_sr, toward[dest][i], variances[mode],
-                        node.correlation(emi, angles), noise)
+                        node.correlation(emi, angles), noise), starts, (i, mode)
                 rows.append(_row(x, f"irs_n{node.layout.n_elements}", mode, *args))
         for mode in df_modes:
             inputs = frame.beta_sr, beta_rd, variances[mode], noise
@@ -422,7 +431,8 @@ def run_fig4(scenario: Scenario) -> SweepResult:
 
 
 def run_fig5(scenario: Scenario) -> SweepResult:
-    """As run_fig4 but with both technologies optimized against EMI."""
+    """As run_fig4 but with both technologies optimized against EMI; each
+    surface row's optimizer continues from the previous rho's phases."""
     sizes = (scenario.irs_reference_elements,)
     return _sweep(_Frame(scenario, sizes), "rho_db", sizes, ("optimized_iso",), ("optimized_iso",))
 

@@ -18,9 +18,10 @@ leaves the row vector sqrt(beta_rd) conj(u_sr) whatever the destination, so
 the SINR is p beta_sr beta_rd N^2 / (variance beta_rd u_sr^H R u_sr + noise):
 the sweeps take those rows in that closed form (``power_and_rate``), and
 ``irs_power_and_rate`` on these phases is its dense oracle.
-The interference-aware optimizer starts from these phases and
-maximizes g by minorization-maximization on the unit-modulus torus (Sun,
-Babu and Palomar, IEEE Trans. Signal Process. 65(3), 2017): each step is a
+The interference-aware optimizer starts from these phases, or from a given
+start where that has the larger g, and maximizes g by
+minorization-maximization on the unit-modulus torus (Sun, Babu and
+Palomar, IEEE Trans. Signal Process. 65(3), 2017): each step is a
 phase alignment costing one product with R (``emi.corr_matvec``, which
 reads a real R once, as one two-column real product), and a step size 1/lam
 that halves whenever a step fails to raise g keeps g from ever falling
@@ -29,7 +30,7 @@ followed by one SQUAREM extrapolation of the phase angles (Varadhan and
 Roland, Scand. J. Stat. 35(2), 2008), kept only if it raises g, which cuts
 the slow linear convergence where interference dominates.  An extrapolation
 also costs one product with R, so the iteration count is the number of
-products with R.  It stops when a plain step changes g by at most MM_TOL
+products with R taken after the start is chosen.  It stops when a plain step changes g by at most MM_TOL
 (relative), or after MM_MAX_ITERS products.
 """
 
@@ -148,7 +149,7 @@ def irs_sinr_gradient(power_w: float, link: IrsLink, phases: np.ndarray) -> np.n
     return power_w * (d_num * denom - abs(cascade) ** 2 * link.emi_variance * d_quad) / denom ** 2
 
 
-def phases_emi_aware(link: IrsLink) -> tuple[np.ndarray, int, bool]:
+def phases_emi_aware(link: IrsLink, start) -> tuple[np.ndarray, int, bool]:
     """Phases that maximize the power-free gain g = SINR / p, by MM.
 
     With z = exp(-j phi), a = h_rd * h_sr and B = variance D R D^H + (noise/N) I
@@ -168,11 +169,16 @@ def phases_emi_aware(link: IrsLink) -> tuple[np.ndarray, int, bool]:
     each extrapolation and after each rejected plain step; ||v|| = 0 skips the
     extrapolation.
 
-    Starts from the noise-only phases and stops when a plain step changes g
-    by at most MM_TOL (relative); warns instead of failing when MM_MAX_ITERS
-    products with R (plain steps and extrapolations alike) run out.  Returns
-    ``(phases, iterations, converged)``: the phases wrapped into [0, 2 pi),
-    the products with R taken and whether MM_TOL was met.
+    ``start`` is None (cold) or a phase array, such as the optimum of a
+    nearby link (continuation along a sweep).  Iterates from the noise-only
+    phases or, where its g is larger, from ``start``: comparing the two costs
+    one product with R, which ``iterations`` does not count, and keeps g at
+    least the noise-only g.  A start of the wrong length or with a non-finite
+    entry raises ValueError before any product.  Stops when a plain step
+    changes g by at most MM_TOL (relative); warns instead of failing when
+    MM_MAX_ITERS products with R (plain steps and extrapolations alike) run
+    out.  Returns ``(phases, iterations, converged)``: the phases wrapped into
+    [0, 2 pi), the products with R taken and whether MM_TOL was met.
     """
     d = link.h_rd
     a = link.h_sr * d
@@ -183,9 +189,18 @@ def phases_emi_aware(link: IrsLink) -> tuple[np.ndarray, int, bool]:
         bz = variance * d * corr_matvec(corr, d.conj() * z) + floor * z
         return float(abs(np.vdot(a, z)) ** 2 / np.vdot(z, bz).real), bz
 
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != d.shape or not np.all(np.isfinite(start)):
+            raise ValueError(f"need {d.size} finite start phases, got shape {start.shape}")
     phases = phases_noise_only(link.h_sr, link.h_rd)
     z = np.exp(-1j * phases)
     g, bz = gain(z)
+    if start is not None:
+        z_start = np.exp(-1j * start)
+        g_start, b_start = gain(z_start)
+        if g_start > g:
+            z, bz, g, phases = z_start, b_start, g_start, start
     lam = np.vdot(z, bz).real / d.size
     converged = False
     iterations = 0
@@ -225,16 +240,17 @@ def phases_emi_aware(link: IrsLink) -> tuple[np.ndarray, int, bool]:
     return np.mod(phases, TWO_PI), iterations, converged
 
 
-def irs_min_power_emi_aware(target_rate: float,
-                            link: IrsLink) -> tuple[float, float, np.ndarray, int, bool]:
+def irs_min_power_emi_aware(target_rate: float, link: IrsLink,
+                            start) -> tuple[float, float, np.ndarray, int, bool]:
     """Minimum power to reach ``target_rate`` with interference-aware phases.
 
     SINR = p g(phi), so the best phases do not depend on the power: they are
-    found once by ``phases_emi_aware`` (stopping at MM_TOL or MM_MAX_ITERS)
-    and the power follows in closed form.  Returns ``(power_w, rate, phases,
-    iterations, converged)``, ``irs_power_and_rate``'s pair followed by the
-    optimizer's triple.  The power never exceeds the noise-only-phases power;
+    found once by ``phases_emi_aware`` from ``start`` (None, or a phase array
+    it uses where that beats the noise-only phases; stopping at MM_TOL or
+    MM_MAX_ITERS) and the power follows in closed form.  Returns
+    ``(power_w, rate, phases, iterations, converged)``,
+    ``irs_power_and_rate``'s pair followed by the optimizer's triple.  The power never exceeds the noise-only-phases power;
     it is returned however large, for the caller to hold against POWER_UPPER_W.
     """
-    phases, iterations, converged = phases_emi_aware(link)
+    phases, iterations, converged = phases_emi_aware(link, start)
     return *irs_power_and_rate(target_rate, link, phases), phases, iterations, converged

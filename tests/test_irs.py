@@ -212,7 +212,7 @@ def test_emi_aware_reduces_to_heuristic_without_emi():
     link = reference_link(n=25)
     quiet = IrsLink(link.h_sr, link.h_rd, 0.0, link.correlation, NOISE)
     heur = phases_noise_only(link.h_sr, link.h_rd)
-    tuned = phases_emi_aware(quiet)[0]
+    tuned = phases_emi_aware(quiet, None)[0]
     assert irs_rate(0.01, quiet, tuned) == pytest.approx(irs_rate(0.01, quiet, heur), rel=1e-9)
 
 
@@ -225,7 +225,7 @@ def test_emi_aware_beats_heuristic_on_rank_one_emi():
     spiked = IrsLink(link.h_sr, link.h_rd, link.emi_variance, rank_one, NOISE)
     heur = phases_noise_only(link.h_sr, link.h_rd)
     power = irs_required_power(6.0, spiked, heur)
-    tuned = phases_emi_aware(spiked)[0]
+    tuned = phases_emi_aware(spiked, None)[0]
     assert irs_rate(power, spiked, tuned) > irs_rate(power, spiked, heur) + 1e-6
 
 
@@ -235,7 +235,7 @@ def test_emi_aware_matches_grid_oracle_n2():
     phases = np.linspace(0.0, 2 * np.pi, steps, endpoint=False)
     for _ in range(5):
         link = random_link(rng, 2, rho_db=10.0)
-        tuned = phases_emi_aware(link)[0]
+        tuned = phases_emi_aware(link, None)[0]
         achieved = irs_sinr(1e-3, link, tuned)
         a = link.h_sr * link.h_rd
         e1 = np.exp(1j * phases)[:, None]
@@ -255,7 +255,7 @@ def test_emi_aware_never_worse_than_init():
     for _ in range(10):
         link = random_link(rng, 8, rho_db=25.0)
         heur = phases_noise_only(link.h_sr, link.h_rd)
-        tuned = phases_emi_aware(link)[0]
+        tuned = phases_emi_aware(link, None)[0]
         assert (irs_sinr(1e-3, link, tuned)
                 >= irs_sinr(1e-3, link, heur) * (1 - 1e-12))
 
@@ -267,7 +267,7 @@ def test_emi_aware_iteration_limit_warns(monkeypatch):
     monkeypatch.setattr(emilink.irs, "MM_TOL", 0.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        phases_emi_aware(link)
+        phases_emi_aware(link, None)
     assert any(issubclass(w.category, RuntimeWarning) for w in caught)
 
 
@@ -276,7 +276,7 @@ def test_min_power_no_emi_equals_heuristic_power():
     quiet = IrsLink(link.h_sr, link.h_rd, 0.0, link.correlation, NOISE)
     heur = phases_noise_only(link.h_sr, link.h_rd)
     direct = irs_required_power(6.0, quiet, heur)
-    power, _, _, _, converged = irs_min_power_emi_aware(6.0, quiet)
+    power, _, _, _, converged = irs_min_power_emi_aware(6.0, quiet, None)
     assert power == pytest.approx(direct, rel=1e-9)
     assert converged
 
@@ -285,7 +285,7 @@ def test_min_power_never_exceeds_heuristic():
     link = reference_link(n=75, rho_db=25.0)
     heur = phases_noise_only(link.h_sr, link.h_rd)
     p_heur = irs_required_power(6.0, link, heur)
-    power, _, phases, _, _ = irs_min_power_emi_aware(6.0, link)
+    power, _, phases, _, _ = irs_min_power_emi_aware(6.0, link, None)
     assert power <= p_heur
     assert irs_rate(power, link, phases) == pytest.approx(6.0, rel=1e-9)
 
@@ -299,14 +299,14 @@ def test_min_power_strict_improvement_on_rank_one():
                      np.outer(steering, steering.conj()), NOISE)
     heur_power = irs_required_power(6.0, spiked,
                                     phases_noise_only(link.h_sr, link.h_rd))
-    power = irs_min_power_emi_aware(6.0, spiked)[0]
+    power = irs_min_power_emi_aware(6.0, spiked, None)[0]
     assert power < heur_power * 0.99
     link25 = reference_link(n=16, rho_db=25.0)
     spiked25 = IrsLink(link25.h_sr, link25.h_rd, link25.emi_variance,
                        np.outer(steering, steering.conj()), NOISE)
     heur25 = irs_required_power(6.0, spiked25,
                                 phases_noise_only(link25.h_sr, link25.h_rd))
-    assert irs_min_power_emi_aware(6.0, spiked25)[0] < heur25 * (1 - 1e-7)
+    assert irs_min_power_emi_aware(6.0, spiked25, None)[0] < heur25 * (1 - 1e-7)
 
 
 def relaxation_bound_power(target, link):
@@ -323,7 +323,7 @@ def relaxation_bound_power(target, link):
 def test_min_power_between_relaxation_bound_and_heuristic(n, rho_db):
     link = reference_link(n=n, rho_db=rho_db)
     p_heur = irs_required_power(6.0, link, phases_noise_only(link.h_sr, link.h_rd))
-    power = irs_min_power_emi_aware(6.0, link)[0]
+    power = irs_min_power_emi_aware(6.0, link, None)[0]
     assert relaxation_bound_power(6.0, link) * (1 - 1e-9) <= power <= p_heur
 
 
@@ -367,7 +367,7 @@ def test_emi_aware_gap_to_the_best_of_64_starts(n, rho_db, worst_gap_db):
     rng = np.random.default_rng(0)
     best = max(irs_sinr(1.0, link, plain_mm_phases(link, rng.uniform(0.0, 2 * np.pi, n)))
                for _ in range(64))
-    found = irs_sinr(1.0, link, phases_emi_aware(link)[0])
+    found = irs_sinr(1.0, link, phases_emi_aware(link, None)[0])
     assert 10 * np.log10(best / found) <= worst_gap_db
     from_heuristic = irs_sinr(1.0, link, plain_mm_phases(
         link, phases_noise_only(link.h_sr, link.h_rd)))
@@ -383,7 +383,7 @@ def test_emi_aware_sinr_non_decreasing_in_iterations(monkeypatch):
         warnings.simplefilter("ignore", RuntimeWarning)
         for k in range(1, 21):
             monkeypatch.setattr(emilink.irs, "MM_MAX_ITERS", k)
-            sinrs.append(irs_sinr(1e-3, link, phases_emi_aware(link)[0]))
+            sinrs.append(irs_sinr(1e-3, link, phases_emi_aware(link, None)[0]))
     assert all(later >= earlier * (1 - 1e-12) for earlier, later in zip(sinrs, sinrs[1:]))
     assert sinrs[-1] > sinrs[0]
 
@@ -396,7 +396,7 @@ def test_emi_aware_phases_are_stationary():
     links += [random_link(rng, 24, rho_db=30.0) for _ in range(3)]
     for link in links:
         start = phases_noise_only(link.h_sr, link.h_rd)
-        tuned = phases_emi_aware(link)[0]
+        tuned = phases_emi_aware(link, None)[0]
         assert (np.linalg.norm(irs_sinr_gradient(1.0, link, tuned))
                 <= 5e-3 * np.linalg.norm(irs_sinr_gradient(1.0, link, start)))
 
@@ -407,8 +407,8 @@ def test_emi_aware_real_and_complex_correlation_agree(n):
     # complex product, and both must take the same steps to the same gain
     link = reference_link(n=n, rho_db=40.0)
     cast = replace(link, correlation=link.correlation.astype(complex))
-    phases, iterations, converged = phases_emi_aware(link)
-    phases_c, iterations_c, converged_c = phases_emi_aware(cast)
+    phases, iterations, converged = phases_emi_aware(link, None)
+    phases_c, iterations_c, converged_c = phases_emi_aware(cast, None)
     assert (iterations, converged) == (iterations_c, converged_c)
     assert converged
     assert irs_sinr(1.0, link, phases) == pytest.approx(irs_sinr(1.0, cast, phases_c), rel=1e-12)
@@ -419,7 +419,7 @@ def test_emi_aware_converges_where_interference_dominates():
     link = reference_link(n=400, rho_db=38.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, iterations, converged = phases_emi_aware(link)
+        _, iterations, converged = phases_emi_aware(link, None)
     assert converged
     assert iterations <= emilink.irs.MM_MAX_ITERS // 2
 
@@ -434,7 +434,7 @@ def test_emi_aware_sinr_non_decreasing_in_products_on_a_large_surface(monkeypatc
         warnings.simplefilter("ignore", RuntimeWarning)
         for k in range(1, 31):
             monkeypatch.setattr(emilink.irs, "MM_MAX_ITERS", k)
-            sinrs.append(irs_sinr(1.0, link, phases_emi_aware(link)[0]))
+            sinrs.append(irs_sinr(1.0, link, phases_emi_aware(link, None)[0]))
     assert all(later >= earlier * (1 - 1e-12) for earlier, later in zip(sinrs, sinrs[1:]))
     assert sinrs[-1] > sinrs[0]
 
@@ -447,9 +447,98 @@ def test_emi_aware_random_links_converge_above_their_start():
             n, rho_db = int(rng.integers(2, 25)), float(rng.uniform(0.0, 45.0))
             link = random_link(rng, n, rho_db=rho_db, correlated=k % 4 != 0)
             start = irs_sinr(1.0, link, phases_noise_only(link.h_sr, link.h_rd))
-            phases, _, converged = phases_emi_aware(link)
+            phases, _, converged = phases_emi_aware(link, None)
             assert converged, (k, n, rho_db)
             assert irs_sinr(1.0, link, phases) >= start * (1 - 1e-12), (k, n, rho_db)
+
+
+def counting_products(monkeypatch):
+    """The products with R that emilink.irs takes from now on, as a list that grows."""
+    original, calls = emilink.irs.corr_matvec, []
+    monkeypatch.setattr(emilink.irs, "corr_matvec",
+                        lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_start_of_the_wrong_length_is_rejected_before_any_product(monkeypatch):
+    link = random_link(np.random.default_rng(18), 4, rho_db=25.0)
+    products = counting_products(monkeypatch)
+    for start in (np.zeros(3), np.zeros(5), np.zeros((4, 1)), 0.0):
+        with pytest.raises(ValueError, match="4 finite start phases"):
+            phases_emi_aware(link, start)
+        with pytest.raises(ValueError, match="4 finite start phases"):
+            irs_min_power_emi_aware(6.0, link, start)
+    assert products == []
+
+
+def test_non_finite_start_is_rejected_before_any_product(monkeypatch):
+    link = random_link(np.random.default_rng(19), 4, rho_db=25.0)
+    products = counting_products(monkeypatch)
+    for bad in (math.nan, math.inf, -math.inf):
+        start = phases_noise_only(link.h_sr, link.h_rd)
+        start[2] = bad
+        with pytest.raises(ValueError, match="4 finite start phases"):
+            phases_emi_aware(link, start)
+        with pytest.raises(ValueError, match="4 finite start phases"):
+            irs_min_power_emi_aware(6.0, link, start)
+    assert products == []
+
+
+def test_noise_only_start_is_bit_identical_to_a_cold_start():
+    rng = np.random.default_rng(20)
+    links = [reference_link(n=75, rho_db=40.0), reference_link(n=16, rho_db=25.0)]
+    links += [random_link(rng, 12, rho_db=30.0) for _ in range(3)]
+    for link in links:
+        heuristic = phases_noise_only(link.h_sr, link.h_rd)
+        cold, warm = phases_emi_aware(link, None), phases_emi_aware(link, heuristic)
+        assert cold[0].tobytes() == warm[0].tobytes()
+        assert cold[1:] == warm[1:]
+        assert ([float.hex(float(x)) for x in irs_min_power_emi_aware(6.0, link, None)[:2]]
+                == [float.hex(float(x)) for x in irs_min_power_emi_aware(6.0, link, heuristic)[:2]])
+
+
+def test_a_bad_start_keeps_the_noise_only_gain(monkeypatch):
+    # pi on every other element undoes half the coherent sum, so the start loses
+    # to the noise-only phases and the solve runs cold: bit for bit, and above the
+    # noise-only g even when the iteration limit stops it after one product
+    rng = np.random.default_rng(21)
+    links = [reference_link(n=75, rho_db=40.0), reference_link(n=400, rho_db=25.0)]
+    links += [random_link(rng, 12, rho_db=30.0) for _ in range(3)]
+    for link in links:
+        heuristic = phases_noise_only(link.h_sr, link.h_rd)
+        bad = heuristic + np.where(np.arange(heuristic.size) % 2, np.pi, 0.0)
+        assert irs_sinr(1.0, link, bad) < irs_sinr(1.0, link, heuristic)
+        phases, iterations, converged = phases_emi_aware(link, bad)
+        assert converged
+        assert irs_sinr(1.0, link, phases) >= irs_sinr(1.0, link, heuristic)
+        cold = phases_emi_aware(link, None)
+        assert (phases.tobytes(), iterations) == (cold[0].tobytes(), cold[1])
+        power = irs_min_power_emi_aware(6.0, link, bad)[0]
+        assert power <= irs_required_power(6.0, link, heuristic)
+    monkeypatch.setattr(emilink.irs, "MM_MAX_ITERS", 1)
+    for link in links:
+        heuristic = phases_noise_only(link.h_sr, link.h_rd)
+        bad = heuristic + np.where(np.arange(heuristic.size) % 2, np.pi, 0.0)
+        with pytest.warns(RuntimeWarning, match="iteration limit"):
+            phases = phases_emi_aware(link, bad)[0]
+        assert irs_sinr(1.0, link, phases) >= irs_sinr(1.0, link, heuristic)
+
+
+def test_a_better_start_is_taken_for_one_uncounted_product(monkeypatch):
+    # from a cold optimum the solve starts there, takes no more products than the cold
+    # solve and reaches at least its g; comparing the start with the noise-only phases
+    # is one product with R that ``iterations`` leaves out, like the first g
+    link = reference_link(n=75, rho_db=40.0)
+    cold, cold_iterations, _ = phases_emi_aware(link, None)
+    products = counting_products(monkeypatch)
+    phases, iterations, converged = phases_emi_aware(link, cold)
+    assert converged
+    assert len(products) == iterations + 2
+    assert iterations <= cold_iterations
+    assert irs_sinr(1.0, link, phases) >= irs_sinr(1.0, link, cold)
+    products.clear()
+    iterations = phases_emi_aware(link, None)[1]
+    assert len(products) == iterations + 1
 
 
 def test_emi_aware_step_does_not_copy_a_real_correlation(monkeypatch):
@@ -460,7 +549,7 @@ def test_emi_aware_step_does_not_copy_a_real_correlation(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.warns(RuntimeWarning, match="iteration limit"):
-            _, iterations, _ = phases_emi_aware(link)
+            _, iterations, _ = phases_emi_aware(link, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -474,7 +563,7 @@ def test_min_power_iteration_limit_reported(monkeypatch):
     monkeypatch.setattr(emilink.irs, "MM_MAX_ITERS", 1)
     monkeypatch.setattr(emilink.irs, "MM_TOL", 0.0)
     with pytest.warns(RuntimeWarning, match="iteration limit"):
-        _, _, _, iterations, converged = irs_min_power_emi_aware(6.0, link)
+        _, _, _, iterations, converged = irs_min_power_emi_aware(6.0, link, None)
     assert converged is False
     assert iterations == 1
 
@@ -485,8 +574,8 @@ def test_phases_are_wrapped():
     rng = np.random.default_rng(15)
     for _ in range(5):
         link = random_link(rng, 12, rho_db=25.0)
-        for phases in (phases_noise_only(link.h_sr, link.h_rd), phases_emi_aware(link)[0],
-                       irs_min_power_emi_aware(6.0, link)[2]):
+        for phases in (phases_noise_only(link.h_sr, link.h_rd), phases_emi_aware(link, None)[0],
+                       irs_min_power_emi_aware(6.0, link, None)[2]):
             assert phases.shape == (12,) and phases.dtype == float
             assert np.all((phases >= 0) & (phases < 2 * np.pi))
 
