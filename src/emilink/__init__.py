@@ -2,7 +2,7 @@
 decode-and-forward relay assisted communication under electromagnetic
 interference."""
 
-from .errors import InfeasibleError, NumericalError
+from .errors import NumericalError
 from .scene import (ArrayLayout, LinkBudget, angles_between, dbm_to_watt,
                     los_channel, make_layout, pathloss_umi, watt_to_dbm, wave_vector)
 from .emi import (AngularDensity, corr_directional, corr_isotropic, emi_quadratic_form,

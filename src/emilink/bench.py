@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from . import emi as emi_mod
 from . import irs as irs_mod
 from . import relay as relay_mod
-from .errors import POWER_UPPER_W, InfeasibleError, pow2m1
+from .errors import POWER_UPPER_W, pow2m1
 from .scene import (ArrayLayout, LinkBudget, angles_between, dbm_to_watt, los_channel, make_layout,
                     pathloss_umi, watt_to_dbm, wave_vector)
 
@@ -306,18 +306,6 @@ class _NodeLink:
         return self.forms[key]
 
 
-def _irs_heuristic(target_rate, gain, denominator):
-    return *irs_mod.power_and_rate(target_rate, gain, denominator), 0
-
-
-def _irs_optimized(target_rate, link, starts, key):
-    """An optimized surface row, started from ``starts[key]`` (cold when absent),
-    whose optimized phases then replace ``starts[key]``."""
-    power, rate, starts[key], iterations, _ = irs_mod.irs_min_power_emi_aware(
-        target_rate, link, starts.get(key))
-    return power, rate, iterations
-
-
 def _df_repetition(target_rate, beta_sr, beta_rd, variance, noise):
     power = relay_mod.repetition_required_power(target_rate, beta_sr, beta_rd, variance, noise)
     gains = relay_mod.effective_gains_single(beta_sr, beta_rd, variance, noise)
@@ -325,19 +313,9 @@ def _df_repetition(target_rate, beta_sr, beta_rd, variance, noise):
     return power, relay_mod.df_rate(0.5, snr / gains.alpha1, snr / gains.alpha2, gains), 0
 
 
-def _df_solved(gains, solution):
-    """(power W, rate, iterations) of a ``df_min_power_batch`` solution."""
-    power, tau1, p1, p2, iterations = solution
-    return power, relay_mod.df_rate(tau1, p1, p2, gains), iterations
-
-
-def _row(sweep_var, tech, mode, solve, *args) -> SweepRow:
-    """Row of ``solve(*args)`` -> (power W, rate, iterations).  The one feasibility test:
-    a power not <= POWER_UPPER_W (NaN too) or an InfeasibleError gives the inf/nan/0 row."""
-    try:
-        power, rate, iterations = solve(*args)
-    except InfeasibleError:
-        power = math.nan
+def _row(sweep_var, tech, mode, power, rate, iterations) -> SweepRow:
+    """Row of a solver's power (W), rate and iterations.  The one feasibility test: a
+    power not <= POWER_UPPER_W (inf and NaN too) gives the inf/nan/0 row."""
     if not power <= POWER_UPPER_W:
         return SweepRow(sweep_var, tech, mode, math.inf, math.nan, 0)
     return SweepRow(sweep_var, tech, mode, watt_to_dbm(power), rate, iterations)
@@ -346,32 +324,36 @@ def _row(sweep_var, tech, mode, solve, *args) -> SweepRow:
 def _solve_df(target_rate, rows) -> tuple[SweepRow, ...]:
     """``rows`` in order, each pending (sweep_var, technology, mode, EffectiveGains)
     entry made a row of its DF minimum power; one batch solves every pending entry."""
-    gains = [row[3] for row in rows if not isinstance(row, SweepRow)]
-    if not gains:
+    pending = [row for row in rows if not isinstance(row, SweepRow)]
+    if not pending:
         return tuple(rows)
-    solutions = iter(relay_mod.df_min_power_batch(
-        target_rate, [g.alpha1 for g in gains], [g.alpha2 for g in gains]))
-    return tuple(row if isinstance(row, SweepRow)
-                 else _row(*row[:3], _df_solved, row[3], next(solutions)) for row in rows)
+    solutions = relay_mod.df_min_power_batch(
+        target_rate, [g.alpha1 for *_, g in pending], [g.alpha2 for *_, g in pending])
+    solved = (_row(x, tech, mode, power, relay_mod.df_rate(tau1, p1, p2, gains), iterations)
+              for (x, tech, mode, gains), (power, tau1, p1, p2, iterations)
+              in zip(pending, solutions))
+    return tuple(row if isinstance(row, SweepRow) else next(solved) for row in rows)
 
 
-def _sweep(frame: _Frame, variable: str, sizes, irs_modes, df_modes) -> SweepResult:
-    """Rows over the distance (``distance_m``) or EMI-to-noise (``rho_db``) sweep.
+def _sweep(scenario: Scenario, variable: str, sizes, irs_modes, df_modes) -> SweepResult:
+    """Rows over the distance (``distance_m``) or EMI-to-noise (``rho_db``) sweep,
+    on a ``_Frame`` of its own over ``sizes``.
 
     At each point: every surface mode on a surface of each size in ``sizes``
     (a repeated size runs once), then every relay mode on a single-antenna
-    relay.  A mode is ``<solver>_<emi>``, the solver ``heuristic`` or
-    ``optimized`` for the surface and ``repetition`` or ``optimized`` for the
-    relay, the EMI none (variance 0) or one of ``_Frame.lattice``'s.  A heuristic
-    surface row is a closed form of ``_NodeLink.form`` (see irs), so only optimized
-    surface rows build the destination channels and a correlation matrix.
+    relay, each row ``_row`` of its solver's power, rate and iterations.  A
+    mode is ``<solver>_<emi>``, the solver ``heuristic`` or ``optimized`` for
+    the surface and ``repetition`` or ``optimized`` for the relay, the EMI none
+    (variance 0) or one of ``_Frame.lattice``'s.  A heuristic surface row is a
+    closed form of ``_NodeLink.form`` (see irs), so only optimized surface rows
+    build the destination channels and a correlation matrix.
     Along a rho sweep, each optimized surface row starts from the previous
     point's optimized phases of its size and mode (natural-parameter
     continuation: the channels stay fixed); along a distance sweep, and at a
     sweep's first point, it starts cold.  Optimized relay rows are left
     pending for ``_solve_df``.
     """
-    scenario = frame.scenario
+    frame = _Frame(scenario, sizes)
     noise, target = scenario.budget.noise_power_w, scenario.target_rate
     nodes = [_NodeLink(frame, n) for n in dict.fromkeys(sizes)]
     if variable == "rho_db":
@@ -395,18 +377,21 @@ def _sweep(frame: _Frame, variable: str, sizes, irs_modes, df_modes) -> SweepRes
                 solver, emi = mode.split("_")
                 if solver == "heuristic":
                     gain = frame.beta_sr * beta_rd * node.layout.n_elements ** 2
-                    args = (_irs_heuristic, target, gain,
-                            variances[mode] * beta_rd * node.form(emi, angles) + noise)
+                    power, rate = irs_mod.power_and_rate(
+                        target, gain, variances[mode] * beta_rd * node.form(emi, angles) + noise)
+                    iterations = 0
                 else:
-                    args = _irs_optimized, target, irs_mod.IrsLink(
-                        node.h_sr, toward[dest][i], variances[mode],
-                        node.correlation(emi, angles), noise), starts, (i, mode)
-                rows.append(_row(x, f"irs_n{node.layout.n_elements}", mode, *args))
+                    power, rate, starts[i, mode], iterations, _ = irs_mod.irs_min_power_emi_aware(
+                        target, irs_mod.IrsLink(node.h_sr, toward[dest][i], variances[mode],
+                                                node.correlation(emi, angles), noise),
+                        starts.get((i, mode)))
+                rows.append(_row(x, f"irs_n{node.layout.n_elements}", mode, power, rate,
+                                 iterations))
         for mode in df_modes:
             inputs = frame.beta_sr, beta_rd, variances[mode], noise
             rows.append((x, "df", mode, relay_mod.effective_gains_single(*inputs))
                         if mode.startswith("optimized")
-                        else _row(x, "df", mode, _df_repetition, target, *inputs))
+                        else _row(x, "df", mode, *_df_repetition(target, *inputs)))
     return SweepResult(variable, _solve_df(target, rows))
 
 
@@ -419,22 +404,21 @@ def run_fig3(scenario: Scenario) -> SweepResult:
     Surface rows use the noise-only phase heuristic; relay rows use
     repetition coding.  Each appears with and without isotropic EMI.
     """
-    sizes = scenario.irs_elements
-    return _sweep(_Frame(scenario, sizes), "distance_m", sizes,
+    return _sweep(scenario, "distance_m", scenario.irs_elements,
                   ("heuristic_none", "heuristic_iso"), ("repetition_none", "repetition_iso"))
 
 
 def run_fig4(scenario: Scenario) -> SweepResult:
     """Required power vs interference-to-noise ratio, no optimization."""
-    sizes = (scenario.irs_reference_elements,)
-    return _sweep(_Frame(scenario, sizes), "rho_db", sizes, ("heuristic_iso",), ("repetition_iso",))
+    return _sweep(scenario, "rho_db", (scenario.irs_reference_elements,),
+                  ("heuristic_iso",), ("repetition_iso",))
 
 
 def run_fig5(scenario: Scenario) -> SweepResult:
     """As run_fig4 but with both technologies optimized against EMI; each
     surface row's optimizer continues from the previous rho's phases."""
-    sizes = (scenario.irs_reference_elements,)
-    return _sweep(_Frame(scenario, sizes), "rho_db", sizes, ("optimized_iso",), ("optimized_iso",))
+    return _sweep(scenario, "rho_db", (scenario.irs_reference_elements,),
+                  ("optimized_iso",), ("optimized_iso",))
 
 
 def run_fig6(scenario: Scenario) -> SweepResult:
@@ -443,8 +427,7 @@ def run_fig6(scenario: Scenario) -> SweepResult:
     Non-optimized rows are included so that the optimization gain can be
     read off row-wise.
     """
-    sizes = scenario.irs_elements
-    return _sweep(_Frame(scenario, sizes), "distance_m", sizes,
+    return _sweep(scenario, "distance_m", scenario.irs_elements,
                   ("heuristic_iso", "optimized_iso"), ("repetition_iso", "optimized_iso"))
 
 
@@ -455,8 +438,7 @@ def run_fig7(scenario: Scenario) -> SweepResult:
     (case 1) and on the destination direction (case 2).  Each direction's
     kernel is built once: case 1's and one case 2 kernel per distance.
     """
-    sizes = (scenario.irs_reference_elements,)
-    return _sweep(_Frame(scenario, sizes), "distance_m", sizes,
+    return _sweep(scenario, "distance_m", (scenario.irs_reference_elements,),
                   ("heuristic_none", "heuristic_iso", "heuristic_case1", "heuristic_case2"), ())
 
 
@@ -466,18 +448,24 @@ def run_fig8(scenario: Scenario) -> SweepResult:
     Covers isotropic EMI and the destination-centred gaussian (case 2) at the
     configured rho (covariance v R + N0 I), a no-EMI relay reference (N0 I),
     and at every antenna count the surface reference: fig5's surface at that
-    rho, iso and case 2.  One case-2 kernel spans the largest rows and columns
-    of the relays and the surface, and every array reads its EMI from it.  Per
-    antenna count, each MMSE gain solves its covariance and each MR gain is the
-    closed form beta_sr M^2 / (v q + N0 M) of q = ``_NodeLink.form`` (see relay);
-    the relay rows wait for ``_solve_df``, as optimized DF rows do.
+    rho, iso and case 2, each solved once, cold, on the figure's frame.  One
+    case-2 kernel spans the largest rows and columns of the relays and the
+    surface, and every array reads its EMI from it.  Per antenna count, each
+    MMSE gain solves its covariance and each MR gain is the closed form
+    beta_sr M^2 / (v q + N0 M) of q = ``_NodeLink.form`` (see relay); the
+    relay rows wait for ``_solve_df``, as optimized DF rows do.
     """
     noise, variance = scenario.budget.noise_power_w, scenario.emi_variance
-    frame = _Frame(replace(scenario, rho_sweep=(scenario.rho_db, scenario.rho_db, 1)),
-                   (scenario.irs_reference_elements, *scenario.relay_antennas))
-    refs = _sweep(frame, "rho_db", (scenario.irs_reference_elements,),
-                  ("optimized_iso", "optimized_case2"), ()).rows
+    n_ref = scenario.irs_reference_elements
+    frame = _Frame(scenario, (n_ref, *scenario.relay_antennas))
     angles, beta_rd = frame.sight(scenario.dest_pos)
+    surface, refs = _NodeLink(frame, n_ref), []
+    h_rd = los_channel(beta_rd, *angles, surface.layout)
+    for emi in ("iso", "case2"):
+        power, rate, _, iterations, _ = irs_mod.irs_min_power_emi_aware(
+            scenario.target_rate, irs_mod.IrsLink(surface.h_sr, h_rd, variance,
+                                                  surface.correlation(emi, angles), noise), None)
+        refs.append((f"irs_n{n_ref}", f"optimized_{emi}", power, rate, iterations))
     rows, mmse = [], relay_mod.CombinerKind.MMSE
     for m in scenario.relay_antennas:
         relay = _NodeLink(frame, m)
@@ -492,7 +480,7 @@ def run_fig8(scenario: Scenario) -> SweepResult:
                 variance * relay.form(emi, angles) + noise * m)
             rows.extend((float(m), tech, f"optimized_{emi}", relay_mod.EffectiveGains(
                 alpha1, alpha2)) for tech, alpha1 in gains.items())
-        rows.extend(replace(ref, sweep_var=float(m)) for ref in refs)
+        rows.extend(_row(float(m), *ref) for ref in refs)
     return SweepResult("antennas", _solve_df(scenario.target_rate, rows))
 
 

@@ -1,19 +1,16 @@
-"""Exception types shared across the package, the power cap and the rate rule.
+"""The package's one exception type, the power cap and the rate rule.
 
-Invalid arguments raise the built-in ValueError; the classes below cover
-failure modes that a caller may want to catch separately.  The power
-functions return the power they compute, however large; a rate counts as
-infeasible for every technology alike when that power is not at most
-POWER_UPPER_W, which ``bench._row`` alone tests.
+Invalid arguments raise the built-in ValueError; NumericalError marks a
+numerical routine that missed its accuracy target.  Infeasibility is a
+value: the power functions return the power they compute, however large
+(inf for a zero cascaded surface channel), and a rate counts as infeasible
+for every technology alike when that power is not at most POWER_UPPER_W,
+which ``bench._row`` alone tests.
 """
 
 import math
 
 POWER_UPPER_W = 1e5  # 80 dBm
-
-
-class InfeasibleError(Exception):
-    """No power achieves the requested rate: a channel is zero."""
 
 
 class NumericalError(Exception):

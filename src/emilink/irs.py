@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emi import corr_matvec, emi_quadratic_form
-from .errors import InfeasibleError, pow2m1
+from .errors import pow2m1
 
 TWO_PI = 2.0 * np.pi
 MM_TOL = 1e-8  # relative change of g at which the phase optimizer stops
@@ -115,21 +115,18 @@ def irs_rate(power_w: float, link: IrsLink, phases: np.ndarray) -> float:
     return float(np.log2(1.0 + irs_sinr(power_w, link, phases)))
 
 
-def _power_for(target_rate: float, gain: float, denominator: float) -> float:
-    snr = pow2m1(target_rate)  # checks the rate before the channel
-    if gain == 0.0:
-        raise InfeasibleError("cascaded channel is zero; no power achieves the rate")
-    return snr * denominator / gain
-
-
 def irs_required_power(target_rate: float, link: IrsLink, phases: np.ndarray) -> float:
-    """Transmit power that achieves ``target_rate`` with fixed phases."""
-    return _power_for(target_rate, *_gain_and_denominator(link, phases))
+    """Transmit power that achieves ``target_rate`` with fixed phases (inf for a zero cascade)."""
+    return irs_power_and_rate(target_rate, link, phases)[0]
 
 
 def power_and_rate(target_rate: float, gain: float, denominator: float):
-    """The power that reaches ``target_rate`` at SINR p gain / denominator, and the rate at it."""
-    power = _power_for(target_rate, gain, denominator)
+    """The power that reaches ``target_rate`` at SINR p gain / denominator, and the rate
+    at it; (inf, nan) for a zero gain, which no power makes up."""
+    snr = pow2m1(target_rate)  # checks the rate before the channel
+    if gain == 0.0:
+        return np.inf, np.nan
+    power = snr * denominator / gain
     return power, float(np.log2(1.0 + power * gain / denominator))
 
 

@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InfeasibleError, NumericalError, pow2m1
+from .errors import NumericalError, pow2m1
 
 LN2 = math.log(2.0)
 REL_TOL = 1e-13  # relative width at which a bisection stops
@@ -253,11 +253,9 @@ def effective_gain_first_phase(h_sr: np.ndarray, covariance: np.ndarray,
 
 
 def effective_gain_second_phase(h_rd: np.ndarray, noise_power_w: float) -> float:
-    """Second-phase gain ||h_rd||^2 / noise under unit-norm MR precoding."""
+    """Second-phase gain ||h_rd||^2 / noise under unit-norm MR precoding: 0.0 for a
+    zero channel, which ``EffectiveGains`` rejects as it does any gain <= 0."""
     if not noise_power_w > 0:
         raise ValueError("noise power must be positive")
     h = np.asarray(h_rd)
-    norm_sq = float(np.real(h.conj() @ h))
-    if norm_sq == 0.0:
-        raise InfeasibleError("relay-destination channel is zero")
-    return norm_sq / noise_power_w
+    return float(np.real(h.conj() @ h)) / noise_power_w

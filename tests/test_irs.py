@@ -8,8 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import emilink.irs
-from emilink import (InfeasibleError, IrsLink, corr_isotropic,
-                     irs_min_power_emi_aware, irs_rate,
+from emilink import (IrsLink, corr_isotropic,
+                     irs_min_power_emi_aware, irs_power_and_rate, irs_rate,
                      irs_required_power, irs_sinr, irs_sinr_gradient, los_channel,
                      make_layout, phases_emi_aware, phases_noise_only)
 from conftest import random_complex, random_unit_diag_psd
@@ -165,12 +165,22 @@ def test_required_power_monotone_in_rate_and_emi():
     assert irs_required_power(4.0, stronger, cfg) > irs_required_power(4.0, link, cfg)
 
 
+@pytest.mark.filterwarnings("error")
 def test_required_power_infeasible_zero_channel():
+    # the reflections cancel at phases 0, so no power reaches the rate: the power
+    # is inf and the rate nan, values rather than an exception.  The gains are
+    # numpy floats, so a division by zero would warn, an error here.
     h = np.array([1.0 + 0j, -1.0 + 0j])
     g = np.array([1.0 + 0j, 1.0 + 0j])
     link = IrsLink(h, g, 0.0, np.eye(2), NOISE)
-    with pytest.raises(InfeasibleError):
-        irs_required_power(6.0, link, np.zeros(2))
+    assert irs_required_power(6.0, link, np.zeros(2)) == math.inf
+    power, rate = irs_power_and_rate(6.0, link, np.zeros(2))
+    assert power == math.inf and math.isnan(rate)
+    gain, denominator = np.float64(0.0), np.float64(NOISE)
+    power, rate = emilink.irs.power_and_rate(6.0, gain, denominator)
+    assert power == math.inf and math.isnan(rate)
+    with pytest.raises(ValueError, match="target rate"):  # the rate is checked first
+        emilink.irs.power_and_rate(0.0, gain, denominator)
 
 
 def test_global_phase_offset_invariance():

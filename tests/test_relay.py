@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from emilink import (ArrayLayout, CombinerKind, EffectiveGains, InfeasibleError, IrsLink,
+from emilink import (ArrayLayout, CombinerKind, EffectiveGains, IrsLink,
                      NumericalError, Scenario, df_inner_max_rate, df_min_power,
                      df_min_power_batch, df_rate, effective_gain_first_phase,
                      effective_gain_second_phase, effective_gains_single, irs_required_power,
@@ -383,9 +383,14 @@ def test_second_phase_gain():
     assert ratio == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
 def test_second_phase_rejects_zero_channel():
-    with pytest.raises(InfeasibleError):
-        effective_gain_second_phase(np.zeros(4, dtype=complex), NOISE)
+    # the zero channel's gain is 0.0, a value, and EffectiveGains rejects it as
+    # it does any gain <= 0
+    alpha2 = effective_gain_second_phase(np.zeros(4, dtype=complex), NOISE)
+    assert alpha2 == 0.0 and type(alpha2) is float
+    with pytest.raises(ValueError, match="effective gains must be positive"):
+        EffectiveGains(1.0, alpha2)
 
 
 def _unit_link(n=4, noise=NOISE):
