@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -241,10 +240,12 @@ def _facing_orientation(scenario: Scenario) -> np.ndarray:
 
 
 class _Frame:
-    """One figure run's geometry: the node's facing frame and the endpoints' sights
-    in it, one layout per array size, and over the layouts' ``envelope`` the
-    source wave's phase lattice and one lattice per EMI name, the only EMI source
-    from which every array of the figure reads its correlation and its forms."""
+    """One figure run's geometry and EMI: the node's facing frame and the endpoints'
+    sights in it, one layout per array size, and over the layouts' ``envelope``
+    the source wave's phase lattice and one lattice per EMI name, the only EMI
+    source from which every array of the figure reads its correlation and its form.
+    Each EMI name keeps one entry and the frame one gathered matrix, so a run
+    takes its arrays one at a time (``_sweep``, ``run_fig8``)."""
 
     def __init__(self, scenario: Scenario, sizes):
         self.scenario, self.orientation = scenario, _facing_orientation(scenario)
@@ -255,7 +256,8 @@ class _Frame:
                                     max(g.cols for g in self.layouts.values()), wavelength)
         self.source_phases = emi_mod.plane_wave_lattice(
             self.envelope, wave_vector(*self.source_angles, wavelength))
-        self.lattices = {"iso": (None, emi_mod.isotropic_kernel(self.envelope))}
+        self.lattices = {"iso": (None, emi_mod.isotropic_kernel(self.envelope), {})}
+        self.gathered = None  # (size, lattice, correlation matrix) of the last gather
 
     def sight(self, pos: tuple) -> tuple[tuple[float, float], float]:
         """Angles of ``pos`` seen from the node and the gain of the hop between them."""
@@ -263,47 +265,38 @@ class _Frame:
         return (angles_between(node, pos, self.orientation),
                 pathloss_umi(float(np.linalg.norm(np.subtract(pos, node))), self.scenario.budget))
 
-    def centre(self, emi: str, angles: tuple[float, float]):
-        """Centre of the EMI named case1 (the source's direction), case2 (``angles``), else None."""
-        return angles if emi == "case2" else self.source_angles if emi == "case1" else None
-
-    def lattice(self, emi: str, angles: tuple[float, float]) -> np.ndarray:
-        """Lattice of the EMI named iso (the sinc), case1 or case2 (a gaussian kernel):
-        one (centre, lattice) entry per name, rebuilt only when its ``centre`` moves."""
-        centre = self.centre(emi, angles)
-        if emi not in self.lattices or self.lattices[emi][0] != centre:
+    def lattice(self, emi: str, angles: tuple[float, float]):
+        """(centre, lattice, forms) entry of the EMI named iso (the sinc), case1 (a
+        gaussian kernel centred on the source's direction) or case2 (on ``angles``),
+        one per name, rebuilt with no forms only when its centre moves."""
+        centre = angles if emi == "case2" else self.source_angles if emi == "case1" else None
+        entry = self.lattices.get(emi)
+        if entry is None or entry[0] != centre:
             spread = math.radians(self.scenario.emi_spread_deg)
-            self.lattices[emi] = centre, emi_mod.directional_kernel(emi_mod.AngularDensity(
-                *centre, spread, spread), emi_mod.QUADRATURE_NODES, self.envelope)
-        return self.lattices[emi][1]
+            density = emi_mod.AngularDensity(*centre, spread, spread)
+            entry = self.lattices[emi] = centre, emi_mod.directional_kernel(
+                density, emi_mod.QUADRATURE_NODES, self.envelope), {}
+        return entry
 
+    def form(self, n: int, emi: str, angles: tuple[float, float]) -> float:
+        """u^H R u for the source's unit plane wave u on the ``n``-element array under
+        the EMI named as in ``lattice`` or none (0), with no N x N array; kept in
+        the EMI's entry, so it is taken once per array, EMI and centre."""
+        if emi == "none":
+            return 0.0
+        _, lattice, forms = self.lattice(emi, angles)
+        if n not in forms:
+            forms[n] = emi_mod.plane_wave_form(lattice, self.layouts[n], self.source_phases)
+        return forms[n]
 
-class _NodeLink:
-    """Source channel and the frame's EMI at the surface/relay, for one layout of its array."""
-
-    def __init__(self, frame: _Frame, n_elements: int):
-        self.frame = frame
-        self.layout = frame.layouts[n_elements]
-        self.h_sr = los_channel(frame.beta_sr, *frame.source_angles, self.layout)
-        self.forms = {}
-
-    @cached_property
-    def iso(self) -> np.ndarray:
-        return emi_mod.gather(self.frame.lattice("iso", None), self.layout)
-
-    def correlation(self, emi: str, angles: tuple[float, float]) -> np.ndarray:
-        """Correlation matrix of the EMI named as in ``_Frame.lattice``."""
-        return self.iso if emi == "iso" else emi_mod.gather(self.frame.lattice(emi, angles),
-                                                           self.layout)
-
-    def form(self, emi: str, angles: tuple[float, float]) -> float:
-        """u^H R u for the source's unit plane wave u under the EMI named as in
-        ``_Frame.lattice`` or none (0), once per EMI and centre, with no N x N array."""
-        key = emi, self.frame.centre(emi, angles)
-        if key not in self.forms:
-            self.forms[key] = 0.0 if emi == "none" else emi_mod.plane_wave_form(
-                self.frame.lattice(emi, angles), self.layout, self.frame.source_phases)
-        return self.forms[key]
+    def correlation(self, n: int, emi: str, angles: tuple[float, float]) -> np.ndarray:
+        """Correlation matrix of the ``n``-element array under the EMI named as in
+        ``lattice``, gathered again only when the array or the lattice changes."""
+        lattice = self.lattice(emi, angles)[1]
+        # the lattice itself, not its id(): a rebuilt kernel can reuse a freed address
+        if self.gathered is None or self.gathered[0] != n or self.gathered[1] is not lattice:
+            self.gathered = n, lattice, emi_mod.gather(lattice, self.layouts[n])
+        return self.gathered[2]
 
 
 def _df_repetition(target_rate, beta_sr, beta_rd, variance, noise):
@@ -344,18 +337,18 @@ def _sweep(scenario: Scenario, variable: str, sizes, irs_modes, df_modes) -> Swe
     relay, each row ``_row`` of its solver's power, rate and iterations.  A
     mode is ``<solver>_<emi>``, the solver ``heuristic`` or ``optimized`` for
     the surface and ``repetition`` or ``optimized`` for the relay, the EMI none
-    (variance 0) or one of ``_Frame.lattice``'s.  A heuristic surface row is a
-    closed form of ``_NodeLink.form`` (see irs), so only optimized surface rows
-    build the destination channels and a correlation matrix.
-    Along a rho sweep, each optimized surface row starts from the previous
-    point's optimized phases of its size and mode (natural-parameter
-    continuation: the channels stay fixed); along a distance sweep, and at a
-    sweep's first point, it starts cold.  Optimized relay rows are left
-    pending for ``_solve_df``.
+    (variance 0) or one of ``_Frame.lattice``'s.  The surface rows are taken
+    size by size, mode by mode, point by point, so the frame's one-entry caches
+    serve each run of them.  A heuristic surface row is a closed form of
+    ``_Frame.form`` (see irs), so only optimized surface rows build the
+    destination channels and a correlation matrix.  Along a rho sweep, each
+    optimized surface row starts from the phases of the previous point's row
+    of its size and mode (natural-parameter continuation: the channels stay
+    fixed); along a distance sweep, and at a sweep's first point, it starts
+    cold.  Optimized relay rows are left pending for ``_solve_df``.
     """
     frame = _Frame(scenario, sizes)
     noise, target = scenario.budget.noise_power_w, scenario.target_rate
-    nodes = [_NodeLink(frame, n) for n in dict.fromkeys(sizes)]
     if variable == "rho_db":
         points = [(float(rho), scenario.dest_pos, _emi_variance(rho, noise))
                   for rho in scenario.rhos_db()]
@@ -363,36 +356,37 @@ def _sweep(scenario: Scenario, variable: str, sizes, irs_modes, df_modes) -> Swe
         points = [(float(d), tuple(dest.tolist()), scenario.emi_variance)
                   for d, dest in zip(scenario.distances(), scenario.sweep_destinations())]
     sights = {d: frame.sight(d) for d in dict.fromkeys(p[1] for p in points)}
-    toward = {d: [los_channel(beta_rd, *angles, node.layout) for node in nodes]
-              for d, (angles, beta_rd) in sights.items()
-              if any(mode.startswith("optimized") for mode in irs_modes)}
-    rows, starts = [], {}  # starts: the last optimized phases per (size, mode)
-    for x, dest, variance in points:
-        if variable != "rho_db":
-            starts.clear()
-        angles, beta_rd = sights[dest]
-        variances = {m: 0.0 if m.endswith("_none") else variance for m in irs_modes + df_modes}
-        for i, node in enumerate(nodes):
-            for mode in irs_modes:
-                solver, emi = mode.split("_")
+    optimized = any(mode.startswith("optimized") for mode in irs_modes)
+    rows = [[] for _ in points]  # each point's rows, flattened in point order
+    for n, layout in frame.layouts.items():
+        h_sr = los_channel(frame.beta_sr, *frame.source_angles, layout)
+        toward = {d: los_channel(beta_rd, *angles, layout)
+                  for d, (angles, beta_rd) in sights.items() if optimized}
+        for mode in irs_modes:
+            solver, emi = mode.split("_")
+            phases = None  # the last optimized phases of this size and mode
+            for (x, dest, variance), point_rows in zip(points, rows):
+                angles, beta_rd = sights[dest]
+                variance = 0.0 if emi == "none" else variance
                 if solver == "heuristic":
-                    gain = frame.beta_sr * beta_rd * node.layout.n_elements ** 2
+                    gain = frame.beta_sr * beta_rd * n ** 2
                     power, rate = irs_mod.power_and_rate(
-                        target, gain, variances[mode] * beta_rd * node.form(emi, angles) + noise)
+                        target, gain, variance * beta_rd * frame.form(n, emi, angles) + noise)
                     iterations = 0
                 else:
-                    power, rate, starts[i, mode], iterations, _ = irs_mod.irs_min_power_emi_aware(
-                        target, irs_mod.IrsLink(node.h_sr, toward[dest][i], variances[mode],
-                                                node.correlation(emi, angles), noise),
-                        starts.get((i, mode)))
-                rows.append(_row(x, f"irs_n{node.layout.n_elements}", mode, power, rate,
-                                 iterations))
+                    power, rate, phases, iterations, _ = irs_mod.irs_min_power_emi_aware(
+                        target, irs_mod.IrsLink(h_sr, toward[dest], variance,
+                                                frame.correlation(n, emi, angles), noise),
+                        phases if variable == "rho_db" else None)
+                point_rows.append(_row(x, f"irs_n{n}", mode, power, rate, iterations))
+    for (x, dest, variance), point_rows in zip(points, rows):
         for mode in df_modes:
-            inputs = frame.beta_sr, beta_rd, variances[mode], noise
-            rows.append((x, "df", mode, relay_mod.effective_gains_single(*inputs))
-                        if mode.startswith("optimized")
-                        else _row(x, "df", mode, *_df_repetition(target, *inputs)))
-    return SweepResult(variable, _solve_df(target, rows))
+            inputs = (frame.beta_sr, sights[dest][1],
+                      0.0 if mode.endswith("_none") else variance, noise)
+            point_rows.append((x, "df", mode, relay_mod.effective_gains_single(*inputs))
+                              if mode.startswith("optimized")
+                              else _row(x, "df", mode, *_df_repetition(target, *inputs)))
+    return SweepResult(variable, _solve_df(target, [row for r in rows for row in r]))
 
 
 # ---------------------------------------------------------------------------
@@ -452,32 +446,34 @@ def run_fig8(scenario: Scenario) -> SweepResult:
     case-2 kernel spans the largest rows and columns of the relays and the
     surface, and every array reads its EMI from it.  Per antenna count, each
     MMSE gain solves its covariance and each MR gain is the closed form
-    beta_sr M^2 / (v q + N0 M) of q = ``_NodeLink.form`` (see relay); the
+    beta_sr M^2 / (v q + N0 M) of q = ``_Frame.form`` (see relay); the
     relay rows wait for ``_solve_df``, as optimized DF rows do.
     """
     noise, variance = scenario.budget.noise_power_w, scenario.emi_variance
     n_ref = scenario.irs_reference_elements
     frame = _Frame(scenario, (n_ref, *scenario.relay_antennas))
     angles, beta_rd = frame.sight(scenario.dest_pos)
-    surface, refs = _NodeLink(frame, n_ref), []
-    h_rd = los_channel(beta_rd, *angles, surface.layout)
+    layout, refs = frame.layouts[n_ref], []
+    h_sr = los_channel(frame.beta_sr, *frame.source_angles, layout)
+    h_rd = los_channel(beta_rd, *angles, layout)
     for emi in ("iso", "case2"):
+        link = irs_mod.IrsLink(h_sr, h_rd, variance, frame.correlation(n_ref, emi, angles), noise)
         power, rate, _, iterations, _ = irs_mod.irs_min_power_emi_aware(
-            scenario.target_rate, irs_mod.IrsLink(surface.h_sr, h_rd, variance,
-                                                  surface.correlation(emi, angles), noise), None)
+            scenario.target_rate, link, None)
         refs.append((f"irs_n{n_ref}", f"optimized_{emi}", power, rate, iterations))
     rows, mmse = [], relay_mod.CombinerKind.MMSE
     for m in scenario.relay_antennas:
-        relay = _NodeLink(frame, m)
+        layout = frame.layouts[m]
+        h_sr = los_channel(frame.beta_sr, *frame.source_angles, layout)
         alpha2 = relay_mod.effective_gain_second_phase(
-            los_channel(beta_rd, *angles, relay.layout), noise)
+            los_channel(beta_rd, *angles, layout), noise)
         for emi in ("iso", "case2", "none"):  # the form of none is 0
             gains = {}
             if emi != "none":
-                cov = variance * relay.correlation(emi, angles) + noise * np.eye(m)
-                gains["df_mmse"] = relay_mod.effective_gain_first_phase(relay.h_sr, cov, mmse)
+                cov = variance * frame.correlation(m, emi, angles) + noise * np.eye(m)
+                gains["df_mmse"] = relay_mod.effective_gain_first_phase(h_sr, cov, mmse)
             gains["df" if emi == "none" else "df_mr"] = frame.beta_sr * m ** 2 / (
-                variance * relay.form(emi, angles) + noise * m)
+                variance * frame.form(m, emi, angles) + noise * m)
             rows.extend((float(m), tech, f"optimized_{emi}", relay_mod.EffectiveGains(
                 alpha1, alpha2)) for tech, alpha1 in gains.items())
         rows.extend(_row(float(m), *ref) for ref in refs)
@@ -505,8 +501,8 @@ def correlations(figure: str, scenario: Scenario) -> dict[str, np.ndarray]:
     else:
         return {}
     frame = _Frame(scenario, (size,))
-    node, angles = _NodeLink(frame, size), frame.sight(scenario.dest_pos)[0]
-    return {f"{figure}_{emi}": node.correlation(emi, angles) for emi in emis}
+    angles = frame.sight(scenario.dest_pos)[0]
+    return {f"{figure}_{emi}": frame.correlation(size, emi, angles) for emi in emis}
 
 
 # ---------------------------------------------------------------------------

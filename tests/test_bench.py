@@ -1,4 +1,5 @@
 import ast
+import collections
 import dataclasses
 import importlib
 import importlib.util
@@ -332,8 +333,7 @@ def test_the_package_keeps_only_these_memos():
         visit(tree, path.stem, "")
         uses += sum(isinstance(n, (ast.Name, ast.Attribute)) and is_memo(n)
                     for n in ast.walk(tree))
-    assert memos == {("emi", "_leggauss"),
-                     ("scene", "ArrayLayout.positions"), ("bench", "_NodeLink.iso")}
+    assert memos == {("emi", "_leggauss"), ("scene", "ArrayLayout.positions")}
     assert uses == len(memos)
 
 
@@ -891,6 +891,27 @@ def test_only_rho_sweeps_continue_the_surface_optimizer(monkeypatch):
         assert [start for _, start, _ in solves] == [None] * count, runner
 
 
+def test_each_size_continues_its_own_surface_solves(monkeypatch):
+    # along a rho sweep over two sizes, each size's optimizer starts cold at the
+    # first point and then from that size's previous phases; a distance sweep
+    # starts every solve of every size cold
+    solves = spy_surface_solves(monkeypatch)
+    for variable in ("rho_db", "distance_m"):
+        solves.clear()
+        bench._sweep(SMALL, variable, (16, 9), ("optimized_iso",), ())
+        by_size = {}
+        for link, start, result in solves:
+            by_size.setdefault(link.h_sr.size, []).append((start, result))
+        assert {n: len(seen) for n, seen in by_size.items()} == {16: 6, 9: 6}, variable
+        for seen in by_size.values():
+            starts = [start for start, _ in seen]
+            if variable == "distance_m":
+                assert starts == [None] * len(seen)
+                continue
+            assert starts[0] is None
+            assert all(start is previous[2] for start, (_, previous) in zip(starts[1:], seen))
+
+
 def test_fig6_row_wise_dominance():
     result = run_fig6(SMALL)
     irs_heur = powers_by(result, "irs_n16", "heuristic_iso")
@@ -942,11 +963,12 @@ def dense_heuristic_links(scenario, result):
     matrix, for the dense path (``irs_power_and_rate`` on the noise-only phases)
     that checks the sweeps' closed form."""
     noise = scenario.budget.noise_power_w
-    rows = [r for r in result.rows if r.technology.startswith("irs_n")
-            and r.mode.startswith("heuristic_")]
+    # grouped by array and mode, so that the frame's one correlation slot serves
+    # each run of rows on one kernel
+    rows = sorted((r for r in result.rows if r.technology.startswith("irs_n")
+                   and r.mode.startswith("heuristic_")), key=lambda r: (r.technology, r.mode))
     sizes = sorted({int(r.technology.removeprefix("irs_n")) for r in rows})
     frame = bench._Frame(scenario, sizes)
-    nodes = {n: bench._NodeLink(frame, n) for n in sizes}
     dests = dict(zip(scenario.distances().tolist(), scenario.sweep_destinations().tolist()))
     links = []
     for row in rows:
@@ -956,11 +978,12 @@ def dense_heuristic_links(scenario, result):
         else:
             dest, variance = tuple(dests[row.sweep_var]), scenario.emi_variance
         angles, beta_rd = frame.sight(dest)
-        node = nodes[int(row.technology.removeprefix("irs_n"))]
+        n = int(row.technology.removeprefix("irs_n"))
+        layout = frame.layouts[n]
         links.append((row, irs.IrsLink(
-            node.h_sr, los_channel(beta_rd, *angles, node.layout),
-            0.0 if emi == "none" else variance,
-            node.correlation("iso" if emi == "none" else emi, angles), noise)))
+            los_channel(frame.beta_sr, *frame.source_angles, layout),
+            los_channel(beta_rd, *angles, layout), 0.0 if emi == "none" else variance,
+            frame.correlation(n, "iso" if emi == "none" else emi, angles), noise)))
     return links
 
 
@@ -1048,11 +1071,12 @@ def test_fig8_mr_gains_match_the_dense_path(monkeypatch):
     for row, gain in zip(pending, alpha1):
         if row.technology == "df_mmse":
             continue
-        node, emi = bench._NodeLink(frame, int(row.sweep_var)), row.mode.removeprefix("optimized_")
-        cov = noise * np.eye(node.layout.n_elements)
+        m, emi = int(row.sweep_var), row.mode.removeprefix("optimized_")
+        cov = noise * np.eye(m)
         if emi != "none":
-            cov = scenario.emi_variance * node.correlation(emi, angles) + cov
-        dense = relay.effective_gain_first_phase(node.h_sr, cov, relay.CombinerKind.MR)
+            cov = scenario.emi_variance * frame.correlation(m, emi, angles) + cov
+        h_sr = los_channel(frame.beta_sr, *frame.source_angles, frame.layouts[m])
+        dense = relay.effective_gain_first_phase(h_sr, cov, relay.CombinerKind.MR)
         assert abs(gain - dense) <= 3e-13 * dense, row
         checked += 1
     assert checked == 3 * len(scenario.relay_antennas)
@@ -1147,9 +1171,10 @@ def test_fig8_structure_and_dominance():
     frame, noise = bench._Frame(sc, sc.relay_antennas), sc.budget.noise_power_w
     gain, mr_kind = relay.effective_gain_first_phase, relay.CombinerKind.MR
     for m in sc.relay_antennas:
-        node, white = bench._NodeLink(frame, m), noise * np.eye(m)
-        assert float.hex(gain(node.h_sr, white, mr_kind)) == float.hex(
-            gain(node.h_sr, 0.0 * node.iso + white, mr_kind)), m
+        h_sr = los_channel(frame.beta_sr, *frame.source_angles, frame.layouts[m])
+        white = noise * np.eye(m)
+        assert float.hex(gain(h_sr, white, mr_kind)) == float.hex(
+            gain(h_sr, 0.0 * frame.correlation(m, "iso", None) + white, mr_kind)), m
 
 
 def test_fig8_builds_one_quadrature_per_array(monkeypatch):
@@ -1218,6 +1243,42 @@ def test_a_figure_makes_one_layout_per_array_size(monkeypatch):
                         made.append(args) or fn(*args))
     run_fig8(SMALL)
     assert len(made) == len({SMALL.irs_reference_elements, *SMALL.relay_antennas}) == 5
+
+
+def test_each_figure_does_a_fixed_amount_of_work(monkeypatch):
+    # calls of (plane_wave_form, gather, directional_kernel, los_channel) per figure
+    # on Scenario(): a form per array, EMI and centre (none takes none); a gather
+    # per array and kernel an optimized surface row or an MMSE gain reads; a
+    # kernel per case-1 figure and per case-2 direction; a source channel per
+    # array and a destination channel per array and destination that an
+    # optimized surface row or a relay reads
+    names = ("plane_wave_form", "gather", "directional_kernel", "los_channel")
+    calls = collections.Counter()
+    for module, name in zip((bench.emi_mod,) * 3 + (bench,), names):
+        monkeypatch.setattr(module, name, lambda *args, name=name, fn=getattr(module, name):
+                            calls.update([name]) or fn(*args))
+    for runner, counts in ((run_fig3, (3, 0, 0, 3)), (run_fig4, (1, 0, 0, 1)),
+                           (run_fig5, (0, 1, 0, 2)), (run_fig6, (3, 3, 0, 81)),
+                           (run_fig7, (28, 0, 27, 1)), (run_fig8, (160, 162, 1, 162))):
+        calls.clear()
+        runner(Scenario())
+        assert tuple(calls[name] for name in names) == counts, runner
+
+
+def test_fig8_holds_one_relay_matrix_at_a_time():
+    """fig8 peaks, under tracemalloc, below the bytes of every relay's sinc matrix
+    held at once, 8 m^2 summed over m = 1..80 (1.33 MiB; 0.80 MiB seen, 2.12 MiB
+    when the frame kept each size's matrix).  The run before it has built the
+    process-wide Gauss-Legendre rules."""
+    scenario = Scenario()
+    run_fig8(scenario)
+    tracemalloc.start()
+    try:
+        run_fig8(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(8 * m * m for m in scenario.relay_antennas), f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_concurrent_figures_give_the_serial_rows():
