@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -244,8 +244,7 @@ class _Frame:
     sights in it, one layout per array size, and over the layouts' ``envelope``
     the source wave's phase lattice and one lattice per EMI name, the only EMI
     source from which every array of the figure reads its correlation and its form.
-    Each EMI name keeps one entry and the frame one gathered matrix, so a run
-    takes its arrays one at a time (``_sweep``, ``run_fig8``)."""
+    It caches one lattice per EMI and nothing per array."""
 
     def __init__(self, scenario: Scenario, sizes):
         self.scenario, self.orientation = scenario, _facing_orientation(scenario)
@@ -256,8 +255,8 @@ class _Frame:
                                     max(g.cols for g in self.layouts.values()), wavelength)
         self.source_phases = emi_mod.plane_wave_lattice(
             self.envelope, wave_vector(*self.source_angles, wavelength))
-        self.lattices = {"iso": (None, emi_mod.isotropic_kernel(self.envelope), {})}
-        self.gathered = None  # (size, lattice, correlation matrix) of the last gather
+        self.lattices = {"iso": (None, emi_mod.isotropic_kernel(self.envelope)),
+                         "none": (None, None)}
 
     def sight(self, pos: tuple) -> tuple[tuple[float, float], float]:
         """Angles of ``pos`` seen from the node and the gain of the hop between them."""
@@ -266,37 +265,28 @@ class _Frame:
                 pathloss_umi(float(np.linalg.norm(np.subtract(pos, node))), self.scenario.budget))
 
     def lattice(self, emi: str, angles: tuple[float, float]):
-        """(centre, lattice, forms) entry of the EMI named iso (the sinc), case1 (a
-        gaussian kernel centred on the source's direction) or case2 (on ``angles``),
-        one per name, rebuilt with no forms only when its centre moves."""
+        """Lattice of the EMI named iso (the sinc), case1 (a gaussian kernel centred
+        on the source's direction) or case2 (on ``angles``), or None for none; one
+        per name, rebuilt only when its centre moves."""
         centre = angles if emi == "case2" else self.source_angles if emi == "case1" else None
         entry = self.lattices.get(emi)
         if entry is None or entry[0] != centre:
             spread = math.radians(self.scenario.emi_spread_deg)
             density = emi_mod.AngularDensity(*centre, spread, spread)
             entry = self.lattices[emi] = centre, emi_mod.directional_kernel(
-                density, emi_mod.QUADRATURE_NODES, self.envelope), {}
-        return entry
+                density, emi_mod.QUADRATURE_NODES, self.envelope)
+        return entry[1]
 
     def form(self, n: int, emi: str, angles: tuple[float, float]) -> float:
         """u^H R u for the source's unit plane wave u on the ``n``-element array under
-        the EMI named as in ``lattice`` or none (0), with no N x N array; kept in
-        the EMI's entry, so it is taken once per array, EMI and centre."""
-        if emi == "none":
-            return 0.0
-        _, lattice, forms = self.lattice(emi, angles)
-        if n not in forms:
-            forms[n] = emi_mod.plane_wave_form(lattice, self.layouts[n], self.source_phases)
-        return forms[n]
+        the EMI named as in ``lattice`` (0 for none), with no N x N array."""
+        lattice = self.lattice(emi, angles)
+        return 0.0 if lattice is None else emi_mod.plane_wave_form(
+            lattice, self.layouts[n], self.source_phases)
 
     def correlation(self, n: int, emi: str, angles: tuple[float, float]) -> np.ndarray:
-        """Correlation matrix of the ``n``-element array under the EMI named as in
-        ``lattice``, gathered again only when the array or the lattice changes."""
-        lattice = self.lattice(emi, angles)[1]
-        # the lattice itself, not its id(): a rebuilt kernel can reuse a freed address
-        if self.gathered is None or self.gathered[0] != n or self.gathered[1] is not lattice:
-            self.gathered = n, lattice, emi_mod.gather(lattice, self.layouts[n])
-        return self.gathered[2]
+        """Correlation matrix of the ``n``-element array under the EMI named as in ``lattice``."""
+        return emi_mod.gather(self.lattice(emi, angles), self.layouts[n])
 
 
 def _df_repetition(target_rate, beta_sr, beta_rd, variance, noise):
@@ -328,61 +318,75 @@ def _solve_df(target_rate, rows) -> tuple[SweepRow, ...]:
     return tuple(row if isinstance(row, SweepRow) else next(solved) for row in rows)
 
 
+def _surface_rows(frame: _Frame, sizes, points, modes, continued: bool) -> list[list]:
+    """Each point's surface rows: at each (sweep value, ``_Frame.sight``, EMI variance)
+    point, the ``_row`` of an ``irs_n<size>`` surface per size in ``sizes`` (a
+    repeated size runs once) and mode ``<solver>_<emi>`` in ``modes``: ``heuristic``
+    under an EMI named as in ``_Frame.lattice`` or none (variance 0), a closed form
+    of ``_Frame.form`` (see irs), or ``optimized`` under iso, case1 or case2.
+
+    The rows are taken size by size, mode by mode, point by point.  Each run keeps
+    its last lattice and that lattice's read (the form, or the ``_Frame.correlation``
+    of an optimized row) as loop variables, and reads again only when a point's
+    lattice is another object.  A size's channels are built on its first optimized
+    mode.  With ``continued``, an optimized row starts from the phases of the
+    previous point's row of its size and mode (natural-parameter continuation, for
+    points whose channels stay fixed), else cold.
+    """
+    noise, target = frame.scenario.budget.noise_power_w, frame.scenario.target_rate
+    rows = [[] for _ in points]
+    for n in dict.fromkeys(sizes):
+        layout, toward = frame.layouts[n], None
+        for mode in modes:
+            solver, emi = mode.split("_")
+            if solver == "optimized" and toward is None:
+                h_sr = los_channel(frame.beta_sr, *frame.source_angles, layout)
+                toward = {(angles, beta_rd): los_channel(beta_rd, *angles, layout)
+                          for angles, beta_rd in dict.fromkeys(s for _, s, _ in points)}
+            phases, last, read = None, None, 0.0  # none never reads: its form is 0
+            for (x, (angles, beta_rd), variance), point_rows in zip(points, rows):
+                variance = 0.0 if emi == "none" else variance
+                lattice = frame.lattice(emi, angles)
+                # the lattice itself, not its id(): a rebuilt kernel can reuse a freed address
+                if lattice is not last:
+                    last, read = lattice, (frame.form if solver == "heuristic"
+                                           else frame.correlation)(n, emi, angles)
+                if solver == "heuristic":
+                    power, rate = irs_mod.power_and_rate(
+                        target, frame.beta_sr * beta_rd * n ** 2, variance * beta_rd * read + noise)
+                    iterations = 0
+                else:
+                    link = irs_mod.IrsLink(h_sr, toward[angles, beta_rd], variance, read, noise)
+                    power, rate, phases, iterations, _ = irs_mod.irs_min_power_emi_aware(
+                        target, link, phases if continued else None)
+                point_rows.append(_row(x, f"irs_n{n}", mode, power, rate, iterations))
+    return rows
+
+
 def _sweep(scenario: Scenario, variable: str, sizes, irs_modes, df_modes) -> SweepResult:
     """Rows over the distance (``distance_m``) or EMI-to-noise (``rho_db``) sweep,
     on a ``_Frame`` of its own over ``sizes``.
 
-    At each point: every surface mode on a surface of each size in ``sizes``
-    (a repeated size runs once), then every relay mode on a single-antenna
-    relay, each row ``_row`` of its solver's power, rate and iterations.  A
-    mode is ``<solver>_<emi>``, the solver ``heuristic`` or ``optimized`` for
-    the surface and ``repetition`` or ``optimized`` for the relay, the EMI none
-    (variance 0) or one of ``_Frame.lattice``'s.  The surface rows are taken
-    size by size, mode by mode, point by point, so the frame's one-entry caches
-    serve each run of them.  A heuristic surface row is a closed form of
-    ``_Frame.form`` (see irs), so only optimized surface rows build the
-    destination channels and a correlation matrix.  Along a rho sweep, each
-    optimized surface row starts from the phases of the previous point's row
-    of its size and mode (natural-parameter continuation: the channels stay
-    fixed); along a distance sweep, and at a sweep's first point, it starts
-    cold.  Optimized relay rows are left pending for ``_solve_df``.
+    At each point: the ``_surface_rows`` of ``sizes`` and ``irs_modes``, then
+    every relay mode on a single-antenna relay, each row ``_row`` of its
+    solver's power, rate and iterations.  A relay mode is ``<solver>_<emi>``,
+    the solver ``repetition`` or ``optimized`` and the EMI none (variance 0) or
+    iso.  Along a rho sweep the surface optimizer continues from point to point,
+    since the channels stay fixed; along a distance sweep it starts cold.
+    Optimized relay rows are left pending for ``_solve_df``.
     """
     frame = _Frame(scenario, sizes)
     noise, target = scenario.budget.noise_power_w, scenario.target_rate
     if variable == "rho_db":
-        points = [(float(rho), scenario.dest_pos, _emi_variance(rho, noise))
-                  for rho in scenario.rhos_db()]
+        sight = frame.sight(scenario.dest_pos)
+        points = [(float(rho), sight, _emi_variance(rho, noise)) for rho in scenario.rhos_db()]
     else:
-        points = [(float(d), tuple(dest.tolist()), scenario.emi_variance)
+        points = [(float(d), frame.sight(tuple(dest.tolist())), scenario.emi_variance)
                   for d, dest in zip(scenario.distances(), scenario.sweep_destinations())]
-    sights = {d: frame.sight(d) for d in dict.fromkeys(p[1] for p in points)}
-    optimized = any(mode.startswith("optimized") for mode in irs_modes)
-    rows = [[] for _ in points]  # each point's rows, flattened in point order
-    for n, layout in frame.layouts.items():
-        h_sr = los_channel(frame.beta_sr, *frame.source_angles, layout)
-        toward = {d: los_channel(beta_rd, *angles, layout)
-                  for d, (angles, beta_rd) in sights.items() if optimized}
-        for mode in irs_modes:
-            solver, emi = mode.split("_")
-            phases = None  # the last optimized phases of this size and mode
-            for (x, dest, variance), point_rows in zip(points, rows):
-                angles, beta_rd = sights[dest]
-                variance = 0.0 if emi == "none" else variance
-                if solver == "heuristic":
-                    gain = frame.beta_sr * beta_rd * n ** 2
-                    power, rate = irs_mod.power_and_rate(
-                        target, gain, variance * beta_rd * frame.form(n, emi, angles) + noise)
-                    iterations = 0
-                else:
-                    power, rate, phases, iterations, _ = irs_mod.irs_min_power_emi_aware(
-                        target, irs_mod.IrsLink(h_sr, toward[dest], variance,
-                                                frame.correlation(n, emi, angles), noise),
-                        phases if variable == "rho_db" else None)
-                point_rows.append(_row(x, f"irs_n{n}", mode, power, rate, iterations))
-    for (x, dest, variance), point_rows in zip(points, rows):
+    rows = _surface_rows(frame, sizes, points, irs_modes, variable == "rho_db")
+    for (x, (_, beta_rd), variance), point_rows in zip(points, rows):
         for mode in df_modes:
-            inputs = (frame.beta_sr, sights[dest][1],
-                      0.0 if mode.endswith("_none") else variance, noise)
+            inputs = (frame.beta_sr, beta_rd, 0.0 if mode.endswith("_none") else variance, noise)
             point_rows.append((x, "df", mode, relay_mod.effective_gains_single(*inputs))
                               if mode.startswith("optimized")
                               else _row(x, "df", mode, *_df_repetition(target, *inputs)))
@@ -442,25 +446,19 @@ def run_fig8(scenario: Scenario) -> SweepResult:
     Covers isotropic EMI and the destination-centred gaussian (case 2) at the
     configured rho (covariance v R + N0 I), a no-EMI relay reference (N0 I),
     and at every antenna count the surface reference: fig5's surface at that
-    rho, iso and case 2, each solved once, cold, on the figure's frame.  One
-    case-2 kernel spans the largest rows and columns of the relays and the
-    surface, and every array reads its EMI from it.  Per antenna count, each
-    MMSE gain solves its covariance and each MR gain is the closed form
-    beta_sr M^2 / (v q + N0 M) of q = ``_Frame.form`` (see relay); the
-    relay rows wait for ``_solve_df``, as optimized DF rows do.
+    rho, iso and case 2, two cold ``_surface_rows`` on the figure's frame,
+    relabelled per count.  One case-2 kernel spans the largest rows and columns
+    of the relays and the surface, and every array reads its EMI from it.  Per
+    antenna count, each MMSE gain solves its covariance and each MR gain is the
+    closed form beta_sr M^2 / (v q + N0 M) of q = ``_Frame.form`` (see relay);
+    the relay rows wait for ``_solve_df``, as optimized DF rows do.
     """
     noise, variance = scenario.budget.noise_power_w, scenario.emi_variance
     n_ref = scenario.irs_reference_elements
     frame = _Frame(scenario, (n_ref, *scenario.relay_antennas))
-    angles, beta_rd = frame.sight(scenario.dest_pos)
-    layout, refs = frame.layouts[n_ref], []
-    h_sr = los_channel(frame.beta_sr, *frame.source_angles, layout)
-    h_rd = los_channel(beta_rd, *angles, layout)
-    for emi in ("iso", "case2"):
-        link = irs_mod.IrsLink(h_sr, h_rd, variance, frame.correlation(n_ref, emi, angles), noise)
-        power, rate, _, iterations, _ = irs_mod.irs_min_power_emi_aware(
-            scenario.target_rate, link, None)
-        refs.append((f"irs_n{n_ref}", f"optimized_{emi}", power, rate, iterations))
+    angles, beta_rd = sight = frame.sight(scenario.dest_pos)
+    (refs,) = _surface_rows(frame, (n_ref,), [(scenario.rho_db, sight, variance)],
+                            ("optimized_iso", "optimized_case2"), False)
     rows, mmse = [], relay_mod.CombinerKind.MMSE
     for m in scenario.relay_antennas:
         layout = frame.layouts[m]
@@ -476,7 +474,7 @@ def run_fig8(scenario: Scenario) -> SweepResult:
                 variance * frame.form(m, emi, angles) + noise * m)
             rows.extend((float(m), tech, f"optimized_{emi}", relay_mod.EffectiveGains(
                 alpha1, alpha2)) for tech, alpha1 in gains.items())
-        rows.extend(_row(float(m), *ref) for ref in refs)
+        rows.extend(replace(ref, sweep_var=float(m)) for ref in refs)
     return SweepResult("antennas", _solve_df(scenario.target_rate, rows))
 
 

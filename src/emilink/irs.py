@@ -30,8 +30,8 @@ followed by one SQUAREM extrapolation of the phase angles (Varadhan and
 Roland, Scand. J. Stat. 35(2), 2008), kept only if it raises g, which cuts
 the slow linear convergence where interference dominates.  An extrapolation
 also costs one product with R, so the iteration count is the number of
-products with R taken after the start is chosen.  It stops when a plain step changes g by at most MM_TOL
-(relative), or after MM_MAX_ITERS products.
+products with R taken after the start is chosen.  It stops when a plain step
+changes g by at most MM_TOL (relative), or after MM_MAX_ITERS products.
 """
 
 from __future__ import annotations
@@ -246,8 +246,9 @@ def irs_min_power_emi_aware(target_rate: float, link: IrsLink,
     it uses where that beats the noise-only phases; stopping at MM_TOL or
     MM_MAX_ITERS) and the power follows in closed form.  Returns
     ``(power_w, rate, phases, iterations, converged)``,
-    ``irs_power_and_rate``'s pair followed by the optimizer's triple.  The power never exceeds the noise-only-phases power;
-    it is returned however large, for the caller to hold against POWER_UPPER_W.
+    ``irs_power_and_rate``'s pair followed by the optimizer's triple.  The power
+    never exceeds the noise-only-phases power.  It is returned however large, for
+    the caller to hold against POWER_UPPER_W.
     """
     phases, iterations, converged = phases_emi_aware(link, start)
     return *irs_power_and_rate(target_rate, link, phases), phases, iterations, converged

@@ -358,6 +358,24 @@ def test_only_bench_row_reads_the_power_cap():
     assert readers == {("bench", "_row")}
 
 
+def package_callers(*names):
+    """(module, scope, callee) of every call under ``src/emilink`` of a function
+    named in ``names``, the scope a dotted path of the enclosing defs."""
+    callers = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "id", getattr(child.func, "attr", None)) in names:
+                callers.add((module, scope, ast.unparse(child.func)))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, module, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    for path in pathlib.Path(cli.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return callers
+
+
 def test_every_optimized_df_row_takes_one_batch_solve(monkeypatch):
     # one DF min-power path: fig5, fig6 and fig8 hand all their optimized DF rows
     # to one df_min_power_batch call, the other figures make none, and no figure
@@ -380,20 +398,18 @@ def test_every_optimized_df_row_takes_one_batch_solve(monkeypatch):
                        "run_fig7": [], "run_fig8": [5 * len(SMALL.relay_antennas)]}
 
     # and in the source, bench._solve_df is the one caller of either solve
-    callers = set()
+    assert package_callers("df_min_power", "df_min_power_batch") == {
+        ("bench", "_solve_df", "relay_mod.df_min_power_batch")}
 
-    def visit(node, module, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and getattr(
-                    child.func, "id", getattr(child.func, "attr", None)) in (
-                    "df_min_power", "df_min_power_batch"):
-                callers.add((module, scope, ast.unparse(child.func)))
-            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            visit(child, module, f"{scope}.{child.name}".lstrip(".") if named else scope)
 
-    for path in pathlib.Path(cli.__file__).parent.glob("*.py"):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
-    assert callers == {("bench", "_solve_df", "relay_mod.df_min_power_batch")}
+def test_one_function_makes_every_surface_row():
+    # fig8's references and every sweep's surface rows come from bench._surface_rows,
+    # the one caller of the surface optimizer and of the closed-form power
+    assert package_callers("irs_min_power_emi_aware") == {
+        ("bench", "_surface_rows", "irs_mod.irs_min_power_emi_aware")}
+    assert package_callers("power_and_rate") == {
+        ("bench", "_surface_rows", "irs_mod.power_and_rate"),
+        ("irs", "irs_power_and_rate", "power_and_rate")}
 
 
 def test_solve_df_keeps_every_row_in_place(monkeypatch):
@@ -963,10 +979,8 @@ def dense_heuristic_links(scenario, result):
     matrix, for the dense path (``irs_power_and_rate`` on the noise-only phases)
     that checks the sweeps' closed form."""
     noise = scenario.budget.noise_power_w
-    # grouped by array and mode, so that the frame's one correlation slot serves
-    # each run of rows on one kernel
-    rows = sorted((r for r in result.rows if r.technology.startswith("irs_n")
-                   and r.mode.startswith("heuristic_")), key=lambda r: (r.technology, r.mode))
+    rows = [r for r in result.rows if r.technology.startswith("irs_n")
+            and r.mode.startswith("heuristic_")]
     sizes = sorted({int(r.technology.removeprefix("irs_n")) for r in rows})
     frame = bench._Frame(scenario, sizes)
     dests = dict(zip(scenario.distances().tolist(), scenario.sweep_destinations().tolist()))
@@ -1257,9 +1271,9 @@ def test_each_figure_does_a_fixed_amount_of_work(monkeypatch):
     for module, name in zip((bench.emi_mod,) * 3 + (bench,), names):
         monkeypatch.setattr(module, name, lambda *args, name=name, fn=getattr(module, name):
                             calls.update([name]) or fn(*args))
-    for runner, counts in ((run_fig3, (3, 0, 0, 3)), (run_fig4, (1, 0, 0, 1)),
+    for runner, counts in ((run_fig3, (3, 0, 0, 0)), (run_fig4, (1, 0, 0, 0)),
                            (run_fig5, (0, 1, 0, 2)), (run_fig6, (3, 3, 0, 81)),
-                           (run_fig7, (28, 0, 27, 1)), (run_fig8, (160, 162, 1, 162))):
+                           (run_fig7, (28, 0, 27, 0)), (run_fig8, (160, 162, 1, 162))):
         calls.clear()
         runner(Scenario())
         assert tuple(calls[name] for name in names) == counts, runner
