@@ -318,7 +318,7 @@ def _solve_df(target_rate, rows) -> tuple[SweepRow, ...]:
     return tuple(row if isinstance(row, SweepRow) else next(solved) for row in rows)
 
 
-def _surface_rows(frame: _Frame, sizes, points, modes, continued: bool) -> list[list]:
+def _surface_rows(frame: _Frame, sizes, points, modes) -> list[list]:
     """Each point's surface rows: at each (sweep value, ``_Frame.sight``, EMI variance)
     point, the ``_row`` of an ``irs_n<size>`` surface per size in ``sizes`` (a
     repeated size runs once) and mode ``<solver>_<emi>`` in ``modes``: ``heuristic``
@@ -328,22 +328,20 @@ def _surface_rows(frame: _Frame, sizes, points, modes, continued: bool) -> list[
     The rows are taken size by size, mode by mode, point by point.  Each run keeps
     its last lattice and that lattice's read (the form, or the ``_Frame.correlation``
     of an optimized row) as loop variables, and reads again only when a point's
-    lattice is another object.  A size's channels are built on its first optimized
-    mode.  With ``continued``, an optimized row starts from the phases of the
-    previous point's row of its size and mode (natural-parameter continuation, for
-    points whose channels stay fixed), else cold.
+    lattice is another object.  A size's one channel h_sr is built on its first
+    optimized mode.  An optimized row solves the link toward sqrt(beta_rd / beta_sr)
+    conj(h_sr), with its real link's g at shifted phases (see irs on plane waves);
+    it starts from the run's last phases if the two sights are equal, else cold.
     """
     noise, target = frame.scenario.budget.noise_power_w, frame.scenario.target_rate
     rows = [[] for _ in points]
     for n in dict.fromkeys(sizes):
-        layout, toward = frame.layouts[n], None
+        h_sr = None
         for mode in modes:
             solver, emi = mode.split("_")
-            if solver == "optimized" and toward is None:
-                h_sr = los_channel(frame.beta_sr, *frame.source_angles, layout)
-                toward = {(angles, beta_rd): los_channel(beta_rd, *angles, layout)
-                          for angles, beta_rd in dict.fromkeys(s for _, s, _ in points)}
-            phases, last, read = None, None, 0.0  # none never reads: its form is 0
+            if solver == "optimized" and h_sr is None:
+                h_sr = los_channel(frame.beta_sr, *frame.source_angles, frame.layouts[n])
+            phases, last, read, previous = None, None, 0.0, None  # none never reads: its form is 0
             for (x, (angles, beta_rd), variance), point_rows in zip(points, rows):
                 variance = 0.0 if emi == "none" else variance
                 lattice = frame.lattice(emi, angles)
@@ -356,9 +354,11 @@ def _surface_rows(frame: _Frame, sizes, points, modes, continued: bool) -> list[
                         target, frame.beta_sr * beta_rd * n ** 2, variance * beta_rd * read + noise)
                     iterations = 0
                 else:
-                    link = irs_mod.IrsLink(h_sr, toward[angles, beta_rd], variance, read, noise)
+                    link = irs_mod.IrsLink(h_sr, math.sqrt(beta_rd / frame.beta_sr) * h_sr.conj(),
+                                           variance, read, noise)
                     power, rate, phases, iterations, _ = irs_mod.irs_min_power_emi_aware(
-                        target, link, phases if continued else None)
+                        target, link, phases if (angles, beta_rd) == previous else None)
+                    previous = angles, beta_rd
                 point_rows.append(_row(x, f"irs_n{n}", mode, power, rate, iterations))
     return rows
 
@@ -371,9 +371,8 @@ def _sweep(scenario: Scenario, variable: str, sizes, irs_modes, df_modes) -> Swe
     every relay mode on a single-antenna relay, each row ``_row`` of its
     solver's power, rate and iterations.  A relay mode is ``<solver>_<emi>``,
     the solver ``repetition`` or ``optimized`` and the EMI none (variance 0) or
-    iso.  Along a rho sweep the surface optimizer continues from point to point,
-    since the channels stay fixed; along a distance sweep it starts cold.
-    Optimized relay rows are left pending for ``_solve_df``.
+    iso.  A rho sweep's points share one sight, so its surface rows continue
+    (see ``_surface_rows``).  Optimized relay rows wait for ``_solve_df``.
     """
     frame = _Frame(scenario, sizes)
     noise, target = scenario.budget.noise_power_w, scenario.target_rate
@@ -383,7 +382,7 @@ def _sweep(scenario: Scenario, variable: str, sizes, irs_modes, df_modes) -> Swe
     else:
         points = [(float(d), frame.sight(tuple(dest.tolist())), scenario.emi_variance)
                   for d, dest in zip(scenario.distances(), scenario.sweep_destinations())]
-    rows = _surface_rows(frame, sizes, points, irs_modes, variable == "rho_db")
+    rows = _surface_rows(frame, sizes, points, irs_modes)
     for (x, (_, beta_rd), variance), point_rows in zip(points, rows):
         for mode in df_modes:
             inputs = (frame.beta_sr, beta_rd, 0.0 if mode.endswith("_none") else variance, noise)
@@ -446,7 +445,7 @@ def run_fig8(scenario: Scenario) -> SweepResult:
     Covers isotropic EMI and the destination-centred gaussian (case 2) at the
     configured rho (covariance v R + N0 I), a no-EMI relay reference (N0 I),
     and at every antenna count the surface reference: fig5's surface at that
-    rho, iso and case 2, two cold ``_surface_rows`` on the figure's frame,
+    rho, iso and case 2, the ``_surface_rows`` of one point (so cold solves),
     relabelled per count.  One case-2 kernel spans the largest rows and columns
     of the relays and the surface, and every array reads its EMI from it.  Per
     antenna count, each MMSE gain solves its covariance and each MR gain is the
@@ -458,7 +457,7 @@ def run_fig8(scenario: Scenario) -> SweepResult:
     frame = _Frame(scenario, (n_ref, *scenario.relay_antennas))
     angles, beta_rd = sight = frame.sight(scenario.dest_pos)
     (refs,) = _surface_rows(frame, (n_ref,), [(scenario.rho_db, sight, variance)],
-                            ("optimized_iso", "optimized_case2"), False)
+                            ("optimized_iso", "optimized_case2"))
     rows, mmse = [], relay_mod.CombinerKind.MMSE
     for m in scenario.relay_antennas:
         layout = frame.layouts[m]

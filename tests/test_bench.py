@@ -11,6 +11,7 @@ import pathlib
 import pickle
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -521,8 +522,8 @@ def numpy_dispatch() -> dict[str, str]:
     CPU target of each float64 and complex128 loop of sin, cos, exp, arctan2 and
     hypot ("baseline" for a loop numpy does not dispatch, "unknown" on numpy < 2),
     numpy's BLAS configuration and OPENBLAS_CORETYPE.  GOLDEN_DISPATCH records it
-    as it was when the goldens were written; rewrite it with them, from the
-    repository root, with ``PYTHONPATH=src python tests/test_bench.py``."""
+    as it was when the goldens were written; ``PYTHONPATH=src python
+    tests/test_bench.py``, run from the repository root, rewrites both."""
     try:
         from numpy.lib.introspect import opt_func_info
         targets = opt_func_info(func_name="^(sin|cos|exp|arctan2|hypot)$")
@@ -613,6 +614,29 @@ def test_benchmark_gate_passes_in_process(perfbench, seed0_runs, seed):
                                      compare_values=seed == 0) == [], (name, fig)
 
 
+DRAWN_SEEDS = range(8)  # ~0.12 s per seed (both runs, 2-CPU machine)
+
+
+@pytest.mark.filterwarnings("error")
+def test_every_figure_holds_on_drawn_paper_size_configs(perfbench):
+    """fig3..fig8 on the benchmark's paper_rows configs of seeds 0..7 (node, rho
+    and spread drawn by ``make_config``), with warnings as errors.  Every row
+    meets the gate's invariants: the target rate, an optimized row at or below
+    its heuristic or repetition row, MMSE at or below MR.  A second run gives
+    the same bytes.  The run's own rows are the gate's reference, so the key
+    and feasibility checks hold by construction."""
+    gate, workloads = perfbench
+    for seed in DRAWN_SEEDS:
+        scenario = scenario_from_config(workloads.make_config(
+            workloads.WORKLOADS["paper_rows"], seed))
+        for fig, runner in RUNNERS.items():
+            text = format_csv(runner(scenario))
+            rows = gate.parse_csv(text)
+            assert gate.check_figure(fig, rows, rows, workloads.TARGET_RATE_BPS_HZ,
+                                     compare_values=False) == [], (seed, fig)
+            assert format_csv(runner(scenario)) == text, (seed, fig)
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "known defect (ROADMAP item 5): on the large_surface seed-1 config the surface "
     "optimizer takes MM_MAX_ITERS products and warns on fig8's 400-element case-2 "
@@ -647,14 +671,10 @@ PAPER_GOLDENS = {
 def test_paper_size_output_matches_golden_bytes(name, seed0_runs):
     """Figures at the paper's sizes, byte for byte.
 
-    Regenerate from the repository root with
-    ``PYTHONPATH=src python -m emilink.cli figN --out tests/data/golden/paper``
-    for N = 3..8, and for the ``_n400`` files run fig5 and fig7 with
-    ``--config`` naming a file that holds
-    ``{"irs": {"elements": [400], "reference_elements": 400}}``, then rename
-    the outputs.  A golden that belongs to a benchmark workload reuses its
-    seed-0 pass.  The files do not depend on the BLAS thread count: they come
-    out byte-identical with ``OPENBLAS_NUM_THREADS`` set to 1 and to 2.
+    ``numpy_dispatch`` says how to regenerate them.  A golden that belongs to a
+    benchmark workload reuses its seed-0 pass.  The files do not depend on the
+    BLAS thread count: they come out byte-identical with ``OPENBLAS_NUM_THREADS``
+    set to 1 and to 2.
     """
     scenario, fig, workload = PAPER_GOLDENS[name]
     if workload is None:
@@ -866,8 +886,8 @@ def test_fig5_continuation_matches_cold_solves(monkeypatch, scenario):
     """Each optimized fig5 surface row starts from the previous rho's phases; against
     a cold solve of its own link it may end higher by no more than 1e-6 dB, and its g
     is never below the noise-only g.  Seen: at most 2.6e-7 dB higher (400 elements,
-    34 dB) and 0.0106 dB lower (400 elements, 40 dB); 828 -> 575 products on 400
-    elements, 197 -> 137 on 75."""
+    34 dB) and 0.0106 dB lower (400 elements, 40 dB); 834 -> 556 products on 400
+    elements (828 cold on the real links), 197 -> 137 on 75."""
     solves = spy_surface_solves(monkeypatch)
     rows = [r for r in run_fig5(scenario).rows if r.technology.startswith("irs")]
     monkeypatch.undo()
@@ -898,8 +918,8 @@ def test_descending_rho_sweep_stays_below_the_heuristic():
 
 
 def test_only_rho_sweeps_continue_the_surface_optimizer(monkeypatch):
-    # distance steps move the channels, and fig8 solves its iso and case-2 surface
-    # references each from a cold start
+    # a distance step moves beta_rd, so it starts cold, and fig8 solves its iso and
+    # case-2 surface references each from a cold start
     solves = spy_surface_solves(monkeypatch)
     for runner, count in ((run_fig6, 6), (run_fig8, 2)):
         solves.clear()
@@ -909,19 +929,22 @@ def test_only_rho_sweeps_continue_the_surface_optimizer(monkeypatch):
 
 def test_each_size_continues_its_own_surface_solves(monkeypatch):
     # along a rho sweep over two sizes, each size's optimizer starts cold at the
-    # first point and then from that size's previous phases; a distance sweep
-    # starts every solve of every size cold
-    solves = spy_surface_solves(monkeypatch)
-    for variable in ("rho_db", "distance_m"):
+    # first point and then from that size's previous phases, and so does a
+    # distance sweep whose points coincide; a distance sweep that moves starts
+    # every solve of every size cold
+    solves, coinciding = spy_surface_solves(monkeypatch), replace(SMALL, distance_sweep=(60, 60, 3))
+    for variable, scenario, continues in (("rho_db", SMALL, True), ("distance_m", SMALL, False),
+                                          ("distance_m", coinciding, True)):
         solves.clear()
-        bench._sweep(SMALL, variable, (16, 9), ("optimized_iso",), ())
+        bench._sweep(scenario, variable, (16, 9), ("optimized_iso",), ())
         by_size = {}
         for link, start, result in solves:
             by_size.setdefault(link.h_sr.size, []).append((start, result))
-        assert {n: len(seen) for n, seen in by_size.items()} == {16: 6, 9: 6}, variable
+        steps = len(scenario.rhos_db() if variable == "rho_db" else scenario.distances())
+        assert {n: len(seen) for n, seen in by_size.items()} == {16: steps, 9: steps}, scenario
         for seen in by_size.values():
             starts = [start for start, _ in seen]
-            if variable == "distance_m":
+            if not continues:
                 assert starts == [None] * len(seen)
                 continue
             assert starts[0] is None
@@ -973,24 +996,27 @@ def test_fig7_case_ordering():
             watt_to_dbm(63.0 * noise / (16 ** 2 * b_sr * b_rd)), abs=1e-9)
 
 
-def dense_heuristic_links(scenario, result):
-    """(row, IrsLink) for each heuristic surface row of ``result``, a run of
-    ``scenario``: the row's channels toward its destination and its correlation
-    matrix, for the dense path (``irs_power_and_rate`` on the noise-only phases)
-    that checks the sweeps' closed form."""
+def dense_surface_links(scenario, result, solver="heuristic"):
+    """(row, IrsLink) for each ``solver`` (heuristic or optimized) surface row of
+    ``result``, a run of ``scenario``: the row's real channels toward its
+    destination and its correlation matrix, for the dense path
+    (``irs_power_and_rate``) that checks the sweeps' closed form and the phases
+    of their virtual links.  A fig8 result's rows lie at the configured rho and
+    destination."""
     noise = scenario.budget.noise_power_w
     rows = [r for r in result.rows if r.technology.startswith("irs_n")
-            and r.mode.startswith("heuristic_")]
+            and r.mode.startswith(f"{solver}_")]
     sizes = sorted({int(r.technology.removeprefix("irs_n")) for r in rows})
     frame = bench._Frame(scenario, sizes)
     dests = dict(zip(scenario.distances().tolist(), scenario.sweep_destinations().tolist()))
     links = []
     for row in rows:
-        emi = row.mode.removeprefix("heuristic_")
+        emi = row.mode.removeprefix(f"{solver}_")
+        dest, variance = scenario.dest_pos, scenario.emi_variance
         if result.sweep_variable == "rho_db":
-            dest, variance = scenario.dest_pos, bench._emi_variance(row.sweep_var, noise)
-        else:
-            dest, variance = tuple(dests[row.sweep_var]), scenario.emi_variance
+            variance = bench._emi_variance(row.sweep_var, noise)
+        elif result.sweep_variable == "distance_m":
+            dest = tuple(dests[row.sweep_var])
         angles, beta_rd = frame.sight(dest)
         n = int(row.technology.removeprefix("irs_n"))
         layout = frame.layouts[n]
@@ -1025,7 +1051,7 @@ def test_only_optimized_surface_rows_take_a_quadratic_form(monkeypatch):
     # every heuristic link of the paper's figures; the rate at 6 bit/s/Hz rounds
     # to 6.0 whatever the last bits of the power, so two other targets check it
     links = [link for runner in (run_fig3, run_fig4, run_fig7)
-             for _, link in dense_heuristic_links(Scenario(), runner(Scenario()))]
+             for _, link in dense_surface_links(Scenario(), runner(Scenario()))]
     assert len(links) == 26 * (3 * 2 + 1 + 4)
     for link in links:
         phases = irs.phases_noise_only(link.h_sr, link.h_rd)
@@ -1050,7 +1076,7 @@ def test_heuristic_surface_rows_match_the_dense_path(scenario, figures):
     oracles' 1e-13 dB.
     """
     for fig in figures:
-        links = dense_heuristic_links(scenario, RUNNERS[fig](scenario))
+        links = dense_surface_links(scenario, RUNNERS[fig](scenario))
         assert links, fig
         for row, link in links:
             phases = irs.phases_noise_only(link.h_sr, link.h_rd)
@@ -1060,6 +1086,41 @@ def test_heuristic_surface_rows_match_the_dense_path(scenario, figures):
                 continue
             assert abs(row.power_dbm - watt_to_dbm(power)) <= 1e-13, (fig, row, power)
             assert abs(row.rate_bps_hz - rate) <= 1e-15, (fig, row, rate)
+
+
+@pytest.mark.parametrize("scenario", [pytest.param(Scenario(), id="paper"),
+                                      pytest.param(N400, id="n400")])
+def test_optimized_surface_rows_hold_on_their_real_links(monkeypatch, scenario):
+    """Every optimized surface row of fig5 and fig6, and fig8's two references,
+    solves the virtual link of its size's one channel.  Its phases phi, moved onto
+    the row's real channels as phi + arg h_rd,virtual - arg h_rd,real, give the
+    row's power on the dense path within 1e-12 relative, and no row ends more than
+    1e-6 dB above a cold solve of its real link.
+
+    Worst seen: 7.6e-16 relative, and 2.62e-7 dB above a cold solve (fig5 at 34 dB
+    on 400 elements, the rise its continuation shows against cold virtual solves).
+    """
+    solves = spy_surface_solves(monkeypatch)
+    results = [run_fig5(scenario), run_fig6(scenario),
+               run_fig8(replace(scenario, relay_antennas=(1,)))]
+    monkeypatch.undo()
+    spied, checked = iter(solves), 0
+    for result in results:
+        links = dense_surface_links(scenario, result, "optimized")
+        # the solves run size by size, mode by mode, point by point
+        runs = list(dict.fromkeys((row.technology, row.mode) for row, _ in links))
+        for row, real in sorted(links, key=lambda pair: runs.index(
+                (pair[0].technology, pair[0].mode))):
+            virtual, _, (power, _, phases, _, _) = next(spied)
+            assert row.power_dbm == watt_to_dbm(power), row
+            moved = phases + np.angle(virtual.h_rd) - np.angle(real.h_rd)
+            dense, _ = irs.irs_power_and_rate(scenario.target_rate, real, moved)
+            assert abs(dense - power) <= 1e-12 * power, (row, dense, power)
+            cold = irs.irs_min_power_emi_aware(scenario.target_rate, real, None)[0]
+            assert row.power_dbm <= watt_to_dbm(cold) + 1e-6, (row, cold)
+            checked += 1
+    assert next(spied, None) is None
+    assert checked == 26 * (1 + len(scenario.irs_elements)) + 2
 
 
 def test_fig8_mr_gains_match_the_dense_path(monkeypatch):
@@ -1263,17 +1324,17 @@ def test_each_figure_does_a_fixed_amount_of_work(monkeypatch):
     # calls of (plane_wave_form, gather, directional_kernel, los_channel) per figure
     # on Scenario(): a form per array, EMI and centre (none takes none); a gather
     # per array and kernel an optimized surface row or an MMSE gain reads; a
-    # kernel per case-1 figure and per case-2 direction; a source channel per
-    # array and a destination channel per array and destination that an
-    # optimized surface row or a relay reads
+    # kernel per case-1 figure and per case-2 direction; one channel per surface
+    # size that an optimized row reads, and a source and a destination channel
+    # per relay
     names = ("plane_wave_form", "gather", "directional_kernel", "los_channel")
     calls = collections.Counter()
     for module, name in zip((bench.emi_mod,) * 3 + (bench,), names):
         monkeypatch.setattr(module, name, lambda *args, name=name, fn=getattr(module, name):
                             calls.update([name]) or fn(*args))
     for runner, counts in ((run_fig3, (3, 0, 0, 0)), (run_fig4, (1, 0, 0, 0)),
-                           (run_fig5, (0, 1, 0, 2)), (run_fig6, (3, 3, 0, 81)),
-                           (run_fig7, (28, 0, 27, 0)), (run_fig8, (160, 162, 1, 162))):
+                           (run_fig5, (0, 1, 0, 1)), (run_fig6, (3, 3, 0, 3)),
+                           (run_fig7, (28, 0, 27, 0)), (run_fig8, (160, 162, 1, 161))):
         calls.clear()
         runner(Scenario())
         assert tuple(calls[name] for name in names) == counts, runner
@@ -1465,4 +1526,14 @@ def test_cli_infeasible_exit_code(tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
+    # rewrite every byte golden from GOLDEN_CONFIG and PAPER_GOLDENS, and the
+    # dispatch they are written under
+    with tempfile.TemporaryDirectory() as tmp:
+        config = pathlib.Path(tmp) / "config.json"
+        config.write_text(json.dumps(GOLDEN_CONFIG), encoding="utf-8")
+        for fig in RUNNERS:
+            if cli.main([fig, "--config", str(config), "--out", str(GOLDEN_DIR), "--dump-corr"]):
+                sys.exit(f"emilink {fig} failed; the goldens are partly rewritten")
+    for name, (scenario, fig, _) in PAPER_GOLDENS.items():
+        (GOLDEN_DIR / "paper" / name).write_bytes(format_csv(RUNNERS[fig](scenario)).encode())
     GOLDEN_DISPATCH.write_text(json.dumps(numpy_dispatch(), indent=1) + "\n", encoding="utf-8")
