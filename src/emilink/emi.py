@@ -27,7 +27,9 @@ The interference u^H R u that a plane wave u picks up (a surface with the
 noise-only phases, an MR relay) is one sum over the same window of the
 kernel and of the wave's own lattice of phases, ``plane_wave_form``: O(N)
 work and no N x N array.  emi keeps no memo besides the read-only
-Gauss-Legendre rules.
+Gauss-Legendre rules.  The two that the sweeps use, 64 nodes and the mass
+check's 128, are stored in the module as numpy's own bits, so a figure run
+imports no numpy.polynomial and solves no eigenproblem for them.
 
 Both correlations are used as built, with no projection onto the PSD cone.
 The quadrature matrix is a positively weighted sum of outer products.  The
@@ -117,10 +119,65 @@ def corr_isotropic(layout: ArrayLayout) -> np.ndarray:
     return gather(isotropic_kernel(layout), layout)
 
 
+# The Gauss-Legendre rules of the two counts that the sweeps use,
+# QUADRATURE_NODES and the mass check's doubling: the nonnegative halves of
+# numpy.polynomial.legendre.leggauss(n), n/2 nodes ascending and then their
+# weights, as little-endian float64 in hex (a table of float literals costs
+# more memory to compile).
+_STORED_RULES = {
+    64: ("32bc8c7a48ef983fd05ae95eadafb23f268a8ef42f18bf3f0fc0d58ae8b6c53f3bc89eb789d4cb3f"
+         "9ce4566ca2f0d03fcb766cc4b6ecd33fff0f62f0b1dcd63f9d2c2755cbbed93fc58f89c54291dc3f"
+         "a1c357926152df3f340f60ca3d00e13f7f482519f84ce23fc3b3e7ac958ee33f12b4683c53c4e43f"
+         "832f53b474ede53fc4126fa94509e73f8ec62ec61917e83fe22554334d16e93fb88d6dfb4406ea3f"
+         "c6dbee686fe6ea3f2caead5e44b6eb3fad0d8caa4575ec3f8a282152ff22ed3fafa535d907bfed3f"
+         "1b89f2810049ee3faa8fb58695c0ee3fbcaab54d7e25ef3fdafa6c977d77ef3fa9858cac61b6ef3f"
+         "cc4e27ab04e2ef3f33751f914efaef3f5d2eee6705eea83fdc2c1938e2dea83fc0767609a5c0a83f"
+         "b9e37f386093a83f3db5fb412f57a83f21dd4bb2360ca83fe2cd3c0fa4b2a73fb94f61bcad4aa73f"
+         "10250cda92d4a63ffc8dfb1e9b50a63f31f4cdac16bfa53fe2365adf5d20a53f30280917d174a43f"
+         "1ede507ed8bca33fe37475cae3f8a23fbdc8b5f76929a23fe3920d01e94ea13f6823b993e569a03f"
+         "b8b4537dd5f59e3f46f93a3c13059d3f760c1c07b2029b3f12466834eaef983f6ea3bb10fecd963f"
+         "3c14d21b399e943fd6a2a740ef61923fd9985c0a7c1a903fd9f85db383928b3fea4de84d52df863f"
+         "3cd30901401e823fa35a14246ba47a3f553bacc37afc703fdfda45189f375d3f"),
+    128: ("240b2d1abd08893f3ef150ae98c5a23f5e6ca6cb2246af3f61c8f6f4f1e0b53fe891fb87791bbc3f"
+          "82f5b412da28c13f42491f3e5741c43f34ac9204bb56c73ffd27ca9d8c68ca3fe7ed60cd5376cd3f"
+          "fdfa9b7acc3fd03f4fb3e193f2c1d13fdf7b1e1d6141d33f6d445c6bddbdd43fd1120c472d37d63f"
+          "005deef416add73fdd5de83e611fd93fcd0ac57cd38dda3f3d53e09c35f8db3f7756bb2c505edd3f"
+          "d13f7861ecbfde3f693e1e106a0ee03f82023c0369bae03f873708b9d863e13fa849b7449f0ae23f"
+          "2bc0b621a3aee23f54c59437cb4fe33feb22d7ddfeede33f0f1dc1df2589e43f8b9707802821e53f"
+          "91f4727cefb5e53fa71e6e116447e63f4d3282fd6fd5e63f0b3fbe84fd5fe73f6c9a0a74f7e6e73f"
+          "be426724496ae83f81d2147edee9e83fd388a7fba365e93f66ee03ad86dde93f26a2443a7451ea3f"
+          "0bdc88e65ac1ea3f5e38ab92292deb3f3261e0bfcf94eb3fb82f3d923df8eb3ff1e223d36357ec3f"
+          "200d98f333b2ec3f91dd780ea008ed3fb370a1ea9a5aed3ffed4eefc17a8ed3f7a782b6a0bf1ed3f"
+          "c0b8df086a35ee3f235707632975ee3fb39dabb73fb0ee3f961362fca3e6ee3f60bfafde4d18ef3f"
+          "703751c53545ef3f385468d1546def3f9eca91dfa490ef3fb204e98820afef3f1ba00d24c3c8ef3f"
+          "370b70c688ddef3f374f1f476eedef3f28c1184b71f8ef3fa6b66ec390feef3fc6fdd1616b08993f"
+          "4f980fd99604993faa2b925deefc983fbe7f511b73f1983f74e007d426e2983f074eedde0bcf983f"
+          "83cd5b2825b8983f14e85c31769d983f646a200f037f983f74785c6ad05c983fce0f977ee336983f"
+          "13125919420d983f6af94a99f2df973f9b573bedfbae973f04470f93657a973fb2f79c963742973f"
+          "0a8370907a06973fac397ba437c7963fc19bad807884963fe6347c5b473e963f25944ff2aef4953f"
+          "0c9fdf87baa7953ff87c7ae27557953fcb62374aed03953f3f8015872dad943f815e07df4353943f"
+          "25f5ea133ef6933fc9cd6e612a96933fe980e47a1733933f79e6008914cd923f49508a273164923f"
+          "7128f5627df8913fd754efb5098a913f87b9da06e718913fb34537a526a5903f8ce7fc46da2e903f"
+          "65adcb0b286c8f3f333153b9cc758e3fcd675248c87a8d3f50f41921417b8c3f82bca85c5e778b3f"
+          "2495b0be476f8a3f15dc80af2563893f34fad7352153883fd9b39cf0633f873f4e6080101828863f"
+          "71188b51680d853f74d892f47fef833f54fb9eb88ace823f6a5739d4b4aa813fcbabaeee2a84803f"
+          "716e813234b67e3f968f9a905f5f7c3f8d38e09833047a3f971355970ca5773f241351754742753f"
+          "f91eb5ac41dc723fabc0eb3c5973703f8861274ad90f6c3f73fdaeddb534673ff91e85f30756623f"
+          "eea3eb2f28e95a3fe7325ad07422513f9e3426875c733d3f"),
+}
+
+
 @cache
 def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per count.  The
+    64- and 128-node rules are ``_STORED_RULES`` mirrored about 0: numpy's rules
+    are exactly symmetric, so these are numpy's bits, read with no import of
+    numpy.polynomial and no eigenproblem.  Any other count is numpy's ``leggauss``."""
+    if nodes in _STORED_RULES:
+        x, w = np.frombuffer(bytes.fromhex(_STORED_RULES[nodes]), "<f8").reshape(2, -1)
+        x, w = np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+    else:
+        x, w = np.polynomial.legendre.leggauss(nodes)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -135,15 +192,29 @@ def _axis_rule(mean: float, std: float, nodes: int) -> tuple[np.ndarray, np.ndar
     return mid + half * x, half * w
 
 
+def _axes(density: AngularDensity, nodes: int):
+    """(nodes, weights, gaussian factor exp(-z^2 / 2)) on the azimuth axis, then on
+    the elevation axis, of the tensor rule with ``nodes`` per axis."""
+    axes = []
+    for mean, std in ((density.mean_azimuth, density.std_azimuth),
+                      (density.mean_elevation, density.std_elevation)):
+        x, w = _axis_rule(mean, std, nodes)
+        axes.append((x, w, np.exp(-0.5 * ((x - mean) / std) ** 2)))
+    return axes
+
+
 def _weighted_grid(density: AngularDensity, nodes: int):
     """Tensor rule nodes phi (P,), theta (T,) and unnormalized weights (P, T); the
     cos(theta) solid-angle Jacobian makes infinite spreads uniform on the hemisphere."""
-    phi, w_phi = _axis_rule(density.mean_azimuth, density.std_azimuth, nodes)
-    th, w_th = _axis_rule(density.mean_elevation, density.std_elevation, nodes)
-    z_phi = (phi[:, None] - density.mean_azimuth) / density.std_azimuth
-    z_th = (th[None, :] - density.mean_elevation) / density.std_elevation
-    values = np.exp(-0.5 * z_phi ** 2) * np.exp(-0.5 * z_th ** 2) * np.cos(th[None, :])
-    return phi, th, np.outer(w_phi, w_th) * values
+    (phi, w_phi, g_phi), (th, w_th, g_th) = _axes(density, nodes)
+    return phi, th, np.outer(w_phi, w_th) * (g_phi[:, None] * g_th * np.cos(th))
+
+
+def _mass(density: AngularDensity, nodes: int) -> float:
+    """The sum of ``_weighted_grid``'s weights, taken as the product of its two
+    one-axis sums, with no (P, T) grid; it differs from that sum by round-off."""
+    (_, w_phi, g_phi), (th, w_th, g_th) = _axes(density, nodes)
+    return float(np.sum(w_phi * g_phi) * np.sum(w_th * g_th * np.cos(th)))
 
 
 def directional_kernel(density: AngularDensity, nodes: int, layout: ArrayLayout) -> np.ndarray:
@@ -160,7 +231,7 @@ def directional_kernel(density: AngularDensity, nodes: int, layout: ArrayLayout)
     ks = 2.0 * np.pi * layout.spacing / layout.wavelength
     if nodes < 2:
         raise ValueError("need at least 2 quadrature nodes per axis")
-    mass_fine = float(np.sum(_weighted_grid(density, 2 * nodes)[2]))
+    mass_fine = _mass(density, 2 * nodes)
     phi, theta, weight = _weighted_grid(density, nodes)
     mass = float(np.sum(weight))
     if mass <= 0 or not np.isfinite(mass) or abs(mass - mass_fine) > 1e-6 * abs(mass_fine):

@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 from emilink import (AngularDensity, ArrayLayout, NumericalError,
                      corr_directional, corr_isotropic,
                      emi_quadratic_form, los_channel, make_layout, psd_project, wave_vector)
-from emilink.emi import (corr_matvec, directional_kernel, gather, isotropic_kernel,
-                         plane_wave_form, plane_wave_lattice)
+from emilink.emi import (_leggauss, _mass, _weighted_grid, corr_matvec, directional_kernel,
+                         gather, isotropic_kernel, plane_wave_form, plane_wave_lattice)
 from conftest import gram_oracle, random_unit_diag_psd, run_concurrently
 
 LAM = 0.1
@@ -122,6 +122,41 @@ def test_corr_directional_unresolvable_density_raises():
     spiky = AngularDensity(0.0, 0.0, 1e-7, 1e-7)
     with pytest.raises(NumericalError):
         corr_directional(lay, density=spiky, nodes=3)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_stored_gauss_legendre_rules_hold_their_definition(n):
+    # emi stores the sweeps' two rules rather than solving numpy's eigenproblem
+    # for them; each must be a symmetric n-node Gauss rule, exact to degree
+    # 2n - 1.  numpy's 128-node weights, which are stored, put 1.17e-14 on x^14
+    # even when summed in long double (numpy tests leggauss to degree 100 only)
+    x, w = _leggauss(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    for k in range(2 * n):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.sum(w * x ** k) - exact) <= {64: 1e-14, 128: 2e-14}[n], k
+    # numpy's own rule, within 2 ulp (the same bits on the machine that stored it)
+    x_np, w_np = np.polynomial.legendre.leggauss(n)
+    assert np.all(np.abs(x - x_np) <= 2 * np.spacing(np.abs(x_np)))
+    assert np.all(np.abs(w - w_np) <= 2 * np.spacing(w_np))
+    # any other count is numpy's
+    for got, want in zip(_leggauss(32), np.polynomial.legendre.leggauss(32)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("density", [
+    AngularDensity.isotropic(),
+    AngularDensity(0.0, 0.0, math.radians(10), math.radians(10)),
+    AngularDensity(1.3, -1.2, math.radians(10), math.radians(8)),
+    AngularDensity(-0.4, 0.5, 0.6, 0.9),
+], ids=["isotropic", "gauss_broadside", "gauss_clipped_on_one_side", "gauss_clipped_on_both"])
+def test_mass_check_is_the_tensor_sum(density):
+    # the node-doubling check takes the 128-node mass as a product of one-axis
+    # sums; it must be the sum of the 128 x 128 weights up to round-off
+    tensor = float(np.sum(_weighted_grid(density, 128)[2]))
+    assert abs(_mass(density, 128) - tensor) <= 1e-14 * tensor
 
 
 def test_psd_project_leaves_psd_untouched():
