@@ -227,6 +227,13 @@ def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == Scenario().rho_sweep[2]
 
 
+def test_readme_usage_line_is_the_help_usage(capsys):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    assert cli.main(["--help"]) == 0
+    assert "usage: " + block.strip() == capsys.readouterr().out.splitlines()[0]
+
+
 # Imports emilink and runs the CLI with the given arguments, then prints the
 # top-level names of the modules it loaded from site-packages.
 _SITE_PACKAGES_PROBE = """
@@ -1254,6 +1261,31 @@ def test_figure_runs_import_no_polynomial_module(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+_NO_ARGPARSE_CHILD = """
+import sys
+from emilink import cli
+for figure in ("fig3", "fig8"):
+    assert cli.main([figure, *sys.argv[1:]]) == 0
+loaded = {"argparse", "gettext", "locale"} & set(sys.modules)
+assert not loaded, loaded
+"""
+
+
+def test_figure_runs_import_no_argparse_gettext_or_locale(tmp_path):
+    """The CLI reads its options without argparse, so a child process that runs
+    fig3 and fig8 never imports argparse, gettext (for argparse's translated
+    help titles) or the locale module that gettext imports."""
+    cfg = tmp_path / "golden.json"
+    cfg.write_text(json.dumps(GOLDEN_CONFIG))
+    package_root = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _NO_ARGPARSE_CHILD,
+                           "--dump-corr", "--config", str(cfg), "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, check=False, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_fig8_structure_and_dominance():
     result = run_fig8(SMALL)
     for emi_name in ("iso", "case2"):
@@ -1549,6 +1581,99 @@ def test_cli_infeasible_exit_code(tmp_path, monkeypatch):
                                           math.inf, math.nan, 0),))
     monkeypatch.setitem(cli.bench.RUNNERS, "fig5", lambda sc: sentinel)
     assert cli.main(["fig5", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [["fig9"], ["fig3", "--bogus"], ["--dump", "fig3"],
+                                  ["fig3", "--config"], ["fig3", "--out", "--dump-corr"],
+                                  ["fig3", "--format", "pdf"], ["--format=pdf", "fig3"],
+                                  [], ["--dump-corr"]],
+                         ids=["unknown-figure", "unknown-option", "prefix-option",
+                              "no-value", "option-as-value", "pdf", "pdf-equals",
+                              "nothing", "no-figure"])
+def test_cli_usage_error_exits_1_and_writes_nothing(argv, tmp_path, capsys):
+    # a usage error is an error (1), not "no feasible row" (2), and no figure runs
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage == cli.USAGE and error.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["fig3", "--help"]])
+def test_cli_help_exits_0_and_prints_the_usage(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == cli.USAGE and captured.err == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_all_writes_the_bytes_of_six_single_figure_runs(tmp_path, capsys):
+    cfg = tmp_path / "golden.json"
+    cfg.write_text(json.dumps(GOLDEN_CONFIG))
+    single = tmp_path / "single"
+    for fig in RUNNERS:
+        assert cli.main([fig, "--config", str(cfg), "--out", str(single), "--dump-corr"]) == 0
+    capsys.readouterr()
+    together = tmp_path / "all"
+    assert cli.main(["all", "--config", str(cfg), "--out", str(together), "--dump-corr"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    written = sorted(p.name for p in together.iterdir())
+    assert written == sorted(p.name for p in single.iterdir()) == sorted(
+        p.name for p in GOLDEN_DIR.iterdir() if p.is_file())
+    assert sorted(pathlib.Path(line).name for line in printed) == written
+    assert [pathlib.Path(line).name for line in printed if not line.endswith("_corr.csv")] == [
+        f"{fig}.csv" for fig in RUNNERS]
+    for name in written:
+        assert (together / name).read_bytes() == (single / name).read_bytes(), name
+
+
+def test_cli_svg_for_two_figures_either_option_spelling(tmp_path):
+    cfg = tmp_path / "golden.json"
+    cfg.write_text(json.dumps(GOLDEN_CONFIG))
+    out = tmp_path / "o"
+    assert cli.main(["--format=svg", f"--out={out}", "fig4", "fig3",
+                     "--config", str(cfg)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["fig3.svg", "fig4.svg"]
+    for fig in ("fig3", "fig4"):
+        assert (out / f"{fig}.svg").read_text() == format_svg(
+            RUNNERS[fig](scenario_from_config(GOLDEN_CONFIG)))
+
+
+def test_cli_exit_code_precedence(tmp_path, monkeypatch, capsys):
+    # 1 on any error, else 2 when any figure has no feasible row, else 0; a
+    # figure's file is written before a later figure fails
+    infeasible = SweepResult("x", (SweepRow(1.0, "df", "optimized_iso", math.inf, math.nan, 0),))
+    feasible = SweepResult("x", (SweepRow(1.0, "df", "optimized_iso", 0.0, 6.0, 0),))
+
+    def broken(scenario):
+        raise ValueError("broken figure")
+
+    monkeypatch.setitem(cli.bench.RUNNERS, "fig3", lambda sc: infeasible)
+    monkeypatch.setitem(cli.bench.RUNNERS, "fig4", lambda sc: feasible)
+    monkeypatch.setitem(cli.bench.RUNNERS, "fig5", broken)
+    assert cli.main(["fig4", "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["fig3", "fig4", "--out", str(tmp_path / "b")]) == 2
+    assert cli.main(["fig4", "fig3", "--out", str(tmp_path / "c")]) == 2
+    capsys.readouterr()
+    assert cli.main(["fig3", "fig5", "fig4", "--out", str(tmp_path / "d")]) == 1
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["fig3.csv"]
+    assert capsys.readouterr().err == "error: broken figure\n"
+
+
+def test_cli_runs_a_repeated_figure_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setitem(cli.bench.RUNNERS, "fig4",
+                        lambda sc, run=RUNNERS["fig4"]: calls.append(sc) or run(sc))
+    assert cli.main(["fig4", "fig4", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.splitlines() == [str(tmp_path / "fig4.csv")]
+    calls.clear()
+    assert cli.main(["fig4", "all", "fig4", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    assert [pathlib.Path(line).stem for line in capsys.readouterr().out.splitlines()] == [
+        "fig4", "fig3", "fig5", "fig6", "fig7", "fig8"]
 
 
 if __name__ == "__main__":
